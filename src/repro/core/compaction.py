@@ -316,13 +316,7 @@ class Compactor:
                     store._segment_names[start:stop] = [out_name]
                     store._tombstones = list(names)
                     store._write_manifest()
-                    # The incremental sealed-segment fold assumes an
-                    # append-only list; a splice invalidates it.
-                    store._sealed_view = None
-                    store._sealed_folded = 0
-                    store._view = None
-                    store._view_version = -1
-                    store._version += 1
+                    store._invalidate_views_locked(spliced=True)
                     store._segment_gauge.set(len(store._segments))
                     live = len(store._segments)
                     self._reserved = None

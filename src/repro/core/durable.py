@@ -13,9 +13,14 @@ an explicit lifecycle, the shape Hokusai-style segment stores use:
   file (:func:`~repro.core.serialize.save_store` written atomically),
   the WAL is rotated, and the manifest commits the new segment list;
 * **reads** fan across the sealed segments (opened lazily via
-  :func:`~repro.core.serialize.open_store`) plus a snapshot of the live
-  memtable, folded with the backend's own ``merge`` — the §III-A
-  time-range merge contract — and cached until the next append.
+  :func:`~repro.core.serialize.open_store`), the frozen pending-seal
+  generations and a snapshot of the live memtable.  Exact children
+  answer over a *stack* of those immutable parts (each query runs per
+  part and sums integer counts, see :meth:`ExactStore.stack
+  <repro.core.store.ExactStore.stack>`), so a read after a write costs
+  O(memtable), not O(history).  Sketch children fold the parts with the
+  backend's own ``merge`` — the §III-A time-range merge contract.
+  Either view is cached until the next state change.
 
 Crash recovery (``resume=True`` / :func:`recover`) loads the manifest's
 segments and replays the WAL tail written after the last seal; it is
@@ -41,7 +46,9 @@ Concurrency: one writer thread plus any number of reader threads.
 Readers only ever touch immutable objects — sealed segments, frozen
 pending-seal memtables and memtable snapshots — so a query can never
 observe a half-applied batch (no torn reads); the lock only serializes
-snapshot construction with appends.
+snapshot construction with appends.  Every state change invalidates
+the cached views through one method,
+``DurableBurstStore._invalidate_views_locked``.
 
 Background sealing (``background_seal=True``, directory mode only)
 moves the expensive half of a seal — segment serialization, atomic
@@ -109,6 +116,7 @@ from repro.core.errors import (
     StreamOrderError,
 )
 from repro.core.metrics import global_registry
+from repro.core.parallel import merge_stores
 from repro.core.serialize import atomic_write_bytes, open_store, save_store
 from repro.core.store import (
     ShardedBurstStore,
@@ -292,9 +300,14 @@ class DurableBurstStore(_StoreBase):
         self._wal: WriteAheadLog | None = None
         self._wal_seq = 0
         self._closed = False
+        # Read-view caches, invalidated only by _invalidate_views_locked:
+        # the full view (valid while _view_version == _version), the
+        # immutable parts under the memtable, and the incremental fold
+        # of the (append-only) segment list.
         self._version = 0
         self._view = None
         self._view_version = -1
+        self._lower: list | None = None
         self._sealed_view = None
         self._sealed_folded = 0
         # Inputs of a committed compaction swap whose files are not yet
@@ -525,6 +538,7 @@ class DurableBurstStore(_StoreBase):
         self._cleanup_stale_wals()
         with self._span("manifest.commit"):
             self._write_manifest()
+        self._invalidate_views_locked(spliced=True)
         self._recoveries_total.inc()
         self._segment_gauge.set(len(self._segments))
         sp.set_attribute("replayed_records", total_records)
@@ -711,7 +725,7 @@ class DurableBurstStore(_StoreBase):
             start = end
         if allow_seal and self._memtable_elements >= self.seal_elements:
             self._seal_locked()
-        self._version += 1
+        self._invalidate_views_locked(parts=False)
 
     # -- sealing -------------------------------------------------------
     def seal(self) -> None:
@@ -777,7 +791,7 @@ class DurableBurstStore(_StoreBase):
             self._memtable_elements = 0
         self._seals_total.inc()
         self._segment_gauge.set(len(self._segments))
-        self._version += 1
+        self._invalidate_views_locked()
         if self.directory is not None and self._compactor is not None:
             self._compactor.notify()
 
@@ -838,7 +852,7 @@ class DurableBurstStore(_StoreBase):
                 self._write_manifest(
                     durable=self.fsync_policy == "always"
                 )
-        self._version += 1
+        self._invalidate_views_locked()
         self._update_seal_gauges_locked()
         self._seal_cv.notify_all()
 
@@ -906,7 +920,7 @@ class DurableBurstStore(_StoreBase):
                     self._segment_names.append(job.name)
                     self._pending.pop(0)
                     self._write_manifest()
-                    self._version += 1
+                    self._invalidate_views_locked()
                     self._seals_total.inc()
                     self._segment_gauge.set(len(self._segments))
                     self._segment_bytes_sealed += written
@@ -997,7 +1011,7 @@ class DurableBurstStore(_StoreBase):
     def finalize(self) -> None:
         with self._lock:
             self._memtable.finalize()
-            self._version += 1
+            self._invalidate_views_locked(parts=False)
 
     def close(self) -> None:
         """Drain pending seals, flush and release the WAL (idempotent).
@@ -1030,6 +1044,38 @@ class DurableBurstStore(_StoreBase):
                 self._wal.close()
 
     # -- read path -----------------------------------------------------
+    def _invalidate_views_locked(
+        self, *, parts: bool = True, spliced: bool = False
+    ) -> None:
+        """Invalidate the read-view caches after a state change.
+
+        The one place they are invalidated (store lock held).  An
+        append or ``finalize`` changes only the memtable
+        (``parts=False``): the next read takes a new memtable part over
+        the cached lower parts.  A seal, freeze or background-seal
+        commit changes the segment or pending list, so the lower parts
+        go too; the incremental sealed fold stays valid because those
+        paths only append segments.  A compaction swap splices the
+        segment list and recovery rebuilds it (``spliced=True``): the
+        sealed fold restarts from scratch.
+
+        A stale view is only *marked* stale here: the reader that
+        replaces it releases it, so the write path never pays for
+        freeing the previous memtable snapshot.
+        """
+        self._version += 1
+        if parts:
+            self._lower = None
+        if spliced:
+            self._sealed_view = None
+            self._sealed_folded = 0
+
+    @property
+    def _layered(self) -> bool:
+        """Whether reads stack parts instead of merging them: true when
+        the child backend's class answers over a stack (``exact``)."""
+        return hasattr(type(self._empty), "stack")
+
     def _fold_sealed_locked(self):
         if self._sealed_folded != len(self._segments):
             view = self._sealed_view
@@ -1039,36 +1085,63 @@ class DurableBurstStore(_StoreBase):
             self._sealed_folded = len(self._segments)
         return self._sealed_view
 
-    def _read_view(self):
-        """The current immutable queryable snapshot (cached per version).
+    def _lower_parts_locked(self) -> list:
+        """The immutable parts under the memtable, cached until the
+        segment or pending list changes: the folded sealed view, then
+        the frozen pending generations — merged into one store for
+        sketch children, kept apart for stacked (exact) ones."""
+        if self._lower is None:
+            parts = [self._fold_sealed_locked()]
+            parts.extend(job.store for job in self._pending)
+            parts = [part for part in parts if part is not None]
+            if len(parts) > 1 and not self._layered:
+                parts = [merge_stores(parts)]
+            self._lower = parts
+        return self._lower
 
-        Sealed segments fold incrementally into a cached merged store;
-        frozen pending-seal generations (immutable, finalized) fold on
-        top, and a non-empty memtable contributes a serialized copy, so
-        readers never share mutable state with the writer.  A reader
-        therefore sees either the pre-seal view (generation still
+    def _memtable_part_locked(self):
+        """The live memtable as an immutable part (``None`` if empty).
+
+        The one place a memtable becomes a part: exact children copy
+        their per-event lists (O(memtable)); sketch children round-trip
+        through their codec, which flushes buffered state.
+        """
+        if self._memtable_elements == 0:
+            return None
+        if self._layered:
+            return self._memtable.snapshot()
+        return load_backend(self.child_backend, self._memtable.to_bytes())
+
+    def _read_view(self):
+        """The current immutable queryable snapshot (cached per state).
+
+        The lower parts (sealed view + frozen pending generations) are
+        cached until a seal, freeze or compaction; a non-empty memtable
+        adds one snapshot part per write.  Exact children answer over
+        the stack of parts (O(memtable) per new view); sketch children
+        merge the memtable part into their single folded lower part.
+        A reader sees either the pre-seal view (generation still
         pending) or the post-seal view (file-backed segment) — never a
         torn mix, because the pending→segment swap is one locked commit
-        that bumps the version.
+        that invalidates the cached view.
         """
         with self._lock:
-            if self._view is not None and self._view_version == self._version:
-                return self._view
-            sealed = self._fold_sealed_locked()
-            for job in self._pending:
-                sealed = (
-                    job.store if sealed is None else sealed.merge(job.store)
-                )
-            if self._memtable_elements == 0:
-                view = sealed if sealed is not None else self._empty
-            else:
-                snapshot = load_backend(
-                    self.child_backend, self._memtable.to_bytes()
-                )
-                view = snapshot if sealed is None else sealed.merge(snapshot)
-            self._view = view
-            self._view_version = self._version
-            return view
+            if self._view_version != self._version:
+                parts = list(self._lower_parts_locked())
+                memtable = self._memtable_part_locked()
+                if memtable is not None:
+                    parts.append(memtable)
+                if not parts:
+                    view = self._empty
+                elif len(parts) == 1:
+                    view = parts[0]
+                elif self._layered:
+                    view = type(self._empty).stack(parts)
+                else:
+                    view = merge_stores(parts)
+                self._view = view
+                self._view_version = self._version
+            return self._view
 
     def point_query(self, event_id: int, t: float, tau: float) -> float:
         with self._span("query.point"):
@@ -1175,12 +1248,9 @@ class DurableBurstStore(_StoreBase):
         for store in (self, other):
             with store._lock:
                 parts.extend(store._parts_locked())
-                if store._memtable_elements > 0:
-                    parts.append(
-                        load_backend(
-                            store.child_backend, store._memtable.to_bytes()
-                        )
-                    )
+                memtable = store._memtable_part_locked()
+                if memtable is not None:
+                    parts.append(memtable)
         merged = DurableBurstStore(
             None,
             backend=self.child_backend,

@@ -34,7 +34,15 @@ import io
 import json
 import struct
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Literal, NamedTuple, Protocol, runtime_checkable
+from typing import (
+    Callable,
+    Iterable,
+    Literal,
+    NamedTuple,
+    Protocol,
+    Sequence,
+    runtime_checkable,
+)
 
 import numpy as np
 
@@ -621,8 +629,9 @@ class ExactStore(_StoreBase):
         self, event_id: int, t_start: float, t_end: float, tau: float
     ) -> tuple[float, float]:
         require_time_range(t_start, t_end)
-        times = self.inner.timestamps_of(event_id)
-        knots = [x for x in times if t_start - 2 * tau <= x <= t_end]
+        knots = self.inner.timestamps_between(
+            event_id, t_start - 2 * tau, t_end
+        )
         return max_burstiness(
             self.curve(event_id), knots, tau, t_start, t_end
         )
@@ -634,7 +643,9 @@ class ExactStore(_StoreBase):
         return float(self.inner.cumulative_frequency(event_id, t))
 
     def export_records(self) -> tuple[np.ndarray, np.ndarray]:
-        items = sorted(self.inner._timestamps.items())
+        items = [
+            item for table in self.inner._tables for item in table.items()
+        ]
         if not items:
             return (
                 np.empty(0, dtype=np.int64),
@@ -665,6 +676,28 @@ class ExactStore(_StoreBase):
     def size_in_bytes(self) -> int:
         return self.inner.size_in_bytes()
 
+    # -- snapshots & stacks --------------------------------------------
+    def snapshot(self) -> "ExactStore":
+        """An independent copy for readers in O(own table): the
+        per-event lists are copied, stacked tables are shared."""
+        copy = ExactStore(self.inner.snapshot())
+        copy._t_end = self._t_end
+        return copy
+
+    @classmethod
+    def stack(cls, parts: Sequence["ExactStore"]) -> "ExactStore":
+        """Answer over the union of immutable ``parts`` without merging.
+
+        O(parts) to build; each query runs per part and sums the
+        integer counts, so every answer is bit-identical to the store
+        :meth:`merge` would build from the same parts.
+        """
+        if not parts or not all(isinstance(p, ExactStore) for p in parts):
+            raise InvalidParameterError("can only stack exact stores")
+        view = cls(ExactBurstStore.stacked([part.inner for part in parts]))
+        view._t_end = max(part._t_end for part in parts)
+        return view
+
     # -- merge & codec -------------------------------------------------
     def merge(self, other: "ExactStore") -> "ExactStore":
         """Merge with another exact store (time ranges may interleave —
@@ -673,8 +706,9 @@ class ExactStore(_StoreBase):
             raise InvalidParameterError("can only merge exact with exact")
         merged = ExactStore()
         for part in (self, other):
-            for event_id, times in part.inner._timestamps.items():
-                merged.inner._timestamps[event_id].extend(times)
+            for table in part.inner._tables:
+                for event_id, times in table.items():
+                    merged.inner._timestamps[event_id].extend(times)
         for times in merged.inner._timestamps.values():
             times.sort()
         merged.inner._count = self.inner.count + other.inner.count
@@ -690,11 +724,11 @@ class ExactStore(_StoreBase):
 
     def to_bytes(self) -> bytes:
         out = io.BytesIO()
-        events = sorted(self.inner._timestamps)
+        events = self.inner.event_ids()
         out.write(struct.pack("<QQ", self.inner.count, len(events)))
         for event_id in events:
             times = np.asarray(
-                self.inner._timestamps[event_id], dtype="<f8"
+                self.inner.timestamps_of(event_id), dtype="<f8"
             )
             out.write(struct.pack("<qQ", int(event_id), times.size))
             out.write(times.tobytes())
