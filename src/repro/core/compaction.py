@@ -19,10 +19,11 @@ Hokusai-style stores use to keep unbounded streams bounded:
   merges the planned run through :func:`~repro.core.parallel.merge_stores`
   (which dispatches to the lazy zero-copy ``merge_pbe1``/``merge_pbe2``
   fast paths for PBE children), writes the merged segment atomically
-  under a *reserved* name, then commits one atomic manifest swap: new
-  segment in, inputs out, inputs listed in the manifest's
-  ``tombstones`` field.  Only after the swap are the input files
-  unlinked and the tombstones cleared.
+  under a name reserved from the store, then commits one atomic
+  manifest swap through the store's segment commit — the same one
+  every seal uses: new segment in, inputs out, inputs listed in the
+  manifest's ``tombstones`` field.  Only after the swap are the input
+  files unlinked and the tombstones cleared.
 
   Crash windows, by construction:
 
@@ -172,11 +173,12 @@ class Compactor:
 
     Locking: :meth:`run_once` holds ``_run_lock`` end to end (manual
     and background compaction never interleave), takes the store's
-    seal condition only to snapshot/plan and to commit the swap, and
-    performs the expensive merge + atomic segment write outside any
-    store lock — sealed segments are immutable, and the seal thread
-    only ever *appends* to the segment list, so the planned slice
-    positions stay valid across the unlocked window.
+    seal condition only to snapshot/plan (the store's
+    ``_commit_segment`` takes it again for the swap), and performs the
+    expensive merge + atomic segment write outside any store lock —
+    sealed segments are immutable, and the seal thread only ever
+    *appends* to the segment list, so the planned slice positions stay
+    valid across the unlocked window.
     """
 
     def __init__(
@@ -204,8 +206,6 @@ class Compactor:
         self._running = False
         self._stop_flag = False
         self._error: BaseException | None = None
-        self._reserved: str | None = None
-        self._bytes_rewritten = 0
         metrics = global_registry()
         self._runs_total = metrics.counter(
             "compaction_runs_total", "segment compaction runs committed"
@@ -222,22 +222,6 @@ class Compactor:
             "compaction_segments_live",
             "committed segments after the last compaction scan",
         )
-        self._write_amp_gauge = metrics.gauge(
-            "compaction_write_amplification",
-            "(sealed + rewritten) / sealed segment bytes, this process",
-        )
-
-    # -- stale-sweep protection ----------------------------------------
-    def protected_names(self) -> set[str]:
-        """Segment file names a stale-file sweep must not delete.
-
-        While a merge is in flight its reserved output name is on disk
-        (or about to be) but not yet in any manifest; sweeping it away
-        would race the manifest swap exactly the way an uncommitted
-        background-seal segment would.
-        """
-        reserved = self._reserved
-        return {reserved} if reserved is not None else set()
 
     # -- one merge pass -------------------------------------------------
     def run_once(self, *, fanin=None, min_segments=None) -> bool:
@@ -270,9 +254,7 @@ class Compactor:
                 start, stop = plan
                 names = names_all[start:stop]
                 parts = list(store._segments[start:stop])
-                out_name = f"segment-{store._next_segment:06d}.beds"
-                store._next_segment += 1
-                self._reserved = out_name
+                out_name = store._next_segment_name_locked()
             out_path = os.path.join(store.directory, out_name)
             try:
                 with store._span(
@@ -291,54 +273,17 @@ class Compactor:
             except BaseException as exc:
                 # The reserved output (if it got written) is an orphan
                 # no manifest references; the next recovery reaps it.
-                self._reserved = None
                 raise CompactionError(
                     f"compaction of {names} failed: {exc!r}"
                 ) from exc
             with store._span(
                 "compact.manifest_swap", segment=out_name, inputs=len(names)
             ):
-                with store._seal_cv:
-                    if store._segment_names[start:stop] != names:
-                        # Defensive: only this (run-locked) compactor
-                        # removes entries and the sealer only appends,
-                        # so the slice cannot move — but never swap on
-                        # a stale plan.
-                        self._reserved = None
-                        try:
-                            os.unlink(out_path)
-                        except OSError:
-                            pass
-                        raise CompactionError(
-                            "segment list changed during compaction"
-                        )
-                    store._segments[start:stop] = [segment]
-                    store._segment_names[start:stop] = [out_name]
-                    store._tombstones = list(names)
-                    store._write_manifest()
-                    store._invalidate_views_locked(spliced=True)
-                    store._segment_gauge.set(len(store._segments))
-                    live = len(store._segments)
-                    self._reserved = None
-            for name in names:
-                try:
-                    os.unlink(os.path.join(store.directory, name))
-                except OSError:
-                    pass
-            with store._seal_cv:
-                store._tombstones = []
-                store._write_manifest(
-                    durable=store.fsync_policy == "always"
-                )
-            self._bytes_rewritten += int(written)
+                store._commit_segment(out_name, segment, replaces=names)
             self._runs_total.inc()
             self._bytes_rewritten_total.inc(int(written))
             self._segments_merged_total.inc(len(names))
-            self._segments_live_gauge.set(live)
-            sealed = max(int(getattr(store, "_segment_bytes_sealed", 0)), 1)
-            self._write_amp_gauge.set(
-                (sealed + self._bytes_rewritten) / sealed
-            )
+            self._segments_live_gauge.set(store.n_segments)
             return True
 
     def run_until_stable(self, *, fanin=None, min_segments=None) -> int:

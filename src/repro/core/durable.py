@@ -30,7 +30,7 @@ recovery, every query answers bit-identically to an
 :class:`~repro.baselines.exact.ExactBurstStore` fed the same prefix of
 acknowledged events.
 
-Crash-window analysis for the seal sequence (segment file → new WAL →
+Crash-window analysis for the seal sequence (new WAL → segment file →
 manifest → old-WAL delete, every file write atomic-rename + fsync):
 
 * crash before the manifest commit — the old manifest still pairs the
@@ -108,6 +108,7 @@ from repro.core.compaction import (
     _drain_rebalance,
 )
 from repro.core.errors import (
+    CompactionError,
     InvalidParameterError,
     RecoveryError,
     SerializationError,
@@ -174,7 +175,7 @@ def _dump_manifest(manifest: dict) -> bytes:
 
 @dataclass
 class _PendingSeal:
-    """One frozen memtable generation queued for the seal thread.
+    """One frozen memtable generation awaiting its segment commit.
 
     ``store`` is finalized and immutable; ``wal_seqs`` are the log files
     still backing its records — they stay on disk (and in the manifest's
@@ -275,9 +276,12 @@ class DurableBurstStore(_StoreBase):
         self._pending: list[_PendingSeal] = []
         self._seal_thread: threading.Thread | None = None
         self._seal_stop = False
+        self._seal_busy = False  # the seal thread holds a job
         self._seal_error: BaseException | None = None
         self._memtable_wal_seqs: list[int] = []
         self._next_segment = 0
+        # Segment names handed out (seal or merge) but not committed.
+        self._reserved: set[str] = set()
         self.replayed_records = 0
         self.child_backend = backend
         self.child_cfg = dict(child_cfg)
@@ -313,7 +317,6 @@ class DurableBurstStore(_StoreBase):
         # Inputs of a committed compaction swap whose files are not yet
         # deleted; persisted in the manifest so recovery drains them.
         self._tombstones: list[str] = []
-        self._segment_bytes_sealed = 0
         self.compact_enabled = bool(compact)
         # Constructed for every directory store (keeps the compaction
         # metric families registered); the thread starts only when
@@ -553,22 +556,18 @@ class DurableBurstStore(_StoreBase):
         # written but not yet committed: sweeping those would race the
         # manifest commit and delete a file the very next manifest
         # references.  The sweep therefore runs under the seal lock and
-        # protects every pending-seal name and the compactor's reserved
-        # output explicitly.
+        # protects every name reserved but not yet committed.
         with self._seal_cv:
             live = {
                 os.path.basename(self._wal_path(seq))
                 for seq in (*self._memtable_wal_seqs, self._wal_seq)
             }
-            protected = set(self._segment_names)
+            protected = set(self._segment_names) | self._reserved
             for job in self._pending:
                 live.update(
                     os.path.basename(self._wal_path(seq))
                     for seq in job.wal_seqs
                 )
-                protected.add(job.name)
-            if self._compactor is not None:
-                protected.update(self._compactor.protected_names())
             try:
                 names = os.listdir(self.directory)
             except OSError:
@@ -590,19 +589,26 @@ class DurableBurstStore(_StoreBase):
                     except OSError:
                         pass
 
-    def _write_manifest(self, *, durable: bool | None = None) -> None:
-        # ``live_wals`` lists every log whose records are not yet in a
-        # committed segment, oldest first: frozen pending generations,
-        # then the logs backing the active memtable.  A seq leaves the
-        # list only in the same atomic commit that adds its segment.
-        #
+    def _write_manifest(
+        self, segments=None, pending=None, tombstones=None, *, durable=None
+    ) -> None:
+        # A commit passes the layout it is about to publish; the default
+        # is the published one.  ``live_wals`` lists every log whose
+        # records are not yet in a committed segment, oldest first:
+        # frozen pending generations, then the logs backing the active
+        # memtable.  A seq leaves the list only in the same atomic
+        # commit that adds its segment.
         # ``durable=False`` skips the fsync: the rename still makes the
         # manifest atomic and process-crash safe, only the power-loss
         # window grows — callers may pass it when the fsync policy
         # already trades that window away AND no WAL deletion rides on
         # this manifest being on stable storage.
+        if segments is None:
+            segments, pending, tombstones = (
+                self._segment_names, self._pending, self._tombstones
+            )
         live_wals: list[int] = []
-        for job in self._pending:
+        for job in pending:
             for seq in job.wal_seqs:
                 if seq not in live_wals:
                     live_wals.append(seq)
@@ -615,8 +621,8 @@ class DurableBurstStore(_StoreBase):
             "backend": self.child_backend,
             "child_cfg": self.child_cfg,
             "seal_elements": self.seal_elements,
-            "segments": self._segment_names,
-            "tombstones": list(self._tombstones),
+            "segments": segments,
+            "tombstones": list(tombstones),
             "wal_seq": self._wal_seq,
             "live_wals": live_wals,
             "t_end": None if self._t_end == _NEG_INF else self._t_end,
@@ -731,12 +737,14 @@ class DurableBurstStore(_StoreBase):
     def seal(self) -> None:
         """Seal the live memtable into an immutable segment.
 
-        No-op on an empty memtable.  Durable mode writes the segment
-        atomically, rotates the WAL and commits the manifest before
-        deleting the old log, so a crash at any instant loses nothing.
+        No-op on an empty memtable.  Durable mode freezes the memtable
+        (rotating the WAL), writes the segment atomically and commits
+        the manifest before deleting the old log, so a crash at any
+        instant loses nothing.  A failed seal re-raises and leaves the
+        frozen generation pending (reads stay correct); later writes
+        raise ``SerializationError`` until the directory is recovered.
         Under ``background_seal`` this only *freezes* the memtable and
-        enqueues it — call :meth:`drain_seals` to wait for the segment
-        commit itself.
+        enqueues it — :meth:`drain_seals` waits for the commit.
         """
         with self._lock:
             self._check_writable()
@@ -745,63 +753,30 @@ class DurableBurstStore(_StoreBase):
     def _seal_locked(self) -> None:
         if self._memtable_elements == 0:
             return
-        if self.background_seal:
-            self._freeze_locked()
-            return
-        with self._seal_seconds.time():
-            self._memtable.finalize()
-            if self.directory is None:
+        if self.directory is None:
+            with self._seal_seconds.time():
+                self._memtable.finalize()
                 self._segments.append(self._memtable)
+                self._memtable = create_store(
+                    self.child_backend, **self.child_cfg
+                )
+                self._memtable_elements = 0
+            self._seals_total.inc()
+            self._segment_gauge.set(len(self._segments))
+            self._invalidate_views_locked()
+            return
+        try:
+            if self.background_seal:
+                self._enqueue_locked()
             else:
-                name = f"segment-{self._next_segment:06d}.beds"
-                path = os.path.join(self.directory, name)
-                with self._span(
-                    "seal.segment_write",
-                    segment=name,
-                    elements=self._memtable_elements,
-                ):
-                    written = atomic_write_bytes(
-                        path,
-                        save_store(self._memtable),
-                        fsync=self.fsync_policy != "never",
-                    )
-                self._segment_bytes_sealed += written
-                self._segment_bytes_total.inc(written)
-                new_seq = self._wal_seq + 1
-                new_wal = self._open_wal(new_seq, truncate=True)
-                old_wal = self._wal
-                old_seqs = list(self._memtable_wal_seqs)
-                self._next_segment += 1
-                self._segments.append(open_store(path, lazy=True))
-                self._segment_names.append(name)
-                self._wal, self._wal_seq = new_wal, new_seq
-                self._memtable_wal_seqs = [new_seq]
-                with self._span("manifest.commit", segment=name):
-                    self._write_manifest()
-                if old_wal is not None:
-                    old_wal.close()
-                for seq in old_seqs:
-                    try:
-                        os.unlink(self._wal_path(seq))
-                    except OSError:
-                        pass
-            self._memtable = create_store(
-                self.child_backend, **self.child_cfg
-            )
-            self._memtable_elements = 0
-        self._seals_total.inc()
-        self._segment_gauge.set(len(self._segments))
-        self._invalidate_views_locked()
-        if self.directory is not None and self._compactor is not None:
-            self._compactor.notify()
+                self._seal_job(self._freeze_locked())
+        except BaseException as exc:
+            self._seal_failed(exc)
+            raise
 
-    def _freeze_locked(self) -> None:
-        """Hot-path half of a background seal: finalize the memtable,
-        rotate the WAL, enqueue the frozen generation, keep appending.
-
-        Blocks (never drops) while ``max_unsealed`` generations are
-        already in flight — that is the backpressure contract.
-        """
+    def _enqueue_locked(self) -> None:
+        """Freeze the memtable for the seal thread; blocks (never drops)
+        while ``max_unsealed`` generations are already in flight."""
         if len(self._pending) >= self.max_unsealed:
             self._backpressure_waits.inc()
             with self._span(
@@ -820,72 +795,68 @@ class DurableBurstStore(_StoreBase):
         with self._span(
             "memtable.freeze", elements=self._memtable_elements
         ):
-            self._memtable.finalize()
-            name = f"segment-{self._next_segment:06d}.beds"
-            self._next_segment += 1
-            new_seq = self._wal_seq + 1
-            new_wal = self._open_wal(new_seq, truncate=True)
-            job = _PendingSeal(
-                name=name,
-                store=self._memtable,
-                elements=self._memtable_elements,
-                wal_seqs=list(self._memtable_wal_seqs),
-                old_wal=self._wal,
-                trace_ctx=_tracing.current_context(),
-                frozen_wall=time.time(),
-                frozen_perf=time.perf_counter(),
-            )
-            self._wal, self._wal_seq = new_wal, new_seq
-            self._memtable_wal_seqs = [new_seq]
-            self._pending.append(job)
-            self._memtable = create_store(
-                self.child_backend, **self.child_cfg
-            )
-            self._memtable_elements = 0
-            # The manifest now lists the frozen generation's logs in
-            # live_wals: a crash before the segment commit replays them.
-            # Fsync only under "always" — this is the append hot path,
-            # no WAL deletion depends on this write, and "batch"/
-            # "never" already accept a power-loss window for unsealed
-            # records.
-            with self._span("manifest.commit", segment=name):
-                self._write_manifest(
-                    durable=self.fsync_policy == "always"
-                )
+            job = self._freeze_locked()
+            job.trace_ctx = _tracing.current_context()
+            # Queued only: list the frozen generation's logs in
+            # live_wals, so a crash before its commit replays them.
+            # Fsync only under "always" — no WAL deletion rides on this
+            # hot-path write.
+            with self._span("manifest.commit", segment=job.name):
+                self._write_manifest(durable=self.fsync_policy == "always")
+
+    def _next_segment_name_locked(self) -> str:
+        """Reserve a fresh segment file name (for a seal or a merge);
+        the stale-file sweep spares it until it is committed."""
+        name = f"segment-{self._next_segment:06d}.beds"
+        self._next_segment += 1
+        self._reserved.add(name)
+        return name
+
+    def _freeze_locked(self) -> _PendingSeal:
+        """First half of every directory seal: finalize the memtable,
+        rotate the WAL, and move the memtable to the pending list as a
+        frozen generation; appends continue into a fresh memtable."""
+        self._memtable.finalize()
+        new_seq = self._wal_seq + 1
+        new_wal = self._open_wal(new_seq, truncate=True)
+        job = _PendingSeal(
+            name=self._next_segment_name_locked(),
+            store=self._memtable,
+            elements=self._memtable_elements,
+            wal_seqs=list(self._memtable_wal_seqs),
+            old_wal=self._wal,
+            frozen_wall=time.time(),
+            frozen_perf=time.perf_counter(),
+        )
+        self._wal, self._wal_seq = new_wal, new_seq
+        self._memtable_wal_seqs = [new_seq]
+        self._pending.append(job)
+        self._memtable = create_store(self.child_backend, **self.child_cfg)
+        self._memtable_elements = 0
         self._invalidate_views_locked()
         self._update_seal_gauges_locked()
         self._seal_cv.notify_all()
+        return job
 
     def _seal_worker(self) -> None:
         while True:
             with self._seal_cv:
+                self._seal_busy = False
+                self._seal_cv.notify_all()
                 while not self._pending and not self._seal_stop:
                     self._seal_cv.wait()
                 if not self._pending:
                     return
                 job = self._pending[0]
+                self._seal_busy = True
             try:
                 self._complete_seal(job)
             except BaseException as exc:  # surface on the ingest path
-                _logger.warning(
-                    "background seal of %s failed in %s: %r (records "
-                    "remain WAL-backed; recover() the directory)",
-                    job.name,
-                    self.directory,
-                    exc,
-                )
-                with self._seal_cv:
-                    self._seal_error = exc
-                    self._seal_cv.notify_all()
+                self._seal_failed(exc)
                 return
 
     def _complete_seal(self, job: _PendingSeal) -> None:
-        """Seal-thread half: segment write → manifest commit → WAL GC.
-
-        The expensive serialization and fsync run *outside* the store
-        lock (the frozen memtable is immutable); only the commit that
-        publishes the segment and retires the job's WALs takes it.
-        """
+        """The seal thread's entry point for one queued generation."""
         # The seal thread has no ambient span context (ContextVars do
         # not cross threads), so the freeze-time context captured in
         # the job parents everything here — including the queue wait,
@@ -898,6 +869,15 @@ class DurableBurstStore(_StoreBase):
             parent=job.trace_ctx,
             segment=job.name,
         )
+        self._seal_job(job)
+
+    def _seal_job(self, job: _PendingSeal) -> None:
+        """Second half of every directory seal: segment write → commit
+        → WAL GC, on the seal thread or inline on the caller's thread.
+
+        The serialization and fsync need no store lock (the frozen
+        memtable is immutable); only :meth:`_commit_segment` takes it.
+        """
         with self._seal_seconds.time():
             path = os.path.join(self.directory, job.name)
             with self._span(
@@ -912,30 +892,81 @@ class DurableBurstStore(_StoreBase):
                     fsync=self.fsync_policy != "never",
                 )
                 segment = open_store(path, lazy=True)
+            if job.old_wal is not None:
+                job.old_wal.close()
             with self._span(
                 "manifest.commit", parent=job.trace_ctx, segment=job.name
             ):
-                with self._seal_cv:
-                    self._segments.append(segment)
-                    self._segment_names.append(job.name)
-                    self._pending.pop(0)
-                    self._write_manifest()
-                    self._invalidate_views_locked()
-                    self._seals_total.inc()
-                    self._segment_gauge.set(len(self._segments))
-                    self._segment_bytes_sealed += written
-                    self._segment_bytes_total.inc(written)
-                    self._update_seal_gauges_locked()
-                    self._seal_cv.notify_all()
+                self._commit_segment(
+                    job.name,
+                    segment,
+                    sealed=job,
+                    retired=[self._wal_path(seq) for seq in job.wal_seqs],
+                )
+        self._seals_total.inc()
+        self._segment_bytes_total.inc(written)
         if self._compactor is not None:
             self._compactor.notify()
-        if job.old_wal is not None:
-            job.old_wal.close()
-        for seq in job.wal_seqs:
-            try:
-                os.unlink(self._wal_path(seq))
-            except OSError:
-                pass
+
+    def _commit_segment(
+        self, name, segment, *, replaces=(), sealed=None, retired=()
+    ) -> None:
+        """The one commit that changes the segment list: a seal passes
+        the frozen generation ``sealed`` and its ``retired`` WALs, a
+        compaction swap the adjacent run of inputs ``replaces``.
+
+        The manifest for the new layout (``replaces`` as tombstones) is
+        written first; only after it succeeded are the in-memory lists
+        published, so a failed commit changes nothing.  Then the retired
+        files and inputs are unlinked and a swap's tombstones cleared,
+        all before waiters (``drain_seals``) are woken.
+        """
+        replaces = list(replaces)
+        with self._seal_cv:
+            names = self._segment_names
+            # Only the run-locked compactor removes names and seals only
+            # append, so a planned run cannot move — but never swap on a
+            # stale plan.
+            start = names.index(replaces[0]) if replaces else len(names)
+            stop = start + len(replaces)
+            if names[start:stop] != replaces:
+                raise CompactionError("segment list changed mid-compaction")
+            layout = [*names[:start], name, *names[stop:]]
+            pending = [job for job in self._pending if job is not sealed]
+            tombstones = replaces or self._tombstones
+            self._write_manifest(layout, pending, tombstones)
+            self._segments[start:stop] = [segment]
+            self._segment_names = layout
+            self._reserved.discard(name)
+            self._pending = pending
+            self._tombstones = tombstones
+            self._invalidate_views_locked(spliced=bool(replaces))
+            self._segment_gauge.set(len(self._segments))
+            self._update_seal_gauges_locked()
+            inputs = [os.path.join(self.directory, n) for n in replaces]
+            for path in [*retired, *inputs]:
+                try:
+                    os.unlink(path)
+                except OSError:
+                    pass
+            if replaces:
+                self._write_manifest(
+                    layout, pending, [], durable=self.fsync_policy == "always"
+                )
+                self._tombstones = []
+            self._seal_cv.notify_all()
+
+    def _seal_failed(self, exc: BaseException) -> None:
+        """Record a failed seal: the frozen generation stays pending and
+        WAL-backed, and every later write refuses until recovery."""
+        with self._seal_cv:
+            if self._seal_error is None:
+                self._seal_error = exc
+                _logger.warning(
+                    "seal failed in %s: %r (records remain WAL-backed; "
+                    "recover() the directory)", self.directory, exc,
+                )
+            self._seal_cv.notify_all()
 
     def _update_seal_gauges_locked(self) -> None:
         self._queue_depth_gauge.set(len(self._pending))
@@ -945,9 +976,10 @@ class DurableBurstStore(_StoreBase):
 
     def _raise_seal_error(self) -> None:
         if self._seal_error is not None:
+            kind = "background seal" if self.background_seal else "seal"
             raise SerializationError(
-                f"background seal failed: {self._seal_error!r}; the "
-                "records are still WAL-backed — recover() the directory"
+                f"{kind} failed: {self._seal_error!r}; the records are "
+                "still WAL-backed — recover() the directory"
             ) from self._seal_error
 
     def drain_seals(self) -> None:
@@ -960,7 +992,9 @@ class DurableBurstStore(_StoreBase):
         if not self.background_seal:
             return
         with self._seal_cv:
-            while self._pending and self._seal_error is None:
+            while (
+                self._pending or self._seal_busy
+            ) and self._seal_error is None:
                 self._seal_cv.wait()
             self._raise_seal_error()
 
@@ -1018,7 +1052,7 @@ class DurableBurstStore(_StoreBase):
         Queries keep working on the already-ingested data; further
         appends raise.
 
-        If a background seal failed, close still succeeds — the frozen
+        If a seal failed, close still succeeds — the frozen
         records remain WAL-backed and the manifest's live_wals covers
         them, so :func:`recover` replays them losslessly.
         """
@@ -1042,6 +1076,9 @@ class DurableBurstStore(_StoreBase):
         with self._lock:
             if self._wal is not None:
                 self._wal.close()
+            for job in self._pending:  # left behind by a failed seal
+                if job.old_wal is not None:
+                    job.old_wal.close()
 
     # -- read path -----------------------------------------------------
     def _invalidate_views_locked(
@@ -1052,12 +1089,12 @@ class DurableBurstStore(_StoreBase):
         The one place they are invalidated (store lock held).  An
         append or ``finalize`` changes only the memtable
         (``parts=False``): the next read takes a new memtable part over
-        the cached lower parts.  A seal, freeze or background-seal
-        commit changes the segment or pending list, so the lower parts
-        go too; the incremental sealed fold stays valid because those
-        paths only append segments.  A compaction swap splices the
-        segment list and recovery rebuilds it (``spliced=True``): the
-        sealed fold restarts from scratch.
+        the cached lower parts.  A freeze or a seal commit changes the
+        pending or segment list, so the lower parts go too; the
+        incremental sealed fold stays valid because a seal only appends
+        a segment.  A compaction swap splices the segment list and
+        recovery rebuilds it (``spliced=True``): the sealed fold
+        restarts from scratch.
 
         A stale view is only *marked* stale here: the reader that
         replaces it releases it, so the write path never pays for

@@ -17,10 +17,12 @@ the whole observability substrate:
   live monitor, the batched stream readers, the durable lifecycle)
   report into — including the segment-compaction families
   (``compaction_runs_total``, ``compaction_bytes_rewritten_total``,
-  ``compaction_segments_merged_total``, ``compaction_segments_live``,
-  ``compaction_write_amplification``), the sealed-byte accounting
-  counter ``durable_segment_bytes_total`` behind the write-amp gauge,
-  and the coordinator's adaptive-batching families
+  ``compaction_segments_merged_total``, ``compaction_segments_live``),
+  the sealed-byte counter ``durable_segment_bytes_total`` (write
+  amplification is ``1 + compaction_bytes_rewritten_total /
+  durable_segment_bytes_total``, a ratio of counters that stays right
+  across recoveries and fleet merges), and the coordinator's
+  adaptive-batching families
   (``parallel_coalesced_batches_total``,
   ``parallel_coalesce_flushes_total``,
   ``parallel_coalesce_budget_bytes``),
