@@ -146,6 +146,26 @@ class ExactBurstStore:
             for times in self._lists_of(int(event_id))
         )
 
+    def cumulative_frequency_many(self, event_id: int, ts) -> np.ndarray:
+        """Vectorized :meth:`cumulative_frequency` over query times.
+
+        Each stacked list is bisected to the queried window
+        ``(min ts, max ts]``; only that slice is searched, so the cost
+        does not grow with the event's history outside the window.
+        """
+        ts = np.asarray(ts, dtype=np.float64)
+        counts = np.zeros(ts.shape, dtype=np.int64)
+        if ts.size == 0:
+            return counts.astype(np.float64)
+        lo, hi = float(ts.min()), float(ts.max())
+        for times in self._lists_of(int(event_id)):
+            start = bisect.bisect_right(times, lo)
+            window = times[start : bisect.bisect_right(times, hi, start)]
+            counts += start + np.searchsorted(
+                np.asarray(window, dtype=np.float64), ts, side="right"
+            )
+        return counts.astype(np.float64)
+
     def burstiness(self, event_id: int, t: float, tau: float) -> int:
         """Exact ``b_e(t)``."""
         require_tau(tau)

@@ -120,6 +120,9 @@ class _EventCurveView:
     def value(self, t: float) -> float:
         return self._sketch.cumulative_frequency(self._event_id, t)
 
+    def value_many(self, ts) -> np.ndarray:
+        return self._sketch.cumulative_frequency_many(self._event_id, ts)
+
     def size_in_bytes(self) -> int:
         return self._sketch.size_in_bytes()
 
@@ -417,7 +420,7 @@ class CMPBE:
         bursty-time queries need point queries only there (§V).
         """
         knots: set[float] = set()
-        for row, column in enumerate(self._hashes.hash_all(event_id)):
+        for row, column in enumerate(self._hash_columns(event_id)):
             cell = self._cells[row][column]
             knots.update(cell.segment_starts())  # type: ignore[attr-defined]
         return sorted(knots)
@@ -527,12 +530,10 @@ class DirectPBEMap:
             return np.zeros(0, dtype=np.float64)
         times = np.concatenate([ts, ts - tau, ts - 2 * tau])
         values = np.zeros(3 * n, dtype=np.float64)
-        for event_id in np.unique(ids).tolist():
+        for event_id, selected in _iter_groups(np.tile(ids, 3)):
             cell = self._cells.get(event_id)
-            if cell is None:
-                continue
-            selected = np.tile(ids == event_id, 3)
-            values[selected] = cell.value_many(times[selected])
+            if cell is not None:
+                values[selected] = cell.value_many(times[selected])
         return values[:n] - 2.0 * values[n : 2 * n] + values[2 * n :]
 
     def curve(self, event_id: int) -> "_EventCurveView":

@@ -1225,6 +1225,9 @@ class DurableBurstStore(_StoreBase):
     def cumulative_frequency(self, event_id: int, t: float) -> float:
         return self._read_view().cumulative_frequency(event_id, t)
 
+    def cumulative_frequency_many(self, event_id: int, ts) -> np.ndarray:
+        return self._read_view().cumulative_frequency_many(event_id, ts)
+
     def export_records(self) -> tuple[np.ndarray, np.ndarray]:
         """Enumerate every acknowledged record (exact children only)."""
         return self._read_view().export_records()

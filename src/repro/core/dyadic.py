@@ -201,7 +201,7 @@ class BurstyEventIndex:
         the whole surviving frontier of one level is evaluated in a
         single ``burstiness_many`` batch per sketch, instead of one
         recursive scalar point query per node.  Hits, ordering and the
-        point-query counter match :meth:`bursty_events_scalar` exactly.
+        point-query counter match the recursive scalar descent exactly.
         """
         require_theta(theta)
         require_tau(tau)
@@ -240,49 +240,6 @@ class BurstyEventIndex:
         ]
         results.sort(key=lambda hit: -hit.burstiness)
         return results
-
-    def bursty_events_scalar(
-        self, t: float, theta: float, tau: float
-    ) -> list[BurstyEvent]:
-        """Reference scalar descent (one recursive point query per node).
-
-        Kept as the cross-check oracle for :meth:`bursty_events`; the
-        property suite asserts both produce identical hits and identical
-        point-query accounting.
-        """
-        require_theta(theta)
-        require_tau(tau)
-        results: list[BurstyEvent] = []
-        top = self.decomposition.n_levels
-        self._descend(top, 0, t, theta, tau, results)
-        results.sort(key=lambda hit: -hit.burstiness)
-        return results
-
-    def _descend(
-        self,
-        level: int,
-        range_id: int,
-        t: float,
-        theta: float,
-        tau: float,
-        results: list[BurstyEvent],
-    ) -> None:
-        low, _high = self.decomposition.range_bounds(range_id, level)
-        if low >= self.universe_size:
-            return
-        if level == 0:
-            estimate = self.point_query(range_id, t, tau)
-            if estimate >= theta:
-                results.append(BurstyEvent(range_id, estimate))
-            return
-        left, right = self.decomposition.children(range_id, level)
-        self._point_queries_issued += 3
-        b_parent = self._levels[level].burstiness(range_id, t, tau)
-        b_left = self._levels[level - 1].burstiness(left, t, tau)
-        b_right = self._levels[level - 1].burstiness(right, t, tau)
-        if b_parent * b_parent - 2.0 * b_left * b_right >= theta * theta:
-            self._descend(level - 1, left, t, theta, tau, results)
-            self._descend(level - 1, right, t, theta, tau, results)
 
     def top_k_bursty_events(
         self, t: float, k: int, tau: float, theta_floor: float = 1.0

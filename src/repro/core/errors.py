@@ -122,9 +122,12 @@ class CompactionError(ReproError):
 # checks so each call site carries one line instead of a copied branch.
 # ----------------------------------------------------------------------
 def require_tau(tau: float) -> float:
-    """Validate the burst span ``tau`` (must be strictly positive)."""
-    if tau <= 0:
-        raise InvalidParameterError(f"burst span tau must be > 0, got {tau}")
+    """Validate the burst span ``tau`` (must be finite and strictly
+    positive)."""
+    if not 0 < tau < float("inf"):
+        raise InvalidParameterError(
+            f"burst span tau must be finite and > 0, got {tau}"
+        )
     return tau
 
 
@@ -134,18 +137,19 @@ def require_theta(theta: float, positive: bool = False) -> float:
     By default ``theta`` may be zero (a bursty-event query with
     ``theta = 0`` is well defined); pass ``positive=True`` for contexts
     such as live alerting where a non-positive threshold is meaningless.
+    NaN is rejected either way.
     """
     if positive:
-        if theta <= 0:
+        if not theta > 0:
             raise InvalidParameterError(f"theta must be > 0, got {theta}")
-    elif theta < 0:
+    elif not theta >= 0:
         raise InvalidParameterError(f"theta must be >= 0, got {theta}")
     return theta
 
 
 def require_time_range(t_start: float, t_end: float) -> tuple[float, float]:
     """Validate a query time range (``t_end`` must exceed ``t_start``)."""
-    if t_end <= t_start:
+    if not t_end > t_start:
         raise InvalidParameterError("t_end must exceed t_start")
     return t_start, t_end
 

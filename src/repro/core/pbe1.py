@@ -723,13 +723,12 @@ class PBE1:
         (strictly later) buffered corners replaces the two per-call
         bisects; results are bit-identical to per-call :meth:`value`.
         """
-        ts = np.asarray(ts, dtype=np.float64)
-        xs = np.asarray(self._kept_xs + self._buffer_xs, dtype=np.float64)
-        if xs.size == 0:
-            return np.zeros(ts.shape, dtype=np.float64)
-        ys = np.asarray(self._kept_ys + self._buffer_ys, dtype=np.float64)
-        idx = np.searchsorted(xs, ts, side="right") - 1
-        return np.where(idx >= 0, ys[np.maximum(idx, 0)], 0.0)
+        xs = np.array(self._kept_xs + self._buffer_xs, dtype=np.float64)
+        # Level 0.0 before the first corner, then one level per corner.
+        ys = np.array(
+            [0.0, *self._kept_ys, *self._buffer_ys], dtype=np.float64
+        )
+        return ys[np.searchsorted(xs, ts, side="right")]
 
     def burstiness(self, t: float, tau: float) -> float:
         """Point query ``q(e, t, tau)``: estimated ``b(t)``."""

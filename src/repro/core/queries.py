@@ -2,10 +2,17 @@
 
 This module provides
 
-* :func:`bursty_time_intervals` — the bursty time query over an
-  approximate curve (paper §V): the burstiness of a staircase or PLA
-  approximation can only change at segment boundaries (and their ``tau``
-  shifts), so point queries at those breakpoints suffice,
+* :func:`bursty_time_intervals` and :func:`max_burstiness` — the bursty
+  time and peak queries over an approximate curve (paper §V).  The
+  burstiness of a staircase or PLA approximation can only change at its
+  knots and their ``tau`` / ``2 tau`` shifts, so point queries at those
+  breakpoints suffice.  Both run as one array program: the sorted
+  breakpoint array is built with numpy, ``F~`` is read once for every
+  sample through the curve's ``value_many(ts)``, and the threshold walk,
+  crossing interpolation and peak argmax run over the result arrays.
+  A curve therefore only has to answer ``value_many`` (PBE-1, PBE-2,
+  :class:`~repro.streams.frequency.StaircaseCurve` and every store's
+  :meth:`~repro.core.store._StoreBase.curve` view do),
 * :class:`HistoricalBurstAnalyzer` — the user-facing facade that unifies
   the exact baseline and the CM-PBE-1 / CM-PBE-2 sketches behind the three
   query types of §II-A.
@@ -15,19 +22,37 @@ from __future__ import annotations
 
 from typing import Iterable, Literal
 
+import numpy as np
+
 from repro.core.dyadic import BurstyEvent
 from repro.core.errors import (
     InvalidParameterError,
     require_tau,
     require_time_range,
 )
-from repro.streams.frequency import CumulativeCurve, burstiness_from_curve
+from repro.streams.frequency import CumulativeCurve
 
 __all__ = [
     "bursty_time_intervals",
     "max_burstiness",
     "HistoricalBurstAnalyzer",
 ]
+
+
+def _burstiness_at(
+    curve: CumulativeCurve, ts: np.ndarray, tau: float
+) -> np.ndarray:
+    """``b~(t) = F~(t) - 2 F~(t - tau) + F~(t - 2 tau)`` at every time in
+    ``ts``, from a single ``value_many`` read of the three shifts."""
+    n = ts.size
+    values = curve.value_many(np.concatenate((ts, ts - tau, ts - 2 * tau)))
+    return values[:n] - 2.0 * values[n : 2 * n] + values[2 * n :]
+
+
+def _shifted_knots(knots: Iterable[float], tau: float) -> np.ndarray:
+    """Every knot plus its ``tau`` and ``2 tau`` shifts (unsorted)."""
+    array = np.fromiter(knots, dtype=np.float64)
+    return np.concatenate((array, array + tau, array + 2 * tau))
 
 
 def max_burstiness(
@@ -45,29 +70,21 @@ def max_burstiness(
     times and their ``tau`` shifts (piecewise constant for staircases,
     piecewise linear for PLAs, where the maximum of each piece sits at an
     endpoint), so evaluating at breakpoints inside the range suffices.
+    Ties go to the earliest time.
 
     Returns ``(t_star, b_star)``; raises if the range is empty.
     """
     require_tau(tau)
     require_time_range(t_start, t_end)
-    candidates = {t_start, t_end}
-    for knot in knots:
-        for shifted in (knot, knot + tau, knot + 2 * tau):
-            if t_start <= shifted <= t_end:
-                candidates.add(shifted)
-            if piecewise == "linear":
-                # Sample just inside each breakpoint: pieces may jump.
-                before = shifted - 1e-9
-                if t_start <= before <= t_end:
-                    candidates.add(before)
-    best_t = t_start
-    best_value = float("-inf")
-    for t in sorted(candidates):
-        value = burstiness_from_curve(curve, t, tau)
-        if value > best_value:
-            best_value = value
-            best_t = t
-    return best_t, best_value
+    shifted = _shifted_knots(knots, tau)
+    if piecewise == "linear":
+        # Sample one ulp before each breakpoint too: pieces may jump.
+        shifted = np.concatenate((shifted, np.nextafter(shifted, -np.inf)))
+    inside = shifted[(t_start <= shifted) & (shifted <= t_end)]
+    candidates = np.unique(np.concatenate(([t_start, t_end], inside)))
+    values = _burstiness_at(curve, candidates, tau)
+    best = int(np.argmax(values))
+    return float(candidates[best]), float(values[best])
 
 
 def bursty_time_intervals(
@@ -84,7 +101,7 @@ def bursty_time_intervals(
     Parameters
     ----------
     curve:
-        Any cumulative-curve estimator.
+        Any cumulative-curve estimator with ``value_many``.
     knots:
         Times where the curve's behaviour can change (corner times for
         staircases, segment boundaries for PLAs).  Breakpoints of the
@@ -101,99 +118,102 @@ def bursty_time_intervals(
         ``theta`` at a breakpoint).
     """
     require_tau(tau)
-    knot_list = sorted(knots)
-    if not knot_list:
-        return []
-    breakpoints = sorted(
-        {
-            shifted
-            for knot in knot_list
-            for shifted in (knot, knot + tau, knot + 2 * tau)
-            if shifted <= t_end
-        }
-    )
-    if not breakpoints:
-        return []
-    if breakpoints[-1] < t_end:
-        breakpoints.append(t_end)
-    if piecewise == "constant":
-        raw = _constant_intervals(curve, breakpoints, theta, tau, t_end)
-    elif piecewise == "linear":
-        raw = _linear_intervals(curve, breakpoints, theta, tau)
-    else:
+    if piecewise not in ("constant", "linear"):
         raise InvalidParameterError(
             f"piecewise must be 'constant' or 'linear', got {piecewise!r}"
         )
-    return _merge_intervals(raw, merge_gap)
+    breakpoints = np.unique(_shifted_knots(knots, tau))
+    breakpoints = breakpoints[breakpoints <= t_end]
+    if breakpoints.size == 0:
+        return []
+    if breakpoints[-1] < t_end:
+        breakpoints = np.append(breakpoints, t_end)
+    if piecewise == "constant":
+        starts, ends = _constant_intervals(
+            curve, breakpoints, theta, tau, t_end
+        )
+    else:
+        starts, ends = _linear_intervals(curve, breakpoints, theta, tau)
+    return _merge_intervals(starts, ends, merge_gap)
 
 
 def _constant_intervals(
     curve: CumulativeCurve,
-    breakpoints: list[float],
+    breakpoints: np.ndarray,
     theta: float,
     tau: float,
     t_end: float,
-) -> list[tuple[float, float]]:
-    intervals: list[tuple[float, float]] = []
-    open_start: float | None = None
-    for point in breakpoints:
-        value = burstiness_from_curve(curve, point, tau)
-        if value >= theta and open_start is None:
-            open_start = point
-        elif value < theta and open_start is not None:
-            intervals.append((open_start, point))
-            open_start = None
-    if open_start is not None:
-        intervals.append((open_start, t_end))
-    return intervals
+) -> tuple[np.ndarray, np.ndarray]:
+    """A step function: every run of breakpoints at or above ``theta``
+    opens at its first breakpoint and closes at the next one (or at
+    ``t_end``)."""
+    above = _burstiness_at(curve, breakpoints, tau) >= theta
+    edges = np.diff(above.astype(np.int8), prepend=0, append=0)
+    closes = np.append(breakpoints, t_end)
+    return (
+        breakpoints[np.flatnonzero(edges == 1)],
+        closes[np.flatnonzero(edges == -1)],
+    )
 
 
 def _linear_intervals(
     curve: CumulativeCurve,
-    breakpoints: list[float],
+    breakpoints: np.ndarray,
     theta: float,
     tau: float,
-) -> list[tuple[float, float]]:
-    intervals: list[tuple[float, float]] = []
-    for left, right in zip(breakpoints, breakpoints[1:]):
-        width = right - left
-        if width <= 0:
-            continue
-        # Sample just inside the piece: the function may jump at the
-        # breakpoints themselves.
-        inner = min(width * 1e-9, 1e-9)
-        lo_t = left + inner
-        hi_t = right - inner
-        b_lo = burstiness_from_curve(curve, lo_t, tau)
-        b_hi = burstiness_from_curve(curve, hi_t, tau)
-        if b_lo >= theta and b_hi >= theta:
-            intervals.append((left, right))
-        elif b_lo >= theta or b_hi >= theta:
-            if b_hi == b_lo:
-                crossing = left if b_lo >= theta else right
-            else:
-                fraction = (theta - b_lo) / (b_hi - b_lo)
-                crossing = left + min(max(fraction, 0.0), 1.0) * width
-            if b_lo >= theta:
-                intervals.append((left, crossing))
-            else:
-                intervals.append((crossing, right))
-    return intervals
+) -> tuple[np.ndarray, np.ndarray]:
+    """A piecewise-linear function: sample one ulp inside both ends of
+    every piece (it may jump at the breakpoints themselves) and
+    interpolate where a piece crosses ``theta``."""
+    left, right = breakpoints[:-1], breakpoints[1:]
+    n = left.size
+    samples = _burstiness_at(
+        curve,
+        np.concatenate(
+            (np.nextafter(left, right), np.nextafter(right, left))
+        ),
+        tau,
+    )
+    b_lo, b_hi = samples[:n], samples[n:]
+    lo_in, hi_in = b_lo >= theta, b_hi >= theta
+    starts, ends = left.copy(), right.copy()
+    # A piece with exactly one end at or above theta crosses it once.
+    cross = np.flatnonzero(lo_in != hi_in)
+    fraction = (theta - b_lo[cross]) / (b_hi[cross] - b_lo[cross])
+    crossing = left[cross] + np.minimum(
+        np.maximum(fraction, 0.0), 1.0
+    ) * (right[cross] - left[cross])
+    rising = ~lo_in[cross]
+    starts[cross[rising]] = crossing[rising]
+    ends[cross[~rising]] = crossing[~rising]
+    keep = lo_in | hi_in
+    return starts[keep], ends[keep]
 
 
 def _merge_intervals(
-    intervals: list[tuple[float, float]],
+    starts: np.ndarray,
+    ends: np.ndarray,
     merge_gap: float = 0.0,
 ) -> list[tuple[float, float]]:
-    merged: list[tuple[float, float]] = []
-    for start, end in sorted(intervals):
-        if end <= start:
-            continue
-        if merged and start <= merged[-1][1] + merge_gap:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], end))
-        else:
-            merged.append((start, end))
-    return merged
+    """Sort, drop empty intervals and coalesce the rest: an interval
+    joins the previous group when it starts within ``merge_gap`` of the
+    farthest end seen so far."""
+    order = np.lexsort((ends, starts))
+    starts, ends = starts[order], ends[order]
+    keep = ends > starts
+    starts, ends = starts[keep], ends[keep]
+    if starts.size == 0:
+        return []
+    reach = np.maximum.accumulate(ends)
+    first = np.flatnonzero(
+        np.concatenate(([True], starts[1:] > reach[:-1] + merge_gap))
+    )
+    return list(
+        zip(
+            starts[first].tolist(),
+            np.maximum.reduceat(ends, first).tolist(),
+        )
+    )
 
 
 class HistoricalBurstAnalyzer:

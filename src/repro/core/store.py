@@ -338,6 +338,22 @@ def _canonical_hits(hits: list[BurstyEvent]) -> list[BurstyEvent]:
     return sorted(hits, key=lambda hit: (-hit.burstiness, hit.event_id))
 
 
+def _scan_hits(
+    store, ids: np.ndarray, t: float, theta: float, tau: float
+) -> list[BurstyEvent]:
+    """Bursty events among ``ids``: one batched point query at ``t``."""
+    values = store.point_query_batch(ids, np.full(ids.size, t), tau)
+    hit = np.flatnonzero(values >= theta)
+    return _canonical_hits(
+        [
+            BurstyEvent(event_id, value)
+            for event_id, value in zip(
+                ids[hit].tolist(), values[hit].tolist()
+            )
+        ]
+    )
+
+
 class _CurveView:
     """Adapter exposing a store's per-event estimate as a cumulative curve."""
 
@@ -349,6 +365,9 @@ class _CurveView:
 
     def value(self, t: float) -> float:
         return float(self._store.cumulative_frequency(self._event_id, t))
+
+    def value_many(self, ts) -> np.ndarray:
+        return self._store.cumulative_frequency_many(self._event_id, ts)
 
     def size_in_bytes(self) -> int:
         return self._store.size_in_bytes()
@@ -555,6 +574,11 @@ class _StoreBase:
     def cumulative_frequency(self, event_id: int, t: float) -> float:
         raise NotImplementedError
 
+    def cumulative_frequency_many(self, event_id: int, ts) -> np.ndarray:
+        """``F~_e`` at every time in ``ts`` (float64), bit-identical to a
+        :meth:`cumulative_frequency` loop."""
+        raise NotImplementedError
+
 
 # ----------------------------------------------------------------------
 # Backend: exact
@@ -615,8 +639,9 @@ class ExactStore(_StoreBase):
         require_tau(tau)
         end = t_end if t_end is not None else self._t_end + 2 * tau
         intervals = self.inner.bursty_times(event_id, theta, tau, t_end=end)
-        if merge_gap > 0.0:
-            intervals = _merge_intervals(intervals, merge_gap)
+        if merge_gap > 0.0 and intervals:
+            starts, ends = np.asarray(intervals, dtype=np.float64).T
+            intervals = _merge_intervals(starts, ends, merge_gap)
         return intervals
 
     def bursty_event_query(
@@ -641,6 +666,9 @@ class ExactStore(_StoreBase):
 
     def cumulative_frequency(self, event_id: int, t: float) -> float:
         return float(self.inner.cumulative_frequency(event_id, t))
+
+    def cumulative_frequency_many(self, event_id: int, ts) -> np.ndarray:
+        return self.inner.cumulative_frequency_many(event_id, ts)
 
     def export_records(self) -> tuple[np.ndarray, np.ndarray]:
         items = [
@@ -840,18 +868,16 @@ class CMPBEStore(_StoreBase):
                 "universe; configure universe_size (or use the 'index' "
                 "backend)"
             )
-        hits = []
-        for event_id in range(self.universe_size):
-            value = self.inner.burstiness(event_id, t, tau)
-            if value >= theta:
-                hits.append(BurstyEvent(event_id, value))
-        return _canonical_hits(hits)
+        return _scan_hits(self, np.arange(self.universe_size), t, theta, tau)
 
     def segment_starts(self, event_id: int) -> list[float]:
         return self.inner.segment_starts(event_id)
 
     def cumulative_frequency(self, event_id: int, t: float) -> float:
         return float(self.inner.cumulative_frequency(event_id, t))
+
+    def cumulative_frequency_many(self, event_id: int, ts) -> np.ndarray:
+        return self.inner.cumulative_frequency_many(event_id, ts)
 
     # -- accounting ----------------------------------------------------
     @property
@@ -1024,18 +1050,17 @@ class DirectMapStore(_StoreBase):
         self, t: float, theta: float, tau: float
     ) -> list[BurstyEvent]:
         require_theta(theta)
-        hits = []
-        for event_id in sorted(self.inner._cells):
-            value = self.inner.burstiness(event_id, t, tau)
-            if value >= theta:
-                hits.append(BurstyEvent(int(event_id), value))
-        return _canonical_hits(hits)
+        ids = np.array(sorted(self.inner._cells), dtype=np.int64)
+        return _scan_hits(self, ids, t, theta, tau)
 
     def segment_starts(self, event_id: int) -> list[float]:
         return self.inner.segment_starts(event_id)
 
     def cumulative_frequency(self, event_id: int, t: float) -> float:
         return float(self.inner.cumulative_frequency(event_id, t))
+
+    def cumulative_frequency_many(self, event_id: int, ts) -> np.ndarray:
+        return self.inner.cumulative_frequency_many(event_id, ts)
 
     # -- accounting ----------------------------------------------------
     @property
@@ -1185,6 +1210,9 @@ class DyadicIndexStore(_StoreBase):
 
     def cumulative_frequency(self, event_id: int, t: float) -> float:
         return float(self._leaf.cumulative_frequency(event_id, t))
+
+    def cumulative_frequency_many(self, event_id: int, ts) -> np.ndarray:
+        return self._leaf.cumulative_frequency_many(event_id, ts)
 
     # -- accounting ----------------------------------------------------
     @property
@@ -1519,6 +1547,9 @@ class ShardedBurstStore(_StoreBase):
 
     def cumulative_frequency(self, event_id: int, t: float) -> float:
         return self._owner(event_id).cumulative_frequency(event_id, t)
+
+    def cumulative_frequency_many(self, event_id: int, ts) -> np.ndarray:
+        return self._owner(event_id).cumulative_frequency_many(event_id, ts)
 
     def export_records(self) -> tuple[np.ndarray, np.ndarray]:
         exports = [shard.export_records() for shard in self.shards]

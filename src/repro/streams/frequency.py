@@ -46,10 +46,18 @@ BYTES_PER_FLOAT = 8
 
 @runtime_checkable
 class CumulativeCurve(Protocol):
-    """Anything that can evaluate (an estimate of) ``F(t)``."""
+    """Anything that can evaluate (an estimate of) ``F(t)``.
+
+    ``value_many`` must equal a ``value`` loop bit for bit: the breakpoint
+    queries in :mod:`repro.core.queries` read a curve only through it.
+    """
 
     def value(self, t: float) -> float:
         """Return (an estimate of) the cumulative frequency at time ``t``."""
+        ...
+
+    def value_many(self, ts: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`value` over an array of query times."""
         ...
 
     def size_in_bytes(self) -> int:
@@ -150,6 +158,8 @@ class StaircaseCurve:
         idx = np.searchsorted(self._xs, ts, side="right") - 1
         out = np.where(idx >= 0, self._ys[np.maximum(idx, 0)], 0.0)
         return out
+
+    value_many = values
 
     def burstiness(self, t: float, tau: float) -> float:
         """``b(t)`` computed from this curve (exact if the curve is exact)."""

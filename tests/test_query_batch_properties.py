@@ -31,6 +31,7 @@ from repro.core.dyadic import BurstyEventIndex
 from repro.core.pbe1 import PBE1
 from repro.core.pbe2 import PBE2
 from repro.core.store import create_store
+from tests.oracles.queries import bursty_events_scalar
 
 settings.register_profile("query_batch", deadline=None, max_examples=40)
 settings.load_profile("query_batch")
@@ -217,7 +218,7 @@ class TestVectorizedDescent:
         scalar.extend_batch(column, ts)
         t = ts[-1]
         fast = vectorized.bursty_events(t, theta, TAU)
-        slow = scalar.bursty_events_scalar(t, theta, TAU)
+        slow = bursty_events_scalar(scalar, t, theta, TAU)
         assert [(h.event_id, h.burstiness) for h in fast] == [
             (h.event_id, h.burstiness) for h in slow
         ]
