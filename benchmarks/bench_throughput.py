@@ -29,11 +29,18 @@ benchmarked row is additionally bit-identity-checked: the batch-built
 sketch must serialize to exactly the same bytes (or hash to the same
 values) as its scalar-built twin, so a rate can never be bought with a
 drifted answer.
+
+The ``seal-fold`` row is not an ingest layer: it folds the partial
+PBE-1 buffers a CM-PBE-1 grid holds at a seal, cell by cell (``flush``)
+in the scalar column and in one batched ``fold_buffers`` sweep in the
+batch column, and ``--check`` requires the batch to clear
+``BATCH_SPEEDUP_FLOORS`` over the loop with bit-identical cells.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
 import gc
 import json
 import sys
@@ -46,7 +53,7 @@ import pytest
 from repro.core.cmpbe import CMPBE
 from repro.core.dyadic import BurstyEventIndex
 from repro.core.metrics import global_registry
-from repro.core.pbe1 import PBE1
+from repro.core.pbe1 import PBE1, fold_buffers
 from repro.core.pbe2 import PBE2
 from repro.core.serialize import dump_cmpbe, dump_pbe1, dump_pbe2
 from repro.sketch.countmin import CountMinSketch
@@ -225,6 +232,12 @@ PBE_SEED_SCALAR_RATES = {"pbe1": 10_777.56, "pbe2": 43_153.08}
 #: ``extend_batch`` on the PBE cores must sustain at least this multiple
 #: of the seed compression path's rate (NOISE_TOLERANCE absorbs jitter).
 PBE_BATCH_FLOOR_MULTIPLE = 5.0
+#: Rows whose batch path must clear a layer-specific multiple over the
+#: scalar column: one batched PBE-1 fold of a seal's partial buffers
+#: against the per-cell flush loop (3.4x on a 2-vCPU VM).
+BATCH_SPEEDUP_FLOORS = {"seal-fold": 2.0}
+#: Records in one seal of the perfbench history-cmpbe1 store.
+SEAL_RECORDS = 1_000
 
 
 def _best_seconds(fn, repeats: int) -> float:
@@ -355,20 +368,50 @@ def _ingest_layers(
         b.extend_batch(mixed_ids, mixed_ts)
         return dump_cmpbe(a) == dump_cmpbe(b)
 
+    # Seal fold: the partial buffers a durable CM-PBE-1 memtable holds
+    # at a seal (the perfbench history-cmpbe1 cells, one 1,000-record
+    # seal of the mixed stream), folded cell by cell vs in one sweep.
+    # Each call folds fresh copies, so every repeat does the same work.
+    seal_grid = CMPBE.with_pbe1(
+        eta=60, width=16, depth=5, buffer_size=400, seed=0
+    )
+    seal_grid.extend_batch(mixed_ids[:SEAL_RECORDS], mixed_ts[:SEAL_RECORDS])
+    seal_cells = seal_grid.cells()
+    seal_corners = sum(len(cell._buffer_xs) for cell in seal_cells)
+
+    def seal_fold_per_cell():
+        copies = copy.deepcopy(seal_cells)
+        for cell in copies:
+            cell.flush()
+        return copies
+
+    def seal_fold_batched():
+        copies = copy.deepcopy(seal_cells)
+        fold_buffers(copies)
+        return copies
+
+    def seal_fold_verify():
+        return [dump_pbe1(c) for c in seal_fold_per_cell()] == [
+            dump_pbe1(c) for c in seal_fold_batched()
+        ]
+
     def pbe1_oracle():
         import repro.core.pbe1 as pbe1_mod
 
-        def cht(xs, ys, eta, use_numba=None):
-            return pbe1_mod.approximate_staircase_cht(xs, ys, eta)
+        def cht(cells, eta):
+            return [
+                pbe1_mod.approximate_staircase_cht(xs, ys, eta)
+                for xs, ys in cells
+            ]
 
-        saved = pbe1_mod.approximate_staircase
-        pbe1_mod.approximate_staircase = cht
+        saved = pbe1_mod.approximate_staircases
+        pbe1_mod.approximate_staircases = cht
         try:
             sketch = PBE1(eta=100, buffer_size=1500)
             sketch.extend(soccer_list)
             sketch.flush()
         finally:
-            pbe1_mod.approximate_staircase = saved
+            pbe1_mod.approximate_staircases = saved
 
     def pbe2_oracle():
         import repro.core.pbe2 as pbe2_mod
@@ -401,6 +444,8 @@ def _ingest_layers(
          pbe2_verify, pbe2_oracle),
         ("cmpbe-pbe1", mixed_ids.size, False, cmpbe_scalar, cmpbe_batch,
          cmpbe_verify, None),
+        ("seal-fold", seal_corners, False, seal_fold_per_cell,
+         seal_fold_batched, seal_fold_verify, None),
     ]
 
 
@@ -651,6 +696,12 @@ def check_ingest_results(payload: dict) -> list[str]:
             failures.append(
                 f"{row['layer']}: vectorized layer below "
                 f"{VECTORIZED_FLOOR:.0f}x (got {row['speedup']:.2f}x)"
+            )
+        floor = BATCH_SPEEDUP_FLOORS.get(row["layer"])
+        if floor is not None and row["speedup"] < floor:
+            failures.append(
+                f"{row['layer']}: batch below {floor:.0f}x the per-cell "
+                f"loop (got {row['speedup']:.2f}x)"
             )
         if not row.get("bit_identical", True):
             failures.append(

@@ -18,7 +18,7 @@ as an ablation).  Theorem 1:
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Protocol
+from typing import Callable, Iterable, Protocol
 
 import numpy as np
 
@@ -29,13 +29,18 @@ from repro.core.errors import (
     require_tau,
 )
 from repro.core.metrics import global_registry
-from repro.core.pbe1 import PBE1
+from repro.core.pbe1 import PBE1, fold_buffers
 from repro.core.pbe2 import PBE2
 from repro.sketch.countmin import dimensions_for
 from repro.sketch.hashing import HashFamily
 from repro.streams.frequency import burstiness_from_curve
 
-__all__ = ["CMPBE", "DirectPBEMap", "PersistentSketchCell"]
+__all__ = [
+    "CMPBE",
+    "DirectPBEMap",
+    "PersistentSketchCell",
+    "finalize_cells",
+]
 
 
 class PersistentSketchCell(Protocol):
@@ -50,6 +55,25 @@ class PersistentSketchCell(Protocol):
     def value_many(self, ts) -> np.ndarray: ...
 
     def size_in_bytes(self) -> int: ...
+
+
+def finalize_cells(cells: Iterable) -> None:
+    """Fold every cell's live state in place.
+
+    All PBE-1 buffers compress in one batched
+    :func:`~repro.core.pbe1.fold_buffers` call; every other cell runs its
+    own ``finalize`` (PBE-2) or ``flush``, if it has one.
+    """
+    cells = list(cells)
+    fold_buffers(cell for cell in cells if isinstance(cell, PBE1))
+    for cell in cells:
+        if isinstance(cell, PBE1):
+            continue
+        flush = getattr(cell, "finalize", None) or getattr(
+            cell, "flush", None
+        )
+        if flush is not None:
+            flush()
 
 
 #: Hot-id hash columns remembered per sketch before eviction kicks in.
@@ -428,15 +452,13 @@ class CMPBE:
     # ------------------------------------------------------------------
     # Accounting
     # ------------------------------------------------------------------
+    def cells(self) -> list:
+        """Every cell of the grid, row-major."""
+        return [cell for row in self._cells for cell in row]
+
     def finalize(self) -> None:
-        """Flush every cell that supports flushing (PBE2 finalize/PBE1 flush)."""
-        for row in self._cells:
-            for cell in row:
-                flush = getattr(cell, "finalize", None) or getattr(
-                    cell, "flush", None
-                )
-                if flush is not None:
-                    flush()
+        """Fold every cell's live state (see :func:`finalize_cells`)."""
+        finalize_cells(self.cells())
 
     @property
     def count(self) -> int:
@@ -547,14 +569,13 @@ class DirectPBEMap:
             return []
         return sorted(cell.segment_starts())  # type: ignore[attr-defined]
 
+    def cells(self) -> list:
+        """Every allocated cell, in insertion order of its id."""
+        return list(self._cells.values())
+
     def finalize(self) -> None:
-        """Flush every cell that supports flushing."""
-        for cell in self._cells.values():
-            flush = getattr(cell, "finalize", None) or getattr(
-                cell, "flush", None
-            )
-            if flush is not None:
-                flush()
+        """Fold every cell's live state (see :func:`finalize_cells`)."""
+        finalize_cells(self.cells())
 
     @property
     def count(self) -> int:

@@ -78,11 +78,14 @@ whose ``tombstones`` field recovery drains — see that module for the
 crash-window analysis.  Shard counts are changed offline with
 :func:`repro.core.compaction.rebalance` (CLI: ``repro rebalance``).
 
-Note on sketch-backed memtables: snapshotting (and sealing) flushes the
-child's buffered state, exactly like calling ``finalize``/``to_bytes``
-on it directly — approximation guarantees are unaffected, but the
-resulting corner layout can differ from a never-queried build.  Exact
-children are unaffected and are what the bit-identity differential uses.
+Note on sketch-backed memtables: a snapshot folds the child's buffered
+state on a scratch copy (``to_bytes``), and a seal folds it in place
+(``finalize``); both compress every partial PBE-1 buffer in one batched
+sweep.  Buffered corners are exact, so a fold trades fidelity for space:
+approximation guarantees are unaffected, but a sealed segment's corner
+layout, and so its answers, can differ from a build that never sealed
+there.  Exact children are unaffected and are what the bit-identity
+differential uses.
 """
 
 from __future__ import annotations

@@ -23,7 +23,12 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.cmpbe import CMPBE, DirectPBEMap, PersistentSketchCell
+from repro.core.cmpbe import (
+    CMPBE,
+    DirectPBEMap,
+    PersistentSketchCell,
+    finalize_cells,
+)
 from repro.core.errors import (
     InvalidParameterError,
     require_tau,
@@ -307,9 +312,10 @@ class BurstyEventIndex:
         return self._levels[level]
 
     def finalize(self) -> None:
-        """Flush every level's cells."""
-        for sketch in self._levels:
-            sketch.finalize()
+        """Fold every level's cells, all levels in one batched call."""
+        finalize_cells(
+            cell for sketch in self._levels for cell in sketch.cells()
+        )
 
     def size_in_bytes(self) -> int:
         """Total footprint across all levels."""

@@ -20,7 +20,7 @@ import numpy as np
 from repro.core.errors import InvalidParameterError
 from repro.core.pbe1 import PBE1
 from repro.core.pbe2 import PBE2, LineSegment
-from repro.core.serialize import LazyPBE1, LazyPBE2
+from repro.core.serialize import LazyPBE1, LazyPBE2, folded_cells
 
 __all__ = [
     "merge_pbe1",
@@ -37,15 +37,16 @@ def merge_pbe1(parts: Sequence[PBE1]) -> PBE1:
 
     Each part must have summarized its *own* chunk (counts starting from
     zero); parts must be in time order.  The merged sketch's corners are
-    the concatenation with cumulative count offsets applied.
+    the concatenation with cumulative count offsets applied.  Partial
+    buffers are folded on scratch copies (one batched call), so the
+    parts themselves are never mutated.
     """
     if not parts:
         raise InvalidParameterError("need at least one part")
     merged = PBE1(eta=parts[0].eta, buffer_size=parts[0].buffer_size)
     offset = 0.0
     last_x = float("-inf")
-    for part in parts:
-        part.flush()
+    for part in folded_cells(parts):
         if isinstance(part, LazyPBE1) and not part.is_materialized:
             # Lazy operand: read its corner columns straight off the
             # serialized blob instead of forcing a full hydration into
@@ -80,15 +81,16 @@ def merge_pbe2(parts: Sequence[PBE2]) -> PBE2:
     """Merge PBE-2 parts built over consecutive, disjoint time ranges.
 
     A part's line ``a t + b`` becomes ``a t + (b + offset)`` where
-    ``offset`` is the total count of all earlier parts.
+    ``offset`` is the total count of all earlier parts.  Live parts are
+    finalized on scratch copies, so the parts themselves are never
+    mutated.
     """
     if not parts:
         raise InvalidParameterError("need at least one part")
     merged = PBE2(gamma=parts[0].gamma, unit=parts[0].unit)
     offset = 0.0
     last_end = float("-inf")
-    for part in parts:
-        part.finalize()
+    for part in folded_cells(parts):
         if isinstance(part, LazyPBE2) and not part.is_materialized:
             # Lazy operand: decode segment rows straight off the
             # serialized blob; the part itself stays unmaterialized.

@@ -23,39 +23,42 @@ two monotonicity facts about the *leftmost* argmin ``a_k(j)``:
 * across layers, ``a_{k+1}(j) >= a_k(j)`` (the k-link-path result of
   Aggarwal–Schieber–Tokuyama).
 
-:func:`approximate_staircase` exploits both with a fully vectorized
+:func:`approximate_staircases` exploits both with a fully vectorized
 *grid-refinement* sweep: each layer processes geometric stages of row
 midpoints whose candidate ranges are bracketed by the argmins of the
 nearest already-processed rows (and floored by the previous layer's
 argmins), evaluating all surviving candidates of a stage in one numpy
 segment-reduction.  Total work stays ``O(eta * n log n)`` candidate
 evaluations but runs as a handful of array ops per stage instead of a
-Python loop per corner.  The historical monotone convex-hull-trick layer
-evaluator is kept as :func:`approximate_staircase_cht` and the naive DP as
-:func:`approximate_staircase_bruteforce` — both serve as cross-check
-oracles for tests.  An opt-in numba kernel (``REPRO_NUMBA=1`` or
-``use_numba=True``) compiles the same candidate formula as a tight scalar
-loop; it is bit-identical to the numpy path on exact-arithmetic inputs
-(integer/dyadic timestamps and counts) because every path associates the
-floating-point candidate expression identically:
+Python loop per corner.  The sweep is batched: many cells (a CM-PBE grid's
+partial buffers at a seal, say) are offset into one flat row space and
+share every stage, so a fold of a whole grid pays the ~``eta * stages``
+sequential numpy steps once instead of once per cell.  Every cell keeps
+its own candidate ranges and the floating-point association
 ``cand(i, j) = (-y_i * x_j) + B_i`` with ``B_i = E_{k-1}[i] - A_i`` and
-``A_i = CW_i + (-y_i * x_i)``, adding ``CW_j`` only after the minimum.
+``A_i = CW_i + (-y_i * x_i)``, adding ``CW_j`` only after the minimum, so
+a batched result is bit-identical to a one-cell call.  The historical
+monotone convex-hull-trick layer evaluator is kept as
+:func:`approximate_staircase_cht` and the naive DP as
+:func:`approximate_staircase_bruteforce` — both serve as cross-check
+oracles for tests.
 
 **Streaming.**  :class:`PBE1` buffers incoming elements until the exact
 curve of the current buffer reaches ``buffer_size`` corners, compresses the
 buffer to ``eta`` corners with the DP, appends them to the persistent
 corner list, and restarts.  Both buffer boundary corners are always kept
-(Corollary 1), so consecutive buffers join exactly.
+(Corollary 1), so consecutive buffers join exactly.  :func:`fold_buffers`
+compresses the partial buffers of many sketches in one batched sweep.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.core.accel import numba_available, resolve_use_numba
 from repro.core.errors import (
     EmptySketchError,
     InvalidParameterError,
@@ -73,7 +76,8 @@ __all__ = [
     "approximate_staircase",
     "approximate_staircase_bruteforce",
     "approximate_staircase_cht",
-    "numba_available",
+    "approximate_staircases",
+    "fold_buffers",
     "smallest_eta_for_error",
 ]
 
@@ -129,33 +133,70 @@ def approximate_staircase_bruteforce(
 
 
 def approximate_staircase(
-    xs: np.ndarray,
-    ys: np.ndarray,
-    eta: int,
-    use_numba: bool | None = None,
+    xs: np.ndarray, ys: np.ndarray, eta: int
 ) -> StaircaseApproximation:
     """Optimal ``eta``-corner staircase approximation (vectorized DP).
 
     Returns the selected corner indices (always containing ``0`` and
-    ``n - 1``) and the minimal area error.  ``use_numba=True`` (or the
-    ``REPRO_NUMBA=1`` environment flag) routes through the compiled
-    scalar kernel when numba is installed; the numpy refinement sweep is
-    the default and the fallback.
+    ``n - 1``) and the minimal area error.  The one-cell call of
+    :func:`approximate_staircases`.
     """
-    xs, ys, trivial = _validated(xs, ys, eta)
-    if trivial is not None:
-        return trivial
-    cw = _gap_cost_table(xs, ys)
-    budget = min(int(eta), xs.size)
-    if resolve_use_numba(use_numba):
-        error, selected = _numba_kernel()(xs, ys, cw, budget)
-        return StaircaseApproximation(selected, float(error))
-    error, selected = _refine_staircase(xs, ys, cw, budget)
-    return StaircaseApproximation(selected, float(error))
+    return approximate_staircases([(xs, ys)], eta)[0]
+
+
+def approximate_staircases(
+    cells: Sequence[tuple[np.ndarray, np.ndarray]], eta: int
+) -> list[StaircaseApproximation]:
+    """:func:`approximate_staircase` over many corner arrays in one sweep.
+
+    ``cells`` is a sequence of ``(xs, ys)`` staircases.  Cells with
+    ``n <= eta`` or ``n <= 2`` take the closed form (every corner, zero
+    error); all the others run through one grid-refinement sweep whose
+    stage ``s`` is the union of every cell's stage ``s`` (split only
+    when its argmin table would outgrow ``_SWEEP_ARG_BYTES``).  Each
+    cell keeps its own candidate ranges, float association and leftmost
+    argmin, so every result is bit-identical to a one-cell call.
+    """
+    results: list[StaircaseApproximation | None] = [None] * len(cells)
+    sweep: list[tuple[int, np.ndarray, np.ndarray]] = []
+    for slot, (xs, ys) in enumerate(cells):
+        xs, ys, trivial = _validated(xs, ys, eta)
+        if trivial is None:
+            sweep.append((slot, xs, ys))
+        else:
+            results[slot] = trivial
+    for chunk in _sweep_chunks(sweep, eta):
+        errors, selected = _refine_staircases(
+            [xs for _, xs, _ in chunk], [ys for _, _, ys in chunk], eta
+        )
+        for row, (slot, _, _) in enumerate(chunk):
+            results[slot] = StaircaseApproximation(
+                selected[row], float(errors[row])
+            )
+    return results  # type: ignore[return-value]
+
+
+def _sweep_chunks(sweep: list, eta: int) -> list[list]:
+    """Split the cells of a sweep so that each sweep's argmin table
+    (``eta - 1`` rows of 8 bytes per corner) stays within
+    ``_SWEEP_ARG_BYTES``; a cell larger than that sweeps alone.  A seal
+    of a CM-PBE grid fits in one sweep; a fold of thousands of direct-map
+    cells does not hold an ``eta x all-corners`` table at once."""
+    limit = _SWEEP_ARG_BYTES // (8 * (int(eta) - 1))
+    chunks: list[list] = []
+    rows = limit
+    for cell in sweep:
+        size = cell[1].size
+        if rows + size > limit:
+            chunks.append([])
+            rows = 0
+        chunks[-1].append(cell)
+        rows += size
+    return chunks
 
 
 # ----------------------------------------------------------------------
-# Vectorized refinement DP (the default engine)
+# Vectorized refinement DP (the one engine)
 # ----------------------------------------------------------------------
 # Stage sizing for the grid-refinement sweep: the first stage processes
 # `_STAGE_FIRST` evenly spread rows against wide candidate ranges; each
@@ -165,12 +206,14 @@ def approximate_staircase(
 # 5x ingest floor on a plain numpy stack.
 _STAGE_FIRST = 12
 _STAGE_RATIO = 16
+# Upper bound on one batched sweep's argmin table (see `_sweep_chunks`).
+_SWEEP_ARG_BYTES = 8 << 20
 
-_PLAN_CACHE: dict[int, tuple[list[dict], np.ndarray]] = {}
+_PLAN_CACHE: dict[int, list[dict]] = {}
 _PLAN_CACHE_MAX = 64
 
 
-def _refine_plan(n: int) -> tuple[list[dict], np.ndarray]:
+def _refine_plan(n: int) -> list[dict]:
     """Static per-``n`` stage structure: row midpoints and, per row, the
     index of the nearest already-processed row on each side."""
     plan = _PLAN_CACHE.get(n)
@@ -211,169 +254,150 @@ def _refine_plan(n: int) -> tuple[list[dict], np.ndarray]:
                 left_missing=left_missing,
                 right=right,
                 right_missing=right_missing,
-                jm1=jms - 1,
             )
         )
         processed = np.sort(np.concatenate([processed, jms]))
         size *= _STAGE_RATIO
-    # One stage's candidate ranges can sum to several multiples of ``n``
-    # before the brackets tighten (wide early layers, infeasible-neighbor
-    # fallbacks); size the shared arange generously — it is cached per
-    # ``n`` and a too-small buffer breaks the kernel with a shape error.
-    ar = np.arange(80 * max(n, 1) + 64)
     if len(_PLAN_CACHE) >= _PLAN_CACHE_MAX:
         _PLAN_CACHE.clear()
-    _PLAN_CACHE[n] = (stages, ar)
-    return stages, ar
+    _PLAN_CACHE[n] = stages
+    return stages
 
 
-def _refine_staircase(
-    xs: np.ndarray, ys: np.ndarray, cw: np.ndarray, budget: int
-) -> tuple[float, np.ndarray]:
-    """All DP layers as vectorized refinement sweeps; returns the final
-    error and the selected corner indices.
+def _batched_stages(
+    ns: np.ndarray, offsets: np.ndarray
+) -> list[tuple[np.ndarray, ...]]:
+    """Every cell's :func:`_refine_plan` offset into one flat row space.
 
-    Requires ``3 <= n`` and ``2 <= budget < n`` (the dispatcher handles
-    the trivial cases).  Row ``j`` of layer ``k`` (0-based) is feasible
-    iff ``j >= k + 1``; infeasible rows stay at ``inf`` naturally because
-    every candidate reads an infinite ``E_{k-1}`` entry.
+    Stage ``s`` is the union of each cell's stage ``s`` (cells with fewer
+    stages drop out).  Per row it carries the flat row index, the flat
+    left and right bracket rows and whether each is missing, the local
+    ``j - 1`` cap, and its cell's first flat row.
     """
-    n = xs.size
-    stages, ar = _refine_plan(n)
+    plans = [_refine_plan(int(n)) for n in ns]
+    stages = []
+    for s in range(max(len(plan) for plan in plans)):
+        members = [c for c, plan in enumerate(plans) if s < len(plan)]
+        parts = [plans[c][s] for c in members]
+        first = np.repeat(
+            offsets[members], [part["jms"].size for part in parts]
+        )
+        local = np.concatenate([part["jms"] for part in parts])
+        stages.append(
+            (
+                local + first,
+                np.concatenate([part["left"] for part in parts]) + first,
+                np.concatenate([part["left_missing"] for part in parts]),
+                np.concatenate([part["right"] for part in parts]) + first,
+                np.concatenate([part["right_missing"] for part in parts]),
+                local - 1,
+                first,
+            )
+        )
+    return stages
+
+
+def _refine_staircases(
+    xss: list[np.ndarray], yss: list[np.ndarray], budget: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """All DP layers of many cells as one vectorized refinement sweep;
+    returns each cell's final error and its selected corner indices
+    (one row per cell).
+
+    Requires ``3 <= n`` and ``2 <= budget < n`` for every cell (the
+    dispatcher handles the trivial cases).  The cells are concatenated
+    into one flat row space; argmins are stored as *local* corner
+    indices, exactly as a one-cell sweep stores them, and shifted by the
+    cell's first flat row only to address candidates.  Row ``j`` of a
+    cell is feasible in layer ``k`` (0-based) iff ``j >= k + 1``;
+    infeasible rows stay at ``inf`` naturally because every candidate
+    reads an infinite ``E_{k-1}`` entry.
+    """
+    ns = np.array([xs.size for xs in xss], dtype=np.intp)
+    offsets = np.zeros(ns.size, dtype=np.intp)
+    np.cumsum(ns[:-1], out=offsets[1:])
+    xs = np.concatenate(xss)
+    ys = np.concatenate(yss)
+    cw = np.concatenate([_gap_cost_table(x, y) for x, y in zip(xss, yss)])
+    stages = _batched_stages(ns, offsets)
     nys = -ys
     A = cw + nys * xs
-    stage_xs = [xs[stage["jms"]] for stage in stages]
-    stage_cw = [cw[stage["jms"]] for stage in stages]
+    stage_xs = [xs[stage[0]] for stage in stages]
+    stage_cw = [cw[stage[0]] for stage in stages]
+    # Any cap at or above every local `j - 1` stands in for `n - 1`.
+    no_right = int(ns.max())
 
     inf = np.inf
-    prev = np.full(n, inf)
-    prev[0] = 0.0
-    cur = np.empty(n)
-    B = np.empty(n)
-    args = np.zeros((budget - 1, n), dtype=np.intp)
-    fin = np.zeros(n, dtype=bool)
+    rows = xs.size
+    prev = np.full(rows, inf)
+    prev[offsets] = 0.0
+    cur = np.empty(rows)
+    B = np.empty(rows)
+    args = np.zeros((budget - 1, rows), dtype=np.intp)
+    fin = np.zeros(rows, dtype=bool)
+    ar = np.arange(0)
     for k in range(budget - 1):
         if k == 0:
-            # Only i = 0 is feasible: one closed-form sweep, associated
-            # exactly like the general stage below (line value, then CW).
-            np.multiply(nys[0], xs, out=cur)
-            cur += prev[0] - A[0]
+            # Only each cell's first row is feasible: one closed-form
+            # sweep, associated exactly like the general stage below
+            # (line value, then CW).
+            np.multiply(np.repeat(nys[offsets], ns), xs, out=cur)
+            cur += np.repeat(prev[offsets] - A[offsets], ns)
             cur += cw
-            cur[0] = inf
+            cur[offsets] = inf
             prev, cur = cur, prev
             continue
         arg_prev = args[k - 1]
         arg_cur = args[k]
         np.subtract(prev, A, out=B)
         for s, stage in enumerate(stages):
-            jms = stage["jms"]
-            ilos = arg_cur[stage["left"]]
-            bad = stage["left_missing"] | ~fin[stage["left"]]
+            jms, left, left_missing, right, right_missing, jm1, first = stage
+            ilos = arg_cur[left]
+            bad = left_missing | ~fin[left]
             ilos[bad] = k
             np.maximum(ilos, arg_prev[jms], out=ilos)
-            ihis = arg_cur[stage["right"]]
-            bad = stage["right_missing"] | ~fin[stage["right"]]
-            ihis[bad] = n - 1
-            np.minimum(ihis, stage["jm1"], out=ihis)
+            ihis = arg_cur[right]
+            bad = right_missing | ~fin[right]
+            ihis[bad] = no_right
+            np.minimum(ihis, jm1, out=ihis)
             np.minimum(ilos, ihis, out=ilos)
             cnt = ihis - ilos
             cnt += 1
             totals = np.cumsum(cnt)
             total = totals[-1]
+            if ar.size < total:
+                ar = np.arange(total)
             starts = np.empty(cnt.size, dtype=np.intp)
             starts[0] = 0
             starts[1:] = totals[:-1]
-            idxs = ar[:total] - np.repeat(starts - ilos, cnt)
+            shift = starts - ilos
+            shift -= first
+            idxs = ar[:total] - np.repeat(shift, cnt)
             cand = nys[idxs] * np.repeat(stage_xs[s], cnt)
             cand += B[idxs]
             mins = np.minimum.reduceat(cand, starts)
             matches = np.flatnonzero(cand == np.repeat(mins, cnt))
             amin = idxs[matches[np.searchsorted(matches, starts)]]
+            amin -= first
             row_fin = mins != inf
             amin[~row_fin] = 0
             cur[jms] = mins + stage_cw[s]
             arg_cur[jms] = amin
             fin[jms] = row_fin
-        # Row 0 can pick up garbage through the clamped `j = 0` slot
-        # (its empty candidate range wraps to index -1); it is never
-        # feasible past layer 0, so pin it.
-        cur[0] = inf
-        arg_cur[0] = 0
+        # A cell's first row picks up garbage through its clamped
+        # `j - 1 = -1` slot (the flat candidate lands on the row just
+        # before the cell, as a lone cell's `-1` wraps to its last row);
+        # it is never feasible past layer 0, so pin it.
+        cur[offsets] = inf
+        arg_cur[offsets] = 0
         prev, cur = cur, prev
-    selected = np.empty(budget, dtype=np.intp)
-    j = n - 1
-    selected[-1] = j
+    selected = np.empty((ns.size, budget), dtype=np.intp)
+    j = ns - 1
+    selected[:, -1] = j
     for k in range(budget - 2, -1, -1):
-        j = args[k, j]
-        selected[k] = j
-    return float(prev[n - 1]), selected
-
-
-# ----------------------------------------------------------------------
-# Scalar kernel (numba fast path + always-on parity oracle)
-# ----------------------------------------------------------------------
-def _staircase_dp_kernel(
-    xs: np.ndarray, ys: np.ndarray, cw: np.ndarray, budget: int
-) -> tuple[float, np.ndarray]:
-    """The refinement DP as a plain scalar loop, numba-compilable as-is.
-
-    Uses the exact floating-point association of the numpy sweep
-    (``(-y_i * x_j) + B_i`` then ``+ CW_j`` after the minimum) with
-    leftmost argmins, so on exact-arithmetic inputs the compiled kernel,
-    this interpreted mirror and the numpy path agree bit-for-bit.
-    """
-    n = xs.shape[0]
-    inf = np.inf
-    A = np.empty(n)
-    nys = np.empty(n)
-    for i in range(n):
-        nys[i] = -ys[i]
-        A[i] = cw[i] + nys[i] * xs[i]
-    prev = np.full(n, inf)
-    prev[0] = 0.0
-    cur = np.empty(n)
-    args = np.zeros((budget - 1, n), dtype=np.int64)
-    for k in range(budget - 1):
-        for j in range(n):
-            best = inf
-            best_i = 0
-            for i in range(k, j):
-                if prev[i] == inf:
-                    continue
-                cand = nys[i] * xs[j] + (prev[i] - A[i])
-                if cand < best:
-                    best = cand
-                    best_i = i
-            if best == inf:
-                cur[j] = inf
-                args[k, j] = 0
-            else:
-                cur[j] = best + cw[j]
-                args[k, j] = best_i
-        for j in range(n):
-            prev[j] = cur[j]
-    selected = np.empty(budget, dtype=np.int64)
-    j = n - 1
-    selected[budget - 1] = j
-    for k in range(budget - 2, -1, -1):
-        j = args[k, j]
-        selected[k] = j
-    return prev[n - 1], selected
-
-
-_NUMBA_COMPILED = None
-
-
-def _numba_kernel():
-    """Lazily njit-compile the scalar kernel (numba import deferred)."""
-    global _NUMBA_COMPILED
-    if _NUMBA_COMPILED is None:
-        import numba
-
-        _NUMBA_COMPILED = numba.njit(cache=True, fastmath=False)(
-            _staircase_dp_kernel
-        )
-    return _NUMBA_COMPILED
+        j = args[k, offsets + j]
+        selected[:, k] = j
+    return prev[offsets + ns - 1], selected
 
 
 def approximate_staircase_cht(
@@ -532,19 +556,9 @@ class PBE1:
     buffer_size:
         Corners of the exact curve buffered before compression (the paper's
         ``n``; defaults to the paper's experimental value 1500).
-    use_numba:
-        Route buffer compression through the compiled numba kernel.
-        ``None`` (default) defers to the ``REPRO_NUMBA`` environment flag;
-        either way the numpy path is used when numba is not installed.
-        Runtime-only knob — never serialized, never affects results.
     """
 
-    def __init__(
-        self,
-        eta: int,
-        buffer_size: int = 1500,
-        use_numba: bool | None = None,
-    ) -> None:
+    def __init__(self, eta: int, buffer_size: int = 1500) -> None:
         if eta < 2:
             raise InvalidParameterError(f"eta must be >= 2, got {eta}")
         if buffer_size < 2:
@@ -553,7 +567,6 @@ class PBE1:
             )
         self.eta = eta
         self.buffer_size = buffer_size
-        self.use_numba = use_numba
         self._kept_xs: list[float] = []
         self._kept_ys: list[float] = []
         self._buffer_xs: list[float] = []
@@ -686,17 +699,22 @@ class PBE1:
         return uniq.tolist(), ys.tolist()
 
     def flush(self) -> None:
-        """Compress any partially filled buffer (call before querying the
-        most recent corners at full fidelity; queries work without it)."""
+        """Compress any partially filled buffer into the kept corners.
+
+        Buffered corners are the exact curve; a flush trades that
+        fidelity for space, exactly like a full-buffer compression.
+        Queries work without it.
+        """
         if self._buffer_xs:
             self._compress_buffer()
 
     def _compress_buffer(self) -> None:
-        xs = np.asarray(self._buffer_xs)
-        ys = np.asarray(self._buffer_ys)
-        result = approximate_staircase(
-            xs, ys, self.eta, use_numba=self.use_numba
-        )
+        fold_buffers([self])
+
+    def _commit_fold(
+        self, xs: np.ndarray, ys: np.ndarray, result: StaircaseApproximation
+    ) -> None:
+        """Append the selected buffer corners and start a new buffer."""
         self._construction_error += result.error
         self._kept_xs.extend(xs[result.selected].tolist())
         self._kept_ys.extend(ys[result.selected].tolist())
@@ -765,3 +783,25 @@ class PBE1:
     def size_in_bytes(self) -> int:
         """Two floats per kept corner (buffered corners are transient)."""
         return 2 * BYTES_PER_FLOAT * len(self._kept_xs)
+
+
+def fold_buffers(cells: Iterable[PBE1]) -> None:
+    """Compress the partial buffer of every cell in place, batched.
+
+    Cells with an empty buffer are left alone; the rest are grouped by
+    ``eta`` and each group runs through one :func:`approximate_staircases`
+    call.  Every cell ends in exactly the state its own :meth:`PBE1.flush`
+    would leave.
+    """
+    groups: dict[int, list[PBE1]] = {}
+    for cell in cells:
+        if cell._buffer_xs:
+            groups.setdefault(cell.eta, []).append(cell)
+    for eta, group in groups.items():
+        buffers = [
+            (np.asarray(cell._buffer_xs), np.asarray(cell._buffer_ys))
+            for cell in group
+        ]
+        results = approximate_staircases(buffers, eta)
+        for cell, (xs, ys), result in zip(group, buffers, results):
+            cell._commit_fold(xs, ys, result)

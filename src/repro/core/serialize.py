@@ -51,7 +51,7 @@ from repro.core.errors import (
     InvalidParameterError,
     SerializationError,
 )
-from repro.core.pbe1 import PBE1
+from repro.core.pbe1 import PBE1, fold_buffers
 from repro.core.pbe2 import PBE2, LineSegment
 from repro.core.tracing import span as _trace_span
 
@@ -312,26 +312,61 @@ def lazy_stats(store) -> LazySketchStats | None:
     return getattr(store, "_lazy_stats", None)
 
 
-def _folded_pbe1(sketch: PBE1) -> PBE1:
-    """A scratch copy of ``sketch`` with its buffer compressed in.
-
-    Serialization must not mutate the sketch it reads: compressing the
-    live buffer in place would shift the original's future compression
-    boundaries, so a concurrent reader snapshot would silently change
-    the writer's eventual curve (and any segment later sealed from it).
-    """
-    scratch = PBE1(
-        eta=sketch.eta,
-        buffer_size=sketch.buffer_size,
-        use_numba=sketch.use_numba,
-    )
+def _pbe1_copy(sketch: PBE1) -> PBE1:
+    """An independent copy of a PBE-1's kept corners, buffer and totals."""
+    scratch = PBE1(eta=sketch.eta, buffer_size=sketch.buffer_size)
     scratch._kept_xs = list(sketch._kept_xs)
     scratch._kept_ys = list(sketch._kept_ys)
     scratch._buffer_xs = list(sketch._buffer_xs)
     scratch._buffer_ys = list(sketch._buffer_ys)
     scratch._count = sketch._count
-    scratch._compress_buffer()
+    scratch._construction_error = sketch._construction_error
     return scratch
+
+
+def _pbe2_live(sketch: PBE2) -> bool:
+    """Whether :meth:`PBE2.finalize` would change ``sketch``."""
+    return (
+        sketch._pending_t is not None
+        or sketch._poly_x is not None
+        or bool(sketch._open_ranges)
+    )
+
+
+def folded_cells(cells) -> list:
+    """``cells`` with their live state folded in, on scratch copies.
+
+    Every PBE-1 with a partial buffer is copied and all the copies are
+    compressed in one batched :func:`~repro.core.pbe1.fold_buffers`
+    call; every PBE-2 with open state is replaced by a finalized copy.
+    Other cells pass through as they are.  Serializing or merging must
+    not mutate the sketches it reads: compressing a live buffer in place
+    would shift the original's future compression boundaries, so a
+    concurrent reader snapshot would silently change the writer's
+    eventual curve (and any segment later sealed from it).
+    """
+    out = list(cells)
+    live = [
+        slot
+        for slot, cell in enumerate(out)
+        if isinstance(cell, PBE1) and cell._buffer_xs
+    ]
+    for slot in live:
+        out[slot] = _pbe1_copy(out[slot])
+    fold_buffers([out[slot] for slot in live])
+    for slot, cell in enumerate(out):
+        if isinstance(cell, PBE2) and _pbe2_live(cell):
+            out[slot] = _finalized_pbe2(cell)
+    return out
+
+
+def folded_sketch_cells(sketches) -> list[list]:
+    """:func:`folded_cells` over the cells of many CM-PBE grids and
+    direct maps at once (one fold call); one cell list per sketch, in
+    each sketch's ``cells()`` order."""
+    per_sketch = [sketch.cells() for sketch in sketches]
+    folded = iter(folded_cells([c for cells in per_sketch for c in cells]))
+    return [[next(folded) for _ in cells] for cells in per_sketch]
 
 
 def dump_pbe1(sketch: PBE1) -> bytes:
@@ -341,7 +376,7 @@ def dump_pbe1(sketch: PBE1) -> bytes:
     sketch, so snapshotting a live store cannot perturb it.
     """
     if sketch._buffer_xs:
-        sketch = _folded_pbe1(sketch)
+        sketch = folded_cells([sketch])[0]
     xs = np.asarray(sketch._kept_xs, dtype="<f8")
     ys = np.asarray(sketch._kept_ys, dtype="<f8")
     out = io.BytesIO()
@@ -399,7 +434,7 @@ def load_pbe1(
 def _finalized_pbe2(sketch: PBE2) -> PBE2:
     """A scratch copy of ``sketch`` with its live state finalized.
 
-    Same contract as :func:`_folded_pbe1`: the original keeps its open
+    Same contract as :func:`folded_cells`: the original keeps its open
     polygon/pending corner untouched, so serializing a live sketch does
     not change how its remaining stream gets segmented.
     """
@@ -407,7 +442,6 @@ def _finalized_pbe2(sketch: PBE2) -> PBE2:
         gamma=sketch.gamma,
         unit=sketch.unit,
         max_polygon_vertices=sketch.max_polygon_vertices,
-        use_numba=sketch.use_numba,
     )
     scratch._segments = list(sketch._segments)
     scratch._segment_starts = list(sketch._segment_starts)
@@ -435,11 +469,7 @@ def dump_pbe2(sketch: PBE2) -> bytes:
     The fold happens on a scratch copy — dumping never mutates the
     sketch, so snapshotting a live store cannot perturb it.
     """
-    if (
-        sketch._pending_t is not None
-        or sketch._poly_x is not None
-        or sketch._open_ranges
-    ):
+    if _pbe2_live(sketch):
         sketch = _finalized_pbe2(sketch)
     segments = sketch.segments
     out = io.BytesIO()
@@ -509,9 +539,14 @@ def load_pbe2(
 def dump_cmpbe(sketch: CMPBE) -> bytes:
     """Serialize a CM-PBE and all of its cells.
 
-    Cell buffers are folded by the per-cell dumps on scratch copies;
-    the sketch itself is never mutated.
+    Live cells are folded on scratch copies in one batched call; the
+    sketch itself is never mutated.
     """
+    return _dump_cmpbe(sketch, folded_cells(sketch.cells()))
+
+
+def _dump_cmpbe(sketch: CMPBE, cells: list) -> bytes:
+    """:func:`dump_cmpbe` over already-folded ``cells`` (row-major)."""
     out = io.BytesIO()
     combiner_flag = 0 if sketch.combiner == "median" else 1
     out.write(
@@ -527,18 +562,17 @@ def dump_cmpbe(sketch: CMPBE) -> bytes:
     )
     cell_payloads: list[bytes] = []
     kind = None
-    for row in sketch._cells:
-        for cell in row:
-            if isinstance(cell, PBE1):
-                kind = 1
-                cell_payloads.append(dump_pbe1(cell))
-            elif isinstance(cell, PBE2):
-                kind = 2
-                cell_payloads.append(dump_pbe2(cell))
-            else:
-                raise InvalidParameterError(
-                    "only PBE1/PBE2 cells are serializable"
-                )
+    for cell in cells:
+        if isinstance(cell, PBE1):
+            kind = 1
+            cell_payloads.append(dump_pbe1(cell))
+        elif isinstance(cell, PBE2):
+            kind = 2
+            cell_payloads.append(dump_pbe2(cell))
+        else:
+            raise InvalidParameterError(
+                "only PBE1/PBE2 cells are serializable"
+            )
     out.write(struct.pack("<I", kind or 0))
     for payload in cell_payloads:
         out.write(struct.pack("<Q", len(payload)))
@@ -590,15 +624,25 @@ _INDEX_MAGIC = b"BIDX"
 
 
 def dump_direct_map(direct) -> bytes:
-    """Serialize a :class:`~repro.core.cmpbe.DirectPBEMap`."""
+    """Serialize a :class:`~repro.core.cmpbe.DirectPBEMap`.
+
+    Live cells are folded on scratch copies in one batched call; the map
+    itself is never mutated.
+    """
     from repro.core.cmpbe import DirectPBEMap
 
     if not isinstance(direct, DirectPBEMap):
         raise InvalidParameterError("expected a DirectPBEMap")
+    return _dump_direct_map(direct, folded_cells(direct.cells()))
+
+
+def _dump_direct_map(direct, cells: list) -> bytes:
+    """:func:`dump_direct_map` over already-folded ``cells`` (in the
+    map's ``cells()`` order)."""
     out = io.BytesIO()
-    cells = sorted(direct._cells.items())
-    out.write(struct.pack("<4sQQ", _DIRECT_MAGIC, direct.count, len(cells)))
-    for event_id, cell in cells:
+    items = sorted(zip(direct._cells, cells), key=lambda item: item[0])
+    out.write(struct.pack("<4sQQ", _DIRECT_MAGIC, direct.count, len(items)))
+    for event_id, cell in items:
         if isinstance(cell, PBE1):
             kind = 1
             payload = dump_pbe1(cell)
@@ -646,7 +690,8 @@ def dump_index(index) -> bytes:
 
     The per-level sketches (CM-PBEs at fine levels, direct maps at coarse
     levels) are stored as tagged payloads; the loaded index answers
-    queries exactly as the original.
+    queries exactly as the original.  The live cells of every level are
+    folded on scratch copies in one batched call.
     """
     from repro.core.cmpbe import CMPBE as _CMPBE
     from repro.core.dyadic import BurstyEventIndex
@@ -658,14 +703,14 @@ def dump_index(index) -> bytes:
     out.write(
         struct.pack("<4sQI", _INDEX_MAGIC, index.universe_size, n_levels)
     )
-    for level in range(n_levels):
-        sketch = index.level_sketch(level)
+    levels = [index.level_sketch(level) for level in range(n_levels)]
+    for sketch, cells in zip(levels, folded_sketch_cells(levels)):
         if isinstance(sketch, _CMPBE):
             kind = 1
-            payload = dump_cmpbe(sketch)
+            payload = _dump_cmpbe(sketch, cells)
         else:
             kind = 2
-            payload = dump_direct_map(sketch)
+            payload = _dump_direct_map(sketch, cells)
         out.write(struct.pack("<IQ", kind, len(payload)))
         out.write(payload)
     return out.getvalue()

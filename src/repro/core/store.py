@@ -66,6 +66,7 @@ from repro.core.errors import (
 )
 from repro.core.metrics import InstrumentedStore, global_registry
 from repro.core.parallel import merge_pbe1, merge_pbe2
+from repro.core.serialize import folded_sketch_cells
 from repro.core.tracing import set_tracer as _set_tracer
 from repro.core.tracing import span as _trace_span
 from repro.core.pbe1 import PBE1
@@ -915,7 +916,9 @@ class CMPBEStore(_StoreBase):
         """Cell-wise merge of two grids built over consecutive, disjoint
         time ranges (identical dimensions and hash seed required)."""
         self._merge_compatible(other)
-        merged_inner = _merge_cmpbe(self.inner, other.inner, self.spec)
+        (merged_inner,) = _merge_levels(
+            [(self.inner, other.inner)], self.spec
+        )
         merged = CMPBEStore(
             universe_size=self.universe_size,
             _inner=merged_inner,
@@ -950,12 +953,42 @@ class CMPBEStore(_StoreBase):
         return store
 
 
-def _merge_cmpbe(a: CMPBE, b: CMPBE, spec: _CellSpec) -> CMPBE:
-    """Merge two CM-PBE grids cell-by-cell (same dims/seed assumed)."""
+def _merge_levels(
+    pairs: list[tuple], spec: _CellSpec
+) -> list[CMPBE | DirectPBEMap]:
+    """Merge ``(a, b)`` pairs of CM-PBE grids or direct maps.
+
+    The live cells of every operand are folded on scratch copies in one
+    batched call first, so merging never mutates a live sketch.
+    """
+    folded = iter(folded_sketch_cells([s for pair in pairs for s in pair]))
+    merged: list[CMPBE | DirectPBEMap] = []
+    for a, b in pairs:
+        cells_a, cells_b = next(folded), next(folded)
+        if isinstance(a, CMPBE) and isinstance(b, CMPBE):
+            merged.append(_merge_cmpbe(a, b, cells_a, cells_b))
+        elif isinstance(a, DirectPBEMap) and isinstance(b, DirectPBEMap):
+            merged.append(
+                _merge_direct(
+                    dict(zip(a._cells, cells_a)),
+                    dict(zip(b._cells, cells_b)),
+                    a.count + b.count,
+                    spec,
+                )
+            )
+        else:
+            raise InvalidParameterError("level layouts differ; cannot merge")
+    return merged
+
+
+def _merge_cmpbe(
+    a: CMPBE, b: CMPBE, cells_a: list, cells_b: list
+) -> CMPBE:
+    """Merge two CM-PBE grids cell-by-cell (same dims/seed assumed) from
+    their folded row-major cells."""
     merged_cells = [
         _merge_cells(cell_a, cell_b)
-        for row_a, row_b in zip(a._cells, b._cells)
-        for cell_a, cell_b in zip(row_a, row_b)
+        for cell_a, cell_b in zip(cells_a, cells_b)
     ]
     iterator = iter(merged_cells)
     merged = CMPBE(
@@ -970,20 +1003,21 @@ def _merge_cmpbe(a: CMPBE, b: CMPBE, spec: _CellSpec) -> CMPBE:
 
 
 def _merge_direct(
-    a: DirectPBEMap, b: DirectPBEMap, spec: _CellSpec
+    cells_a: dict, cells_b: dict, count: int, spec: _CellSpec
 ) -> DirectPBEMap:
-    """Merge two direct maps: union of ids, cell merge on overlap."""
+    """Merge two direct maps from their folded id -> cell maps: union of
+    ids, cell merge on overlap."""
     merged = DirectPBEMap(spec.factory())
-    for event_id in sorted(set(a._cells) | set(b._cells)):
-        cell_a = a._cells.get(event_id)
-        cell_b = b._cells.get(event_id)
+    for event_id in sorted(set(cells_a) | set(cells_b)):
+        cell_a = cells_a.get(event_id)
+        cell_b = cells_b.get(event_id)
         if cell_a is not None and cell_b is not None:
             merged._cells[event_id] = _merge_cells(cell_a, cell_b)
         else:
             merged._cells[event_id] = _copy_cell(
                 cell_a if cell_a is not None else cell_b
             )
-    merged._count = a.count + b.count
+    merged._count = count
     return merged
 
 
@@ -1088,8 +1122,11 @@ class DirectMapStore(_StoreBase):
             )
         if not self.spec.matches(other.spec):
             raise InvalidParameterError("cell specs differ; cannot merge")
+        (merged_inner,) = _merge_levels(
+            [(self.inner, other.inner)], self.spec
+        )
         merged = DirectMapStore(
-            _inner=_merge_direct(self.inner, other.inner, self.spec),
+            _inner=merged_inner,
             _spec=self.spec,
         )
         merged._t_end = max(self._t_end, other._t_end)
@@ -1251,18 +1288,16 @@ class DyadicIndexStore(_StoreBase):
             raise InvalidParameterError("cell specs differ; cannot merge")
         if self.universe_size != other.universe_size:
             raise InvalidParameterError("universe sizes differ; cannot merge")
-        merged_levels: list[CMPBE | DirectPBEMap] = []
-        for level in range(self.inner.n_levels):
-            a = self.inner.level_sketch(level)
-            b = other.inner.level_sketch(level)
-            if isinstance(a, CMPBE) and isinstance(b, CMPBE):
-                merged_levels.append(_merge_cmpbe(a, b, self.spec))
-            elif isinstance(a, DirectPBEMap) and isinstance(b, DirectPBEMap):
-                merged_levels.append(_merge_direct(a, b, self.spec))
-            else:
-                raise InvalidParameterError(
-                    "level layouts differ; cannot merge"
+        merged_levels = _merge_levels(
+            [
+                (
+                    self.inner.level_sketch(level),
+                    other.inner.level_sketch(level),
                 )
+                for level in range(self.inner.n_levels)
+            ],
+            self.spec,
+        )
         merged_inner = BurstyEventIndex(
             self.universe_size,
             cell_factory=self.spec.factory(),

@@ -1,14 +1,17 @@
-"""Numba kernel parity gate: compiled paths must be bit-identical.
+"""Kernel parity gates: alternative kernels must be bit-identical.
 
 The numba kernels (``pip install .[numba]`` + ``use_numba=True`` or
 ``REPRO_NUMBA=1``) promise to change throughput and never an answer.
-This module is the gate on that promise: every compiled surface —
-staircase selection, strip clipping, whole-sketch ingestion — is checked
-for exact equality against both the numpy path and a scalar oracle.
+This module is the gate on that promise: every compiled surface — strip
+clipping and whole-sketch PBE-2 ingestion — is checked for exact
+equality against the numpy path and a scalar oracle.  Those cases skip
+(with a visible reason) when numba is not installed; the dedicated
+``numba-parity`` CI job installs the extra so the skip can never
+silently rot into zero coverage.
 
-The whole module skips (with a visible reason) when numba is not
-installed; the dedicated ``numba-parity`` CI job installs the extra so
-the skip can never silently rot into zero coverage.
+PBE-1 has no compiled twin: its batched refinement sweep is the one DP
+path, and the always-on case below pins it against the scalar loop in
+``tests/oracles/pbe1.py``.
 """
 
 from __future__ import annotations
@@ -17,24 +20,18 @@ import numpy as np
 import pytest
 
 from repro.core.accel import numba_available, resolve_use_numba
+from repro.core.pbe1 import approximate_staircases
+from repro.core.pbe2 import PBE2
+from repro.core.serialize import dump_pbe2
+from repro.sketch.geometry import _clip_strip_kernel, _numba_clip_kernel
+from tests.oracles.pbe1 import staircase_dp
 
-if not numba_available():
-    pytest.skip(
+needs_numba = pytest.mark.skipif(
+    not numba_available(),
+    reason=(
         "numba not installed (optional extra `.[numba]`); parity gate "
-        "runs in the numba-parity CI job",
-        allow_module_level=True,
-    )
-
-from repro.core.pbe1 import (  # noqa: E402
-    PBE1,
-    approximate_staircase,
-    approximate_staircase_cht,
-)
-from repro.core.pbe2 import PBE2  # noqa: E402
-from repro.core.serialize import dump_pbe1, dump_pbe2  # noqa: E402
-from repro.sketch.geometry import (  # noqa: E402
-    _clip_strip_kernel,
-    _numba_clip_kernel,
+        "runs in the numba-parity CI job"
+    ),
 )
 
 
@@ -46,6 +43,7 @@ def _staircase_case(seed: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return xs, ys
 
 
+@needs_numba
 def test_resolver_honours_kwarg_when_numba_present():
     assert resolve_use_numba(True) is True
     assert resolve_use_numba(False) is False
@@ -53,18 +51,20 @@ def test_resolver_honours_kwarg_when_numba_present():
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 @pytest.mark.parametrize("eta", [4, 9, 25])
-def test_staircase_numba_matches_numpy_and_oracle(seed, eta):
-    xs, ys = _staircase_case(seed, n=400)
-    compiled = approximate_staircase(xs, ys, eta, use_numba=True)
-    numpy_path = approximate_staircase(xs, ys, eta, use_numba=False)
-    oracle = approximate_staircase_cht(xs, ys, eta)
+def test_staircase_engine_matches_scalar_oracle(seed, eta):
+    # Three cells of different sizes share one batched sweep; each must
+    # equal the scalar DP loop bit for bit.
+    cells = [
+        _staircase_case(seed + 10 * k, n)
+        for k, n in enumerate((120, 64, 90))
+    ]
+    for (xs, ys), result in zip(cells, approximate_staircases(cells, eta)):
+        oracle = staircase_dp(xs, ys, eta)
+        assert list(result.selected) == list(oracle.selected)
+        assert result.error == oracle.error
 
-    assert list(compiled.selected) == list(numpy_path.selected)
-    assert compiled.error == numpy_path.error
-    assert list(compiled.selected) == list(oracle.selected)
-    assert compiled.error == oracle.error
 
-
+@needs_numba
 @pytest.mark.parametrize("seed", [0, 5, 11])
 def test_clip_kernel_numba_matches_interpreted(seed):
     rng = np.random.default_rng(seed)
@@ -94,21 +94,7 @@ def _bursty_timestamps(seed: int, n: int = 3000) -> np.ndarray:
     return np.sort(np.concatenate([quiet, burst, tail]).round(1))
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-def test_pbe1_ingest_numba_matches_numpy(seed):
-    ts = _bursty_timestamps(seed)
-    compiled = PBE1(eta=30, buffer_size=256, use_numba=True)
-    plain = PBE1(eta=30, buffer_size=256, use_numba=False)
-    compiled.extend_batch(ts)
-    plain.extend_batch(ts)
-    compiled.flush()
-    plain.flush()
-    # Serialized corners are the sketch's full observable state: byte
-    # equality is bit-identity on every corner and count.
-    assert dump_pbe1(compiled) == dump_pbe1(plain)
-    assert compiled.construction_error == plain.construction_error
-
-
+@needs_numba
 @pytest.mark.parametrize("seed", [0, 1])
 def test_pbe2_ingest_numba_matches_numpy(seed):
     ts = _bursty_timestamps(seed)
@@ -121,6 +107,7 @@ def test_pbe2_ingest_numba_matches_numpy(seed):
     assert dump_pbe2(compiled) == dump_pbe2(plain)
 
 
+@needs_numba
 def test_env_flag_routes_to_compiled_path(monkeypatch):
     monkeypatch.setenv("REPRO_NUMBA", "1")
     assert resolve_use_numba(None) is True
