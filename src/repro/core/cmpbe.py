@@ -26,6 +26,7 @@ from repro.core.errors import (
     InvalidParameterError,
     StreamOrderError,
     require_count,
+    require_finite_time,
     require_tau,
 )
 from repro.core.metrics import global_registry
@@ -103,6 +104,7 @@ def _validated_record_batch(
         raise InvalidParameterError(
             "event_ids and timestamps must be 1-d arrays of equal length"
         )
+    require_finite_time(ts)
     if ts.size > 1 and bool(np.any(np.diff(ts) < 0)):
         raise StreamOrderError("batch timestamps must be non-decreasing")
     if counts is not None:

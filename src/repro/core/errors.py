@@ -8,6 +8,10 @@ failure mode.
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the repro library."""
@@ -129,6 +133,23 @@ def require_tau(tau: float) -> float:
             f"burst span tau must be finite and > 0, got {tau}"
         )
     return tau
+
+
+def require_finite_time(timestamps):
+    """Validate stream timestamps (a scalar or an array): NaN and
+    ``±inf`` are rejected.
+
+    NaN compares false against everything, so it would slip past every
+    stream-order check, and ``+inf`` would pass them but then refuse
+    every later write.  Returns ``timestamps`` unchanged.
+    """
+    if isinstance(timestamps, np.ndarray):
+        finite = bool(np.isfinite(timestamps).all())
+    else:
+        finite = math.isfinite(timestamps)
+    if not finite:
+        raise InvalidParameterError("timestamps must be finite")
+    return timestamps
 
 
 def require_theta(theta: float, positive: bool = False) -> float:

@@ -84,6 +84,7 @@ import traceback
 
 import numpy as np
 
+from repro.core.cmpbe import _validated_record_batch
 from repro.core.durable import (
     DEFAULT_MAX_UNSEALED,
     DEFAULT_SEAL_ELEMENTS,
@@ -596,25 +597,9 @@ class ParallelIngestCoordinator:
         barrier.
         """
         self._check_open()
-        ids = np.asarray(event_ids)
-        ts = np.asarray(timestamps, dtype=np.float64)
-        if ids.ndim != 1 or ts.ndim != 1 or ids.shape != ts.shape:
-            raise InvalidParameterError(
-                "event_ids and timestamps must be 1-d arrays of equal "
-                "length"
-            )
-        if ts.size > 1 and bool(np.any(np.diff(ts) < 0)):
-            raise StreamOrderError(
-                "batch timestamps must be non-decreasing"
-            )
-        if counts is not None:
-            counts = np.asarray(counts, dtype=np.int64)
-            if counts.shape != ts.shape:
-                raise InvalidParameterError(
-                    "counts must match the record batch shape"
-                )
-            if counts.size and bool(np.any(counts <= 0)):
-                raise InvalidParameterError("count must be positive")
+        ids, ts, counts = _validated_record_batch(
+            event_ids, timestamps, counts
+        )
         if ids.size == 0:
             return
         first = float(ts[0])

@@ -64,6 +64,7 @@ from repro.core.errors import (
     InvalidParameterError,
     StreamOrderError,
     require_count,
+    require_finite_time,
 )
 from repro.streams.frequency import (
     BYTES_PER_FLOAT,
@@ -580,6 +581,7 @@ class PBE1:
     def update(self, timestamp: float, count: int = 1) -> None:
         """Ingest ``count`` occurrences at ``timestamp`` (non-decreasing)."""
         require_count(count)
+        require_finite_time(timestamp)
         last = (
             self._buffer_xs[-1]
             if self._buffer_xs
@@ -672,6 +674,7 @@ class PBE1:
                 )
             if bool(np.any(counts <= 0)):
                 raise InvalidParameterError("count must be positive")
+        require_finite_time(ts)
         if ts.size > 1 and bool(np.any(np.diff(ts) < 0)):
             raise StreamOrderError("batch timestamps must be non-decreasing")
         last = (

@@ -34,12 +34,12 @@ from itertools import chain
 
 import numpy as np
 
-from repro.core.accel import resolve_use_numba
 from repro.core.errors import (
     EmptySketchError,
     InvalidParameterError,
     StreamOrderError,
     require_count,
+    require_finite_time,
 )
 from repro.sketch.geometry import (
     _EPS as _GEOM_EPS,
@@ -88,12 +88,6 @@ class PBE2:
         Optional hard cap on the feasibility polygon's complexity; when
         exceeded the current segment is finalized early (the paper's
         space-constraint escape hatch).
-    use_numba:
-        Route range clipping through the compiled numba kernel.  ``None``
-        (default) defers to the ``REPRO_NUMBA`` environment flag; either
-        way the pure-python fused clip is used when numba is not
-        installed.  Runtime-only knob — never serialized, never affects
-        results.
     """
 
     def __init__(
@@ -101,7 +95,6 @@ class PBE2:
         gamma: float,
         unit: float = 1.0,
         max_polygon_vertices: int | None = None,
-        use_numba: bool | None = None,
     ) -> None:
         if gamma <= 0:
             raise InvalidParameterError(f"gamma must be > 0, got {gamma}")
@@ -112,8 +105,6 @@ class PBE2:
         self.gamma = float(gamma)
         self.unit = float(unit)
         self.max_polygon_vertices = max_polygon_vertices
-        self.use_numba = use_numba
-        self._use_compiled = resolve_use_numba(use_numba)
         self._segments: list[LineSegment] = []
         self._segment_starts: list[float] = []
         # One-element delay for duplicate timestamps.
@@ -136,7 +127,7 @@ class PBE2:
     def update(self, timestamp: float, count: int = 1) -> None:
         """Ingest ``count`` occurrences at ``timestamp`` (non-decreasing)."""
         require_count(count)
-        timestamp = float(timestamp)
+        timestamp = require_finite_time(float(timestamp))
         if self._pending_t is not None:
             if timestamp < self._pending_t:
                 raise StreamOrderError(
@@ -187,6 +178,7 @@ class PBE2:
                 )
             if bool(np.any(counts <= 0)):
                 raise InvalidParameterError("count must be positive")
+        require_finite_time(ts)
         if ts.size > 1 and bool(np.any(np.diff(ts) < 0)):
             raise StreamOrderError("batch timestamps must be non-decreasing")
         if self._pending_t is not None and float(ts[0]) < self._pending_t:
@@ -276,14 +268,6 @@ class PBE2:
         rfv = rf[valid]
         rtl = rtv.tolist()
         rfl = rfv.tolist()
-        if self._use_compiled:
-            # Compiled path: the numba kernel dominates each clip, so the
-            # plain per-range commit keeps a single kernel hand-off.
-            for t, f in zip(rtl, rfl):
-                self._add_range(t, f)
-            self._last_committed_t = rtl[-1]
-            self._last_committed_y = rfl[-1]
-            return
         gamma = self.gamma
         # Same IEEE subtraction ``lo = hi - gamma`` as _add_range, done
         # once as a column instead of per range.
@@ -556,15 +540,7 @@ class PBE2:
                 self._group_start = t
                 self._group_last_t = t
             return
-        if self._use_compiled:
-            from repro.sketch.geometry import _numba_clip_kernel
-
-            ax, ay = _numba_clip_kernel()(
-                np.asarray(self._poly_x), np.asarray(self._poly_y), t, lo, hi
-            )
-            nx, ny = ax.tolist(), ay.tolist()
-        else:
-            nx, ny = clip_strip(self._poly_x, self._poly_y, t, lo, hi)
+        nx, ny = clip_strip(self._poly_x, self._poly_y, t, lo, hi)
         if not nx:
             self._finalize_group()
             self._open_ranges = [(t, lo, hi)]

@@ -60,6 +60,7 @@ from repro.core.errors import (
     SerializationError,
     StreamOrderError,
     UnknownBackendError,
+    require_finite_time,
     require_tau,
     require_theta,
     require_time_range,
@@ -388,6 +389,7 @@ class _StoreBase:
     # -- ingest --------------------------------------------------------
     def update(self, event_id: int, timestamp: float, count: int = 1) -> None:
         """Ingest ``count`` mentions of ``event_id`` at ``timestamp``."""
+        require_finite_time(timestamp)
         self._inner_update(event_id, timestamp, count)
         if timestamp > self._t_end:
             self._t_end = float(timestamp)

@@ -13,22 +13,25 @@ half-plane clipping: each new constraint costs ``O(|polygon|)`` and the
 polygon stays tiny in practice, matching the paper's ``O(1)`` amortized
 update claim.
 
-**Fused strip clipping.**  Every PBE-2 range contributes *both*
-half-planes of one value strip ``lo <= a * t + b <= hi``, and both are
-linear in the same per-vertex support value ``s_i = t * x_i + y_i``:
-the lower cut violates by ``lo - s_i`` and the upper by ``s_i - hi``.
-:func:`clip_strip` exploits this to clip against the whole strip in one
-fused pass over the edge list, sharing the ``s_i`` evaluations and
-skipping a pass entirely when no vertex violates it (the common case —
-most ranges only shave the polygon on one side, many not at all).
-:func:`clip_strip_edges` is the same computation written as numpy array
-ops over the edge list, and :func:`_clip_strip_kernel` is a plain-loop
-array variant that numba can ``njit`` unchanged.  All three use the
-*identical* floating-point association as the classic
-``clipped(HalfPlane(-t, -1, -lo)).clipped(HalfPlane(t, 1, hi))`` chain
-(IEEE sign symmetry makes ``(-t)*x + (-1)*y - (-lo)`` bit-equal to
-``lo - (t*x + y)``), so every path yields bit-identical vertices and the
-scalar chain stays available as an independent test oracle.
+**Strip clipping.**  Every PBE-2 range contributes *both* half-planes
+of one value strip ``lo <= a * t + b <= hi``, and both are linear in the
+same per-vertex support value ``s_i = t * x_i + y_i``: the lower cut
+violates by ``lo - s_i`` and the upper by ``s_i - hi``.  The clip has
+two implementations:
+
+- :func:`clip_strip` is the production path.  It clips against the
+  whole strip in one fused pass per half-plane, sharing the ``s_i``
+  evaluations and skipping a pass entirely when no vertex violates it
+  (the common case: most ranges only shave the polygon on one side,
+  many not at all).  PBE-2's scalar ingest calls it per range, and its
+  batch ingest runs an inlined statement-for-statement copy of it.
+- The classic ``clipped(HalfPlane(-t, -1, -lo)).clipped(HalfPlane(t, 1,
+  hi))`` chain of :meth:`ConvexPolygon.clipped` is the test oracle.
+
+Both use the *identical* floating-point association (IEEE sign symmetry
+makes ``(-t)*x + (-1)*y - (-lo)`` bit-equal to ``lo - (t*x + y)``), so
+they yield bit-identical vertices; ``tests/test_pbe2_clip_oracle.py``
+holds them to that.
 """
 
 from __future__ import annotations
@@ -36,15 +39,12 @@ from __future__ import annotations
 from itertools import chain
 from typing import Sequence
 
-import numpy as np
-
 from repro.core.errors import InvalidParameterError
 
 __all__ = [
     "HalfPlane",
     "ConvexPolygon",
     "clip_strip",
-    "clip_strip_edges",
     "strip_parallelogram",
 ]
 
@@ -230,7 +230,7 @@ def clip_strip(
     # non-positive while eps is strictly positive, so the full test could
     # not fire.  (``sorted`` ends stand in for min/max: identical values,
     # one C pass; the extremes only feed tolerances and comparisons,
-    # never emitted coordinates.)  The dedupe of :func:`_dedupe_xys` is
+    # never emitted coordinates.)  The dedupe of :func:`_dedupe` is
     # fused into the emission loops (compare each candidate against the
     # last emitted vertex — seeded with +inf so the first emission always
     # passes — with the cyclic pop at the end); each loop walks the edge
@@ -349,259 +349,6 @@ def clip_strip(
         ox.pop()
         oy.pop()
     return ox, oy
-
-
-def clip_strip_edges(
-    vx: np.ndarray,
-    vy: np.ndarray,
-    t: float,
-    lo: float,
-    hi: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`clip_strip` written as numpy array ops over the edge list.
-
-    Each half-plane pass evaluates every edge at once: per-vertex
-    violations, a keep mask, a crossing mask, and interpolated crossing
-    points land in interleaved output slots (vertex ``i`` at slot ``2i``,
-    its outgoing edge's crossing at slot ``2i + 1``) which are then
-    compressed — preserving exactly the sequential Sutherland–Hodgman
-    emission order.  Elementwise ufuncs use the same rounding as the
-    scalar expressions, so the result is bit-identical to
-    :func:`clip_strip` and to the two-`clipped` chain.
-    """
-    vx = np.asarray(vx, dtype=np.float64)
-    vy = np.asarray(vy, dtype=np.float64)
-    if vx.size == 0:
-        return vx, vy
-    s = t * vx + vy
-    vx, vy, s = _clip_half_plane_edges(vx, vy, s, t, lo, -1.0)
-    if vx.size == 0:
-        return vx, vy
-    vx, vy, _ = _clip_half_plane_edges(vx, vy, s, t, hi, 1.0)
-    return vx, vy
-
-
-def _clip_half_plane_edges(
-    vx: np.ndarray,
-    vy: np.ndarray,
-    s: np.ndarray,
-    t: float,
-    bound: float,
-    sign: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """One vectorized half-plane pass; ``sign=-1`` is the lower cut
-    (violation ``bound - s``), ``sign=+1`` the upper (``s - bound``)."""
-    n = vx.size
-    f = bound - s if sign < 0 else s - bound
-    eps = _EPS * max(1.0, float(np.max(np.abs(f))))
-    if float(np.max(f)) <= eps:
-        return vx, vy, s  # untouched
-    fq = np.roll(f, -1)
-    keep = f <= eps
-    cross = ((f < -eps) & (fq > eps)) | ((f > eps) & (fq < -eps))
-    outx = np.empty(2 * n)
-    outy = np.empty(2 * n)
-    valid = np.zeros(2 * n, dtype=bool)
-    outx[0::2] = vx
-    outy[0::2] = vy
-    valid[0::2] = keep
-    ci = np.flatnonzero(cross)
-    if ci.size:
-        qi = ci + 1
-        qi[qi == n] = 0
-        ratio = f[ci] / (f[ci] - f[qi])
-        outx[2 * ci + 1] = vx[ci] + ratio * (vx[qi] - vx[ci])
-        outy[2 * ci + 1] = vy[ci] + ratio * (vy[qi] - vy[ci])
-        valid[2 * ci + 1] = True
-    ox = outx[valid]
-    oy = outy[valid]
-    lx, ly, ls = _dedupe_xys(
-        ox.tolist(), oy.tolist(), (t * ox + oy).tolist()
-    )
-    return (
-        np.asarray(lx, dtype=np.float64),
-        np.asarray(ly, dtype=np.float64),
-        np.asarray(ls, dtype=np.float64),
-    )
-
-
-def _make_clip_kernel(dedupe):
-    """Build the loop-based strip-clip kernel around a dedupe routine.
-
-    Called once with the interpreted :func:`_dedupe_kernel` to make the
-    module-level ``_clip_strip_kernel``, and once with its njit-compiled
-    twin so numba can compile the whole closure — both bodies are the
-    same code object, so bit-identity between the two is structural.
-    """
-
-    def _clip_strip_kernel(
-        vx: np.ndarray, vy: np.ndarray, t: float, lo: float, hi: float
-    ) -> tuple[np.ndarray, np.ndarray]:
-        n = vx.shape[0]
-        if n == 0:
-            return vx, vy
-        s = np.empty(n)
-        for i in range(n):
-            s[i] = t * vx[i] + vy[i]
-        smin = s[0]
-        smax = s[0]
-        for i in range(1, n):
-            if s[i] < smin:
-                smin = s[i]
-            if s[i] > smax:
-                smax = s[i]
-        scale = 1.0
-        if abs(lo - smin) > scale:
-            scale = abs(lo - smin)
-        if abs(lo - smax) > scale:
-            scale = abs(lo - smax)
-        eps = _EPS * scale
-        if lo - smin > eps:
-            ox = np.empty(2 * n)
-            oy = np.empty(2 * n)
-            os_ = np.empty(2 * n)
-            m = 0
-            for i in range(n):
-                j = i + 1
-                if j == n:
-                    j = 0
-                fp = lo - s[i]
-                fq = lo - s[j]
-                if fp <= eps:
-                    ox[m] = vx[i]
-                    oy[m] = vy[i]
-                    os_[m] = s[i]
-                    m += 1
-                if (fp < -eps and fq > eps) or (fp > eps and fq < -eps):
-                    ratio = fp / (fp - fq)
-                    x = vx[i] + ratio * (vx[j] - vx[i])
-                    y = vy[i] + ratio * (vy[j] - vy[i])
-                    ox[m] = x
-                    oy[m] = y
-                    os_[m] = t * x + y
-                    m += 1
-            m = dedupe(ox, oy, os_, m)
-            if m == 0:
-                return ox[:0], oy[:0]
-            vx = ox[:m]
-            vy = oy[:m]
-            s = os_[:m]
-            n = m
-            smin = s[0]
-            smax = s[0]
-            for i in range(1, n):
-                if s[i] < smin:
-                    smin = s[i]
-                if s[i] > smax:
-                    smax = s[i]
-        scale = 1.0
-        if abs(smin - hi) > scale:
-            scale = abs(smin - hi)
-        if abs(smax - hi) > scale:
-            scale = abs(smax - hi)
-        eps = _EPS * scale
-        if smax - hi <= eps:
-            return vx, vy
-        ox = np.empty(2 * n)
-        oy = np.empty(2 * n)
-        os_ = np.empty(2 * n)
-        m = 0
-        for i in range(n):
-            j = i + 1
-            if j == n:
-                j = 0
-            fp = s[i] - hi
-            fq = s[j] - hi
-            if fp <= eps:
-                ox[m] = vx[i]
-                oy[m] = vy[i]
-                os_[m] = s[i]
-                m += 1
-            if (fp < -eps and fq > eps) or (fp > eps and fq < -eps):
-                ratio = fp / (fp - fq)
-                x = vx[i] + ratio * (vx[j] - vx[i])
-                y = vy[i] + ratio * (vy[j] - vy[i])
-                ox[m] = x
-                oy[m] = y
-                os_[m] = t * x + y
-                m += 1
-        m = dedupe(ox, oy, os_, m)
-        return ox[:m], oy[:m]
-
-    return _clip_strip_kernel
-
-
-_NUMBA_CLIP = None
-
-
-def _numba_clip_kernel():
-    """Lazily njit-compile the strip-clip kernel (import deferred)."""
-    global _NUMBA_CLIP
-    if _NUMBA_CLIP is None:
-        import numba
-
-        dedupe = numba.njit(cache=True, fastmath=False)(_dedupe_kernel)
-        _NUMBA_CLIP = numba.njit(cache=True, fastmath=False)(
-            _make_clip_kernel(dedupe)
-        )
-    return _NUMBA_CLIP
-
-
-def _dedupe_kernel(
-    ox: np.ndarray, oy: np.ndarray, os_: np.ndarray, m: int
-) -> int:
-    """In-place analogue of :func:`_dedupe` for the njit kernel: compact
-    the first ``m`` slots, returning the surviving count."""
-    if m == 0:
-        return 0
-    w = 1
-    for i in range(1, m):
-        if (
-            abs(ox[i] - ox[w - 1]) > _EPS
-            or abs(oy[i] - oy[w - 1]) > _EPS
-        ):
-            ox[w] = ox[i]
-            oy[w] = oy[i]
-            os_[w] = os_[i]
-            w += 1
-    if (
-        w > 1
-        and abs(ox[0] - ox[w - 1]) <= _EPS
-        and abs(oy[0] - oy[w - 1]) <= _EPS
-    ):
-        w -= 1
-    return w
-
-
-def _dedupe_xys(
-    xs: list[float], ys: list[float], ss: list[float] | None
-) -> tuple[list[float], list[float], list[float] | None]:
-    """:func:`_dedupe` over parallel coordinate lists, carrying the
-    support values ``ss`` alongside when given."""
-    if not xs:
-        return xs, ys, ss
-    ox: list[float] = []
-    oy: list[float] = []
-    os_: list[float] | None = None if ss is None else []
-    for i in range(len(xs)):
-        if not ox or abs(xs[i] - ox[-1]) > _EPS or abs(
-            ys[i] - oy[-1]
-        ) > _EPS:
-            ox.append(xs[i])
-            oy.append(ys[i])
-            if os_ is not None:
-                os_.append(ss[i])
-    if len(ox) > 1 and abs(ox[0] - ox[-1]) <= _EPS and abs(
-        oy[0] - oy[-1]
-    ) <= _EPS:
-        ox.pop()
-        oy.pop()
-        if os_ is not None:
-            os_.pop()
-    return ox, oy, os_
-
-
-_clip_strip_kernel = _make_clip_kernel(_dedupe_kernel)
 
 
 def _ccw_order(

@@ -218,22 +218,30 @@ def test_pbe1_batch_split_invariance(batch, data):
     assert pbe1_state(whole) == pbe1_state(split)
 
 
-@given(batch=timestamp_batch(), gamma=st.sampled_from([1.0, 2.5, 6.0]))
-def test_pbe2_batch_matches_scalar(batch, gamma):
+@given(
+    batch=timestamp_batch(),
+    gamma=st.sampled_from([1.0, 2.5, 6.0]),
+    max_vertices=st.sampled_from([None, 3, 4, 6]),
+)
+def test_pbe2_batch_matches_scalar(batch, gamma, max_vertices):
     ts, counts = batch
-    scalar = PBE2(gamma=gamma)
-    batched = PBE2(gamma=gamma)
+    scalar = PBE2(gamma=gamma, max_polygon_vertices=max_vertices)
+    batched = PBE2(gamma=gamma, max_polygon_vertices=max_vertices)
     _feed_scalar(scalar, ts, counts)
     batched.extend_batch(ts, counts)
     assert pbe2_state(scalar) == pbe2_state(batched)
 
 
-@given(batch=timestamp_batch(), data=st.data())
-def test_pbe2_batch_split_invariance(batch, data):
+@given(
+    batch=timestamp_batch(),
+    data=st.data(),
+    max_vertices=st.sampled_from([None, 3, 4, 6]),
+)
+def test_pbe2_batch_split_invariance(batch, data, max_vertices):
     ts, counts = batch
     cuts = data.draw(cut_points(len(ts)))
-    whole = PBE2(gamma=2.0)
-    split = PBE2(gamma=2.0)
+    whole = PBE2(gamma=2.0, max_polygon_vertices=max_vertices)
+    split = PBE2(gamma=2.0, max_polygon_vertices=max_vertices)
     whole.extend_batch(ts, counts)
     for sub_ts, sub_counts in _sub_batches(ts, counts, cuts):
         split.extend_batch(sub_ts, sub_counts)

@@ -1,0 +1,106 @@
+"""Non-finite timestamps are rejected before they reach any state.
+
+NaN compares false against everything, so ``np.diff(ts) < 0`` and
+``timestamp < t_end`` both let it through; ``+inf`` passes them too and
+then makes every later write look out of order.  Every ingest entry
+point must therefore raise :class:`InvalidParameterError` for NaN and
+``±inf`` — scalar and batch, on every store backend, on a durable store
+before the record reaches the WAL, on the parallel-ingest coordinator,
+and on the bare PBE-1 / PBE-2 sketches — and leave the target exactly
+as it was, still accepting later finite records.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+from repro.core.durable import create_durable, recover
+from repro.core.errors import InvalidParameterError
+from repro.core.parallel_ingest import ParallelIngestCoordinator
+from repro.core.pbe1 import PBE1
+from repro.core.pbe2 import PBE2
+from repro.core.store import create_store
+from tests.backends import BACKEND_IDS, BACKEND_MATRIX
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+NON_FINITE_IDS = ["nan", "+inf", "-inf"]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=NON_FINITE_IDS)
+@pytest.mark.parametrize("label,backend,cfg", BACKEND_MATRIX, ids=BACKEND_IDS)
+def test_store_rejects_non_finite(label, backend, cfg, bad):
+    store = create_store(backend, **cfg)
+    with pytest.raises(InvalidParameterError, match="finite"):
+        store.extend_batch([0, 0, 0], [1.0, bad, 0.5])
+    assert store.count == 0
+    store.update(0, 1.0)
+    with pytest.raises(InvalidParameterError, match="finite"):
+        store.update(0, bad)
+    with pytest.raises(InvalidParameterError, match="finite"):
+        store.extend_batch([1, 1], [2.0, bad])
+    assert store.count == 1
+    assert store.t_end == 1.0
+    store.update(0, 2.0)
+    store.extend_batch([1, 2], [3.0, 4.0])
+    assert store.count == 4
+    assert store.t_end == 4.0
+    store.close()
+
+
+def test_durable_store_rejects_non_finite_before_the_wal(tmp_path):
+    directory = tmp_path / "s"
+    store = create_durable(directory, backend="exact", seal_elements=4)
+    store.extend_batch([0, 1, 2, 0, 1], [0.5, 1.0, 1.5, 2.0, 2.0])
+    for bad in NON_FINITE:
+        with pytest.raises(InvalidParameterError, match="finite"):
+            store.extend_batch([0, 0, 0], [3.0, bad, 2.5])
+        with pytest.raises(InvalidParameterError, match="finite"):
+            store.append(0, bad)
+    assert store.count == 5
+    assert store.t_end == 2.0
+    store.close()
+    recovered = recover(directory)
+    assert recovered.count == 5
+    assert recovered.t_end == 2.0
+    recovered.extend_batch([0], [3.0])
+    assert recovered.count == 6
+    recovered.close()
+
+
+def test_coordinator_rejects_non_finite_before_dispatch(tmp_path):
+    with ParallelIngestCoordinator(
+        tmp_path / "s", writers=1, fsync="never"
+    ) as coordinator:
+        coordinator.extend_batch([1, 2], [1.0, 2.0])
+        for bad in NON_FINITE:
+            with pytest.raises(InvalidParameterError, match="finite"):
+                coordinator.extend_batch([1, 2, 3], [3.0, bad, 2.5])
+        coordinator.extend_batch([3], [3.0])
+        assert coordinator.flush() == 3
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=NON_FINITE_IDS)
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: PBE1(eta=4, buffer_size=8),
+        lambda: PBE2(gamma=2.0),
+    ],
+    ids=["pbe1", "pbe2"],
+)
+def test_sketch_rejects_non_finite(make, bad):
+    sketch = make()
+    sketch.update(1.0)
+    with pytest.raises(InvalidParameterError, match="finite"):
+        sketch.update(bad)
+    with pytest.raises(InvalidParameterError, match="finite"):
+        sketch.extend_batch([2.0, bad, 1.5])
+    with pytest.raises(InvalidParameterError, match="finite"):
+        sketch.extend_batch(np.array([bad]))
+    assert sketch.count == 1
+    sketch.update(2.0)
+    sketch.extend_batch([3.0, 4.0])
+    assert sketch.count == 4

@@ -228,6 +228,29 @@ def test_split_sweeps_equal_one_sweep(monkeypatch):
         assert a.error == b.error
 
 
+def _staircase_case(seed: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    rng = np.random.default_rng(seed)
+    xs = np.sort(rng.uniform(0.0, 500.0, size=n))
+    xs = np.unique(xs.round(1))
+    ys = np.arange(1.0, xs.size + 1.0)
+    return xs, ys
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("eta", [4, 9, 25])
+def test_staircase_engine_matches_scalar_oracle(seed, eta):
+    # Three cells of different sizes share one batched sweep; each must
+    # equal the scalar DP loop bit for bit.
+    cells = [
+        _staircase_case(seed + 10 * k, n)
+        for k, n in enumerate((120, 64, 90))
+    ]
+    for (xs, ys), result in zip(cells, approximate_staircases(cells, eta)):
+        oracle = staircase_dp(xs, ys, eta)
+        assert list(result.selected) == list(oracle.selected)
+        assert result.error == oracle.error
+
+
 # ----------------------------------------------------------------------
 # Containers: batched folds == per-cell folds
 # ----------------------------------------------------------------------
