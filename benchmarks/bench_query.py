@@ -10,7 +10,9 @@ Run standalone (no pytest needed)::
 
     PYTHONPATH=src python benchmarks/bench_query.py [--smoke] [--check]
 
-``--smoke`` shrinks the workload and query counts for a CI run;
+``--smoke`` shrinks the workload and query counts for a CI run and
+writes ``BENCH_query.smoke.json`` unless ``--out`` says otherwise, so
+the committed full-size ``BENCH_query.json`` stays the reference;
 ``--check`` exits nonzero if the batched path ever diverges from the
 scalar loop or the CM-PBE grids fall below the vectorization floor at
 10k+ queries.
@@ -171,7 +173,9 @@ def run_query_comparison(
         # path shows up next to the wall-clock numbers.
         "metrics": global_registry().snapshot(),
     }
-    target = out_path or RESULTS_DIR / "BENCH_query.json"
+    target = out_path or RESULTS_DIR / (
+        "BENCH_query.smoke.json" if smoke else "BENCH_query.json"
+    )
     target.parent.mkdir(exist_ok=True)
     target.write_text(json.dumps(payload, indent=2) + "\n")
     return payload

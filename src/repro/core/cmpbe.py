@@ -30,7 +30,7 @@ from repro.core.errors import (
     require_tau,
 )
 from repro.core.metrics import global_registry
-from repro.core.pbe1 import PBE1, fold_buffers
+from repro.core.pbe1 import PBE1, PackedCells, fold_buffers
 from repro.core.pbe2 import PBE2
 from repro.sketch.countmin import dimensions_for
 from repro.sketch.hashing import HashFamily
@@ -40,7 +40,7 @@ __all__ = [
     "CMPBE",
     "DirectPBEMap",
     "PersistentSketchCell",
-    "finalize_cells",
+    "finalize_sketches",
 ]
 
 
@@ -58,14 +58,16 @@ class PersistentSketchCell(Protocol):
     def size_in_bytes(self) -> int: ...
 
 
-def finalize_cells(cells: Iterable) -> None:
-    """Fold every cell's live state in place.
+def finalize_sketches(sketches: Iterable) -> None:
+    """Fold the live state of every cell of many containers in place.
 
     All PBE-1 buffers compress in one batched
     :func:`~repro.core.pbe1.fold_buffers` call; every other cell runs its
-    own ``finalize`` (PBE-2) or ``flush``, if it has one.
+    own ``finalize`` (PBE-2) or ``flush``, if it has one.  Each
+    container's packed corner table is dropped.
     """
-    cells = list(cells)
+    sketches = list(sketches)
+    cells = [cell for sketch in sketches for cell in sketch.cells()]
     fold_buffers(cell for cell in cells if isinstance(cell, PBE1))
     for cell in cells:
         if isinstance(cell, PBE1):
@@ -75,6 +77,31 @@ def finalize_cells(cells: Iterable) -> None:
         )
         if flush is not None:
             flush()
+    for sketch in sketches:
+        sketch._pack = None
+
+
+def _pack_of(cells: list) -> PackedCells | None:
+    """A :class:`PackedCells` table over PBE-1 cells; ``None`` for PBE-2
+    cells, which keep their per-cell ``value_many`` loop."""
+    if cells and not isinstance(cells[0], PBE1):
+        return None
+    return PackedCells(cells)
+
+
+def _cell_values(
+    cells: list, pack: PackedCells | None, slots: np.ndarray, times
+) -> np.ndarray:
+    """``F~`` of ``cells[slots[i]]`` at ``times[i]`` (shapes broadcast):
+    one packed lookup, or one ``value_many`` per distinct PBE-2 cell."""
+    if pack is not None:
+        return pack.lookup(slots, times)
+    times = np.broadcast_to(times, slots.shape)
+    out = np.empty(slots.shape, dtype=np.float64)
+    for slot in np.unique(slots).tolist():
+        selected = slots == slot
+        out[selected] = cells[slot].value_many(times[selected])
+    return out
 
 
 #: Hot-id hash columns remembered per sketch before eviction kicks in.
@@ -91,6 +118,7 @@ def _validated_query_batch(
         raise InvalidParameterError(
             "query event_ids and ts must be 1-d arrays of equal length"
         )
+    require_finite_time(ts)
     return ids, ts
 
 
@@ -193,6 +221,7 @@ class CMPBE:
             [cell_factory() for _ in range(width)] for _ in range(depth)
         ]
         self._count = 0
+        self._pack: PackedCells | None = None
         self._row_buffer = np.empty(depth, dtype=np.float64)
         self._column_cache: OrderedDict[int, list[int]] = OrderedDict()
         metrics = global_registry()
@@ -260,6 +289,7 @@ class CMPBE:
     def update(self, event_id: int, timestamp: float, count: int = 1) -> None:
         """Ingest ``count`` mentions of ``event_id`` at ``timestamp``."""
         self._column_cache.clear()
+        self._pack = None
         for row, column in enumerate(self._hashes.hash_all(event_id)):
             self._cells[row][column].update(timestamp, count)
         self._count += count
@@ -291,6 +321,7 @@ class CMPBE:
         if ids.size == 0:
             return
         self._column_cache.clear()
+        self._pack = None
         unique_ids, inverse = np.unique(ids, return_inverse=True)
         columns = self._hashes.hash_many(unique_ids)[inverse]
         for row in range(self.depth):
@@ -307,16 +338,20 @@ class CMPBE:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def _evict_cache(self) -> None:
-        """Trim the LRU back to ``HASH_CACHE_SIZE`` (single shared path
-        for scalar and batched fills)."""
-        cache = self._column_cache
-        while len(cache) > HASH_CACHE_SIZE:
-            cache.popitem(last=False)
-            self._cache_evictions.inc()
+    def _packed(self) -> PackedCells | None:
+        """The grid's corners packed once per version (``None`` for
+        PBE-2 cells).  Built into a local and published with one
+        assignment, so concurrent readers never see a partial table."""
+        pack = self._pack
+        if pack is None:
+            pack = _pack_of(self.cells())
+            self._pack = pack
+        return pack
 
     def _hash_columns(self, event_id: int) -> list[int]:
-        """The event's per-row columns, LRU-cached for hot ids.
+        """The event's per-row columns, LRU-cached for hot ids (scalar
+        reads only: batch reads hash their unique ids with one
+        ``hash_many``).
 
         Ingest clears the cache (the columns themselves never change,
         but clearing keeps the invariant simple should a future cache
@@ -331,31 +366,10 @@ class CMPBE:
         columns = self._hashes.hash_all(event_id)
         cache[event_id] = columns
         self._cache_misses.inc()
-        self._evict_cache()
+        if len(cache) > HASH_CACHE_SIZE:
+            cache.popitem(last=False)
+            self._cache_evictions.inc()
         return columns
-
-    def _hash_columns_many(self, unique_ids: np.ndarray) -> np.ndarray:
-        """``(n, depth)`` column matrix for unique ids, via the LRU."""
-        cache = self._column_cache
-        matrix = np.empty((unique_ids.size, self.depth), dtype=np.int64)
-        miss = []
-        for i, event_id in enumerate(unique_ids.tolist()):
-            columns = cache.get(event_id)
-            if columns is not None:
-                cache.move_to_end(event_id)
-                matrix[i] = columns
-            else:
-                miss.append(i)
-        self._cache_hits.inc(unique_ids.size - len(miss))
-        if miss:
-            missing = unique_ids[miss]
-            hashed = self._hashes.hash_many(missing)
-            matrix[miss] = hashed
-            for event_id, row in zip(missing.tolist(), hashed.tolist()):
-                cache[event_id] = row
-            self._cache_misses.inc(len(miss))
-            self._evict_cache()
-        return matrix
 
     def _combine_rows(self, columns: list[int], t: float) -> float:
         """One ``F~_e(t)`` estimate from pre-hashed columns."""
@@ -370,19 +384,32 @@ class CMPBE:
         """Estimate ``F_e(t)`` by combining the ``d`` row estimates."""
         return self._combine_rows(self._hash_columns(event_id), t)
 
+    def _event_cells(self, event_id: int) -> list[int]:
+        """Flat (row-major) indexes of the ``d`` cells the event hashes to."""
+        return [
+            row * self.width + column
+            for row, column in enumerate(self._hash_columns(event_id))
+        ]
+
     def cumulative_frequency_many(self, event_id: int, ts) -> np.ndarray:
         """Vectorized ``F~_e`` over an array of query times.
 
-        Hashes the id once and evaluates each row's cell with one
-        :meth:`~repro.core.pbe1.PBE1.value_many` call; the combiner runs
-        as a single ``np.median``/``np.min`` over the ``(depth, n)``
+        Hashes the id once and searches each row's cell slice of the
+        packed table (PBE-2 cells: one ``value_many`` each); the combiner
+        runs as a single ``np.median``/``np.min`` over the ``(depth, n)``
         estimate matrix.  Bit-identical to per-call
         :meth:`cumulative_frequency`.
         """
         ts = np.asarray(ts, dtype=np.float64)
+        pack = self._packed()
+        cells = self.cells()
         rows = np.empty((self.depth, ts.size), dtype=np.float64)
-        for row, column in enumerate(self._hash_columns(event_id)):
-            rows[row] = self._cells[row][column].value_many(ts)
+        for row, slot in enumerate(self._event_cells(event_id)):
+            rows[row] = (
+                pack.values(slot, ts)
+                if pack is not None
+                else cells[slot].value_many(ts)
+            )
         if self.combiner == "median":
             return np.median(rows, axis=0)
         return rows.min(axis=0)
@@ -404,11 +431,11 @@ class CMPBE:
     def burstiness_many(self, event_ids, ts, tau: float) -> np.ndarray:
         """Batched point queries: estimated ``b_e(t)`` per ``(e, t)`` pair.
 
-        Hash columns are computed once per *unique* event id (through
-        the LRU); each ``(row, column)`` cell then evaluates its share of
-        the ``3 n`` curve lookups in one ``value_many`` call, and the row
-        combiner is a single ``np.median``/``np.min`` over the
-        ``(depth, 3 n)`` estimate matrix.  Bit-identical to per-call
+        Hash columns are computed once per *unique* event id with one
+        ``hash_many``; all ``depth x 3 n`` cell lookups then run as one
+        packed-table lookup (see :class:`~repro.core.pbe1.PackedCells`),
+        and the row combiner is a single ``np.median``/``np.min`` over
+        the ``(depth, 3 n)`` estimate matrix.  Bit-identical to per-call
         :meth:`burstiness`.
         """
         require_tau(tau)
@@ -418,17 +445,11 @@ class CMPBE:
             return np.zeros(0, dtype=np.float64)
         times = np.concatenate([ts, ts - tau, ts - 2 * tau])
         unique_ids, inverse = np.unique(ids, return_inverse=True)
-        columns = self._hash_columns_many(unique_ids)
-        rows = np.empty((self.depth, 3 * n), dtype=np.float64)
-        for row in range(self.depth):
-            per_query = columns[inverse, row]
-            tiled = np.tile(per_query, 3)
-            cells = self._cells[row]
-            for column in np.unique(per_query).tolist():
-                selected = tiled == column
-                rows[row, selected] = cells[column].value_many(
-                    times[selected]
-                )
+        columns = self._hashes.hash_many(unique_ids)[inverse].T
+        slots = columns + (np.arange(self.depth) * self.width)[:, None]
+        rows = _cell_values(
+            self.cells(), self._packed(), np.tile(slots, 3), times
+        )
         if self.combiner == "median":
             combined = np.median(rows, axis=0)
         else:
@@ -445,11 +466,15 @@ class CMPBE:
         The per-event estimate can only change at these instants, so
         bursty-time queries need point queries only there (§V).
         """
-        knots: set[float] = set()
-        for row, column in enumerate(self._hash_columns(event_id)):
-            cell = self._cells[row][column]
-            knots.update(cell.segment_starts())  # type: ignore[attr-defined]
-        return sorted(knots)
+        pack = self._packed()
+        cells = self.cells()
+        knots = [
+            pack.cell(slot)[0]
+            if pack is not None
+            else np.asarray(cells[slot].segment_starts(), dtype=np.float64)
+            for slot in self._event_cells(event_id)
+        ]
+        return np.unique(np.concatenate(knots)).tolist()
 
     # ------------------------------------------------------------------
     # Accounting
@@ -459,8 +484,8 @@ class CMPBE:
         return [cell for row in self._cells for cell in row]
 
     def finalize(self) -> None:
-        """Fold every cell's live state (see :func:`finalize_cells`)."""
-        finalize_cells(self.cells())
+        """Fold every cell's live state (see :func:`finalize_sketches`)."""
+        finalize_sketches([self])
 
     @property
     def count(self) -> int:
@@ -488,9 +513,11 @@ class DirectPBEMap:
         self._cell_factory = cell_factory
         self._cells: dict[int, PersistentSketchCell] = {}
         self._count = 0
+        self._pack: tuple[np.ndarray, list, PackedCells | None] | None = None
 
     def update(self, event_id: int, timestamp: float, count: int = 1) -> None:
         """Ingest ``count`` mentions of ``event_id`` at ``timestamp``."""
+        self._pack = None
         cell = self._cells.get(event_id)
         if cell is None:
             cell = self._cell_factory()
@@ -513,6 +540,7 @@ class DirectPBEMap:
         )
         if ids.size == 0:
             return
+        self._pack = None
         for event_id, order in _iter_groups(ids):
             cell = self._cells.get(event_id)
             if cell is None:
@@ -543,21 +571,41 @@ class DirectPBEMap:
         """Estimated ``b_e(t)`` from the id's own PBE."""
         return burstiness_from_curve(_EventCurveView(self, event_id), t, tau)
 
+    def _packed(self) -> tuple[np.ndarray, list, PackedCells | None]:
+        """``(ids, cells, pack)``: the seen ids in ascending order, their
+        cells, and those cells packed (``None`` for PBE-2 cells) — built
+        once per version and published with one assignment."""
+        view = self._pack
+        if view is None:
+            ids = sorted(self._cells)
+            cells = [self._cells[event_id] for event_id in ids]
+            view = (np.array(ids, dtype=np.int64), cells, _pack_of(cells))
+            self._pack = view
+        return view
+
+    def ids(self) -> np.ndarray:
+        """Every seen id, ascending (int64)."""
+        return self._packed()[0]
+
     def burstiness_many(self, event_ids, ts, tau: float) -> np.ndarray:
-        """Batched point queries: each id's PBE evaluates its share of
-        the ``3 n`` curve lookups in one ``value_many`` call.
+        """Batched point queries: the ``3 n`` curve lookups of the seen
+        ids run as one packed-table lookup (PBE-2 cells: one
+        ``value_many`` per cell); unseen ids read ``0.0``.
         Bit-identical to per-call :meth:`burstiness`."""
         require_tau(tau)
         ids, ts = _validated_query_batch(event_ids, ts)
         n = ids.size
         if n == 0:
             return np.zeros(0, dtype=np.float64)
+        known, cells, pack = self._packed()
         times = np.concatenate([ts, ts - tau, ts - 2 * tau])
         values = np.zeros(3 * n, dtype=np.float64)
-        for event_id, selected in _iter_groups(np.tile(ids, 3)):
-            cell = self._cells.get(event_id)
-            if cell is not None:
-                values[selected] = cell.value_many(times[selected])
+        if known.size:
+            slots = np.minimum(np.searchsorted(known, ids), known.size - 1)
+            seen = np.tile(known[slots] == ids, 3)
+            values[seen] = _cell_values(
+                cells, pack, np.tile(slots, 3)[seen], times[seen]
+            )
         return values[:n] - 2.0 * values[n : 2 * n] + values[2 * n :]
 
     def curve(self, event_id: int) -> "_EventCurveView":
@@ -576,8 +624,8 @@ class DirectPBEMap:
         return list(self._cells.values())
 
     def finalize(self) -> None:
-        """Fold every cell's live state (see :func:`finalize_cells`)."""
-        finalize_cells(self.cells())
+        """Fold every cell's live state (see :func:`finalize_sketches`)."""
+        finalize_sketches([self])
 
     @property
     def count(self) -> int:

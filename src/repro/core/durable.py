@@ -118,6 +118,8 @@ from repro.core.errors import (
     ShardCountMismatchError,
     ShardLayoutError,
     StreamOrderError,
+    require_finite_time,
+    require_time_range,
 )
 from repro.core.metrics import global_registry
 from repro.core.parallel import merge_stores
@@ -1183,7 +1185,7 @@ class DurableBurstStore(_StoreBase):
                 self._view_version = self._version
             return self._view
 
-    def point_query(self, event_id: int, t: float, tau: float) -> float:
+    def _point(self, event_id: int, t: float, tau: float) -> float:
         with self._span("query.point"):
             return self._read_view().point_query(event_id, t, tau)
 
@@ -1204,19 +1206,22 @@ class DurableBurstStore(_StoreBase):
     ):
         if t_end is None and self._t_end != _NEG_INF:
             t_end = self._t_end + 2 * tau
+        elif t_end is not None:
+            require_finite_time(t_end)
         with self._span("query.bursty_times"):
             return self._read_view().bursty_time_query(
                 event_id, theta, tau,
                 t_end=t_end, merge_gap=merge_gap, piecewise=piecewise,
             )
 
-    def bursty_event_query(self, t: float, theta: float, tau: float):
+    def _bursty_events(self, t: float, theta: float, tau: float):
         with self._span("query.bursty_events"):
             return self._read_view().bursty_event_query(t, theta, tau)
 
     def peak_query(
         self, event_id: int, t_start: float, t_end: float, tau: float
     ):
+        require_time_range(t_start, t_end)
         with self._span("query.peak"):
             return self._read_view().peak_query(
                 event_id, t_start, t_end, tau

@@ -27,7 +27,7 @@ from repro.core.cmpbe import (
     CMPBE,
     DirectPBEMap,
     PersistentSketchCell,
-    finalize_cells,
+    finalize_sketches,
 )
 from repro.core.errors import (
     InvalidParameterError,
@@ -313,9 +313,7 @@ class BurstyEventIndex:
 
     def finalize(self) -> None:
         """Fold every level's cells, all levels in one batched call."""
-        finalize_cells(
-            cell for sketch in self._levels for cell in sketch.cells()
-        )
+        finalize_sketches(self._levels)
 
     def size_in_bytes(self) -> int:
         """Total footprint across all levels."""

@@ -169,7 +169,10 @@ def require_theta(theta: float, positive: bool = False) -> float:
 
 
 def require_time_range(t_start: float, t_end: float) -> tuple[float, float]:
-    """Validate a query time range (``t_end`` must exceed ``t_start``)."""
+    """Validate a query time range: finite bounds, ``t_end`` must exceed
+    ``t_start``."""
+    require_finite_time(t_start)
+    require_finite_time(t_end)
     if not t_end > t_start:
         raise InvalidParameterError("t_end must exceed t_start")
     return t_start, t_end

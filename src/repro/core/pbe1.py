@@ -73,6 +73,7 @@ from repro.streams.frequency import (
 
 __all__ = [
     "PBE1",
+    "PackedCells",
     "StaircaseApproximation",
     "approximate_staircase",
     "approximate_staircase_bruteforce",
@@ -744,12 +745,17 @@ class PBE1:
         (strictly later) buffered corners replaces the two per-call
         bisects; results are bit-identical to per-call :meth:`value`.
         """
-        xs = np.array(self._kept_xs + self._buffer_xs, dtype=np.float64)
+        xs, ys = self._corner_arrays()
         # Level 0.0 before the first corner, then one level per corner.
-        ys = np.array(
-            [0.0, *self._kept_ys, *self._buffer_ys], dtype=np.float64
+        levels = np.concatenate(([0.0], ys))
+        return levels[np.searchsorted(xs, ts, side="right")]
+
+    def _corner_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Kept then buffered corners as float64 ``(xs, ys)`` arrays."""
+        return (
+            np.array(self._kept_xs + self._buffer_xs, dtype=np.float64),
+            np.array(self._kept_ys + self._buffer_ys, dtype=np.float64),
         )
-        return ys[np.searchsorted(xs, ts, side="right")]
 
     def burstiness(self, t: float, tau: float) -> float:
         """Point query ``q(e, t, tau)``: estimated ``b(t)``."""
@@ -786,6 +792,67 @@ class PBE1:
     def size_in_bytes(self) -> int:
         """Two floats per kept corner (buffered corners are transient)."""
         return 2 * BYTES_PER_FLOAT * len(self._kept_xs)
+
+
+class PackedCells:
+    """The corners of many PBE-1 cells in flat arrays, for batch reads.
+
+    ``xs`` concatenates every cell's kept + buffered corner times; ``ys``
+    holds the levels with one leading ``0.0`` per cell, so cell ``c`` owns
+    ``xs[starts[c]:starts[c + 1]]`` and ``ys[starts[c] + c:starts[c + 1]
+    + c + 1]`` — exactly the arrays :meth:`PBE1.value_many` searches.
+
+    A batch lookup of ``(cell, t)`` pairs uses the exact integer key
+    ``cell * (M + 1) + searchsorted(U, x, "right")``, where ``U`` is
+    ``np.unique(xs)`` and ``M`` its size: keys of the corners are sorted
+    (cell-major, time-minor), and a corner's key is at most the query's
+    key iff it lies in the queried cell at or before ``t``.  So every
+    lookup is two ``np.searchsorted(..., side="right")`` calls and equals
+    a per-cell ``value_many`` bit for bit.
+
+    Built once per container version and never mutated afterwards, so
+    concurrent readers may share it.  A lazily loaded cell is packed from
+    its zero-copy columns and stays unhydrated.
+    """
+
+    __slots__ = ("xs", "ys", "starts", "_unique", "_keys")
+
+    def __init__(self, cells: Sequence[PBE1]) -> None:
+        columns = [cell._corner_arrays() for cell in cells]
+        n_cells = len(columns)
+        sizes = np.array([xs.size for xs, _ in columns], dtype=np.int64)
+        starts = np.zeros(n_cells + 1, dtype=np.int64)
+        np.cumsum(sizes, out=starts[1:])
+        xs = np.concatenate([xs for xs, _ in columns] + [np.empty(0)])
+        zero = np.zeros(1)
+        ys = np.concatenate(
+            [part for _, ys in columns for part in (zero, ys)] + [np.empty(0)]
+        )
+        # For a corner, searchsorted(unique, x, "right") is its rank + 1.
+        unique, rank = np.unique(xs, return_inverse=True)
+        cell_of = np.repeat(np.arange(n_cells, dtype=np.int64), sizes)
+        self.xs = xs
+        self.ys = ys
+        self.starts = starts
+        self._unique = unique
+        self._keys = cell_of * (unique.size + 1) + rank + 1
+
+    def cell(self, c: int) -> tuple[np.ndarray, np.ndarray]:
+        """Cell ``c``'s corner times and its levels (leading ``0.0``)."""
+        lo, hi = int(self.starts[c]), int(self.starts[c + 1])
+        return self.xs[lo:hi], self.ys[lo + c : hi + c + 1]
+
+    def values(self, c: int, ts) -> np.ndarray:
+        """``F~`` of cell ``c`` at every time in ``ts``."""
+        xs, ys = self.cell(c)
+        return ys[np.searchsorted(xs, ts, side="right")]
+
+    def lookup(self, slots: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        """``F~`` of cell ``slots[i]`` at ``ts[i]`` (shapes broadcast)."""
+        keys = slots * (self._unique.size + 1) + np.searchsorted(
+            self._unique, ts, side="right"
+        )
+        return self.ys[np.searchsorted(self._keys, keys, side="right") + slots]
 
 
 def fold_buffers(cells: Iterable[PBE1]) -> None:

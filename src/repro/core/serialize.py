@@ -197,6 +197,18 @@ class LazyPBE1(PBE1):
             return self._lazy_n + len(self._buffer_xs)
         return super().n_corners
 
+    def _corner_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        # Batch reads (value_many, PackedCells) search the zero-copy
+        # columns; only ingestion grows a buffer, and it hydrates first.
+        if self._lazy_blob is not None:
+            return self._lazy_arrays()
+        return super()._corner_arrays()
+
+    def segment_starts(self) -> list[float]:
+        if self._lazy_blob is not None:
+            return self._lazy_arrays()[0].tolist()
+        return super().segment_starts()
+
 
 class LazyPBE2(PBE2):
     """A PBE-2 whose segment records stay in the source buffer.

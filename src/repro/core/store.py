@@ -424,9 +424,12 @@ class _StoreBase:
     def point_query(self, event_id: int, t: float, tau: float) -> float:
         """POINT QUERY ``q(e, t, tau)`` → estimated ``b_e(t)``."""
         require_tau(tau)
-        return float(
-            burstiness_from_curve(_CurveView(self, event_id), t, tau)
-        )
+        require_finite_time(t)
+        return float(self._point(event_id, t, tau))
+
+    def _point(self, event_id: int, t: float, tau: float) -> float:
+        """Backend hook of :meth:`point_query` (arguments validated)."""
+        return burstiness_from_curve(_CurveView(self, event_id), t, tau)
 
     # Alias kept so a store can stand in anywhere a raw sketch was used.
     def burstiness(self, event_id: int, t: float, tau: float) -> float:
@@ -460,6 +463,8 @@ class _StoreBase:
         """BURSTY TIME QUERY ``q(e, theta, tau)`` → maximal intervals with
         ``b_e(t) >= theta``."""
         require_tau(tau)
+        if t_end is not None:
+            require_finite_time(t_end)
         knots = self.segment_starts(event_id)
         if not knots:
             return []
@@ -487,6 +492,20 @@ class _StoreBase:
             t_end,
             piecewise=self.piecewise,
         )
+
+    def bursty_event_query(
+        self, t: float, theta: float, tau: float
+    ) -> list[BurstyEvent]:
+        """BURSTY EVENT QUERY ``q(t, theta, tau)`` → the events with
+        ``b_e(t) >= theta``."""
+        require_finite_time(t)
+        return self._bursty_events(t, theta, tau)
+
+    def _bursty_events(
+        self, t: float, theta: float, tau: float
+    ) -> list[BurstyEvent]:
+        """Backend hook of :meth:`bursty_event_query` (``t`` validated)."""
+        raise NotImplementedError
 
     def curve(self, event_id: int) -> _CurveView:
         """A cumulative-curve view of one event's estimate."""
@@ -622,8 +641,8 @@ class ExactStore(_StoreBase):
         store._last_timestamp = float(ts[-1])
 
     # -- queries -------------------------------------------------------
-    def point_query(self, event_id: int, t: float, tau: float) -> float:
-        return float(self.inner.burstiness(event_id, t, tau))
+    def _point(self, event_id: int, t: float, tau: float) -> float:
+        return self.inner.burstiness(event_id, t, tau)
 
     def point_query_batch(self, event_ids, ts, tau: float) -> np.ndarray:
         return self.inner.burstiness_many(event_ids, ts, tau)
@@ -640,6 +659,8 @@ class ExactStore(_StoreBase):
         # The exact burstiness is genuinely a step function, so any
         # requested ``piecewise`` mode degenerates to breakpoint scans.
         require_tau(tau)
+        if t_end is not None:
+            require_finite_time(t_end)
         end = t_end if t_end is not None else self._t_end + 2 * tau
         intervals = self.inner.bursty_times(event_id, theta, tau, t_end=end)
         if merge_gap > 0.0 and intervals:
@@ -647,7 +668,7 @@ class ExactStore(_StoreBase):
             intervals = _merge_intervals(starts, ends, merge_gap)
         return intervals
 
-    def bursty_event_query(
+    def _bursty_events(
         self, t: float, theta: float, tau: float
     ) -> list[BurstyEvent]:
         require_theta(theta)
@@ -855,13 +876,13 @@ class CMPBEStore(_StoreBase):
         self.inner.extend_batch(ids, ts, counts)
 
     # -- queries -------------------------------------------------------
-    def point_query(self, event_id: int, t: float, tau: float) -> float:
-        return float(self.inner.burstiness(event_id, t, tau))
+    def _point(self, event_id: int, t: float, tau: float) -> float:
+        return self.inner.burstiness(event_id, t, tau)
 
     def point_query_batch(self, event_ids, ts, tau: float) -> np.ndarray:
         return self.inner.burstiness_many(event_ids, ts, tau)
 
-    def bursty_event_query(
+    def _bursty_events(
         self, t: float, theta: float, tau: float
     ) -> list[BurstyEvent]:
         require_theta(theta)
@@ -1076,18 +1097,17 @@ class DirectMapStore(_StoreBase):
         self.inner.extend_batch(ids, ts, counts)
 
     # -- queries -------------------------------------------------------
-    def point_query(self, event_id: int, t: float, tau: float) -> float:
-        return float(self.inner.burstiness(event_id, t, tau))
+    def _point(self, event_id: int, t: float, tau: float) -> float:
+        return self.inner.burstiness(event_id, t, tau)
 
     def point_query_batch(self, event_ids, ts, tau: float) -> np.ndarray:
         return self.inner.burstiness_many(event_ids, ts, tau)
 
-    def bursty_event_query(
+    def _bursty_events(
         self, t: float, theta: float, tau: float
     ) -> list[BurstyEvent]:
         require_theta(theta)
-        ids = np.array(sorted(self.inner._cells), dtype=np.int64)
-        return _scan_hits(self, ids, t, theta, tau)
+        return _scan_hits(self, self.inner.ids(), t, theta, tau)
 
     def segment_starts(self, event_id: int) -> list[float]:
         return self.inner.segment_starts(event_id)
@@ -1232,13 +1252,13 @@ class DyadicIndexStore(_StoreBase):
     def _leaf(self) -> CMPBE | DirectPBEMap:
         return self.inner.level_sketch(0)
 
-    def point_query(self, event_id: int, t: float, tau: float) -> float:
-        return float(self._leaf.burstiness(event_id, t, tau))
+    def _point(self, event_id: int, t: float, tau: float) -> float:
+        return self._leaf.burstiness(event_id, t, tau)
 
     def point_query_batch(self, event_ids, ts, tau: float) -> np.ndarray:
         return self._leaf.burstiness_many(event_ids, ts, tau)
 
-    def bursty_event_query(
+    def _bursty_events(
         self, t: float, theta: float, tau: float
     ) -> list[BurstyEvent]:
         require_tau(tau)
@@ -1469,7 +1489,7 @@ class ShardedBurstStore(_StoreBase):
             )
 
     # -- queries -------------------------------------------------------
-    def point_query(self, event_id: int, t: float, tau: float) -> float:
+    def _point(self, event_id: int, t: float, tau: float) -> float:
         return self._owner(event_id).point_query(event_id, t, tau)
 
     def point_query_batch(self, event_ids, ts, tau: float) -> np.ndarray:
@@ -1529,12 +1549,14 @@ class ShardedBurstStore(_StoreBase):
     ) -> list[tuple[float, float]]:
         if t_end is None and self._t_end != float("-inf"):
             t_end = self._t_end + 2 * tau
+        elif t_end is not None:
+            require_finite_time(t_end)
         return self._owner(event_id).bursty_time_query(
             event_id, theta, tau,
             t_end=t_end, merge_gap=merge_gap, piecewise=piecewise,
         )
 
-    def bursty_event_query(
+    def _bursty_events(
         self, t: float, theta: float, tau: float
     ) -> list[BurstyEvent]:
         """Fan out to every shard, keep each shard's owned ids only.
@@ -1575,6 +1597,7 @@ class ShardedBurstStore(_StoreBase):
     def peak_query(
         self, event_id: int, t_start: float, t_end: float, tau: float
     ) -> tuple[float, float]:
+        require_time_range(t_start, t_end)
         return self._owner(event_id).peak_query(
             event_id, t_start, t_end, tau
         )

@@ -295,20 +295,19 @@ class TestFirstPartyInstrumentation:
         assert snapshot["cmpbe_hash_cache_misses_total"]["value"] == 1
         assert snapshot["cmpbe_hash_cache_hits_total"]["value"] == 1
 
-    def test_cmpbe_lru_eviction_single_and_batched_paths_agree(self):
-        """Regression: the scalar path used a single `if`-pop while the
-        batched path looped; both now share one eviction routine, so
-        the cache never exceeds its bound and evictions are counted."""
+    def test_cmpbe_lru_eviction_bounded_and_counted(self):
+        """Scalar lookups fill the LRU up to its bound and count every
+        eviction; batch reads hash with ``hash_many`` and leave it alone."""
         sketch = CMPBE.with_pbe1(eta=10, width=4, depth=2)
-        sketch._hash_columns_many(np.arange(HASH_CACHE_SIZE + 7))
-        assert len(sketch._column_cache) == HASH_CACHE_SIZE
-        for event_id in range(
-            HASH_CACHE_SIZE + 7, HASH_CACHE_SIZE + 12
-        ):
+        ids = np.arange(HASH_CACHE_SIZE + 12)
+        sketch.burstiness_many(ids, np.ones(ids.size), 1.0)
+        assert not sketch._column_cache
+        for event_id in ids.tolist():
             sketch._hash_columns(event_id)
         assert len(sketch._column_cache) == HASH_CACHE_SIZE
         snapshot = global_registry().snapshot()["counters"]
         assert snapshot["cmpbe_hash_cache_evictions_total"]["value"] == 12
+        assert snapshot["cmpbe_hash_cache_misses_total"]["value"] == ids.size
 
     def test_monitor_counters(self):
         monitor = BurstMonitor(tau=10.0, theta=2.0, cooldown=100.0)

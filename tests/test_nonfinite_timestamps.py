@@ -7,7 +7,8 @@ point must therefore raise :class:`InvalidParameterError` for NaN and
 ``±inf`` — scalar and batch, on every store backend, on a durable store
 before the record reaches the WAL, on the parallel-ingest coordinator,
 and on the bare PBE-1 / PBE-2 sketches — and leave the target exactly
-as it was, still accepting later finite records.
+as it was, still accepting later finite records.  Query times and
+bursty-time / peak bounds are held to the same rule on every backend.
 """
 
 from __future__ import annotations
@@ -104,3 +105,54 @@ def test_sketch_rejects_non_finite(make, bad):
     sketch.update(2.0)
     sketch.extend_batch([3.0, 4.0])
     assert sketch.count == 4
+
+
+# ----------------------------------------------------------------------
+# Query times
+# ----------------------------------------------------------------------
+# A non-finite query time has no answer: NaN would read as "before every
+# corner" (0.0 / no hits / no intervals) and ±inf as the far ends of the
+# history.  Every query entry point must reject it.
+QUERY_KINDS = {
+    "point": lambda store, bad: store.point_query(0, bad, 5.0),
+    "point_batch": lambda store, bad: store.point_query_batch(
+        [0, 1, 2], [1.0, bad, 2.0], 5.0
+    ),
+    "events": lambda store, bad: store.bursty_event_query(bad, 0.0, 5.0),
+    "times_t_end": lambda store, bad: store.bursty_time_query(
+        0, 0.0, 5.0, t_end=bad
+    ),
+    "peak_start": lambda store, bad: store.peak_query(0, bad, 3.0, 5.0),
+    "peak_end": lambda store, bad: store.peak_query(0, 1.0, bad, 5.0),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(QUERY_KINDS))
+@pytest.mark.parametrize("label,backend,cfg", BACKEND_MATRIX, ids=BACKEND_IDS)
+def test_store_rejects_non_finite_query_times(label, backend, cfg, kind):
+    store = create_store(backend, **cfg)
+    store.extend_batch([0, 1, 2, 0, 1, 0], [1.0, 1.5, 2.0, 2.5, 3.0, 3.5])
+    ask = QUERY_KINDS[kind]
+    answer = ask(store, 2.0)
+    for bad in NON_FINITE:
+        with pytest.raises(InvalidParameterError, match="finite"):
+            ask(store, bad)
+    # A rejected query leaves the store answering as before.
+    again = ask(store, 2.0)
+    if kind == "point_batch":
+        np.testing.assert_array_equal(again, answer)
+    else:
+        assert again == answer
+    store.close()
+
+
+def test_durable_store_rejects_non_finite_query_times(tmp_path):
+    store = create_durable(tmp_path / "s", backend="cm-pbe-1",
+                           seal_elements=4, universe_size=8, eta=4,
+                           buffer_size=8, width=4, depth=3)
+    store.extend_batch([0, 1, 2, 0, 1], [0.5, 1.0, 1.5, 2.0, 2.0])
+    for bad in NON_FINITE:
+        for kind, ask in QUERY_KINDS.items():
+            with pytest.raises(InvalidParameterError, match="finite"):
+                ask(store, bad)
+    store.close()

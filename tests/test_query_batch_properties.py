@@ -269,7 +269,11 @@ class TestHashColumnCache:
 
         sketch = CMPBE.with_pbe1(eta=6, width=5, depth=3, buffer_size=8)
         ids = np.arange(HASH_CACHE_SIZE + 10, dtype=np.int64)
+        for event_id in ids.tolist():
+            sketch.burstiness(event_id, 0.0, TAU)
+        assert len(sketch._column_cache) == HASH_CACHE_SIZE
+        # Batch reads hash their unique ids directly, bypassing the LRU.
         sketch.burstiness_many(
-            ids, np.zeros(ids.size, dtype=np.float64), TAU
+            ids + ids.size, np.zeros(ids.size, dtype=np.float64), TAU
         )
-        assert len(sketch._column_cache) <= HASH_CACHE_SIZE
+        assert int(ids.size) not in sketch._column_cache
