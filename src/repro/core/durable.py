@@ -17,9 +17,11 @@ an explicit lifecycle, the shape Hokusai-style segment stores use:
   generations and a snapshot of the live memtable.  Exact children
   answer over a *stack* of those immutable parts (each query runs per
   part and sums integer counts, see :meth:`ExactStore.stack
-  <repro.core.store.ExactStore.stack>`), so a read after a write costs
-  O(memtable), not O(history).  Sketch children fold the parts with the
-  backend's own ``merge`` — the §III-A time-range merge contract.
+  <repro.core.store.ExactStore.stack>`); the memtable part shares the
+  append-only memtable lists up to their current lengths, so a read
+  after a write costs O(events), not O(memtable) or O(history).
+  Sketch children fold the parts with the backend's own ``merge`` —
+  the §III-A time-range merge contract.
   Either view is cached until the next state change.
 
 Crash recovery (``resume=True`` / :func:`recover`) loads the manifest's
@@ -1144,9 +1146,10 @@ class DurableBurstStore(_StoreBase):
     def _memtable_part_locked(self):
         """The live memtable as an immutable part (``None`` if empty).
 
-        The one place a memtable becomes a part: exact children copy
-        their per-event lists (O(memtable)); sketch children round-trip
-        through their codec, which flushes buffered state.
+        The one place a memtable becomes a part: exact children take a
+        snapshot bounded by the current list lengths (O(events); the
+        memtable only appends, under this lock); sketch children
+        round-trip through their codec, which flushes buffered state.
         """
         if self._memtable_elements == 0:
             return None
@@ -1160,7 +1163,7 @@ class DurableBurstStore(_StoreBase):
         The lower parts (sealed view + frozen pending generations) are
         cached until a seal, freeze or compaction; a non-empty memtable
         adds one snapshot part per write.  Exact children answer over
-        the stack of parts (O(memtable) per new view); sketch children
+        the stack of parts (O(events) per new view); sketch children
         merge the memtable part into their single folded lower part.
         A reader sees either the pre-seal view (generation still
         pending) or the post-seal view (file-backed segment) — never a

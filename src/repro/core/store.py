@@ -661,6 +661,8 @@ class ExactStore(_StoreBase):
         require_tau(tau)
         if t_end is not None:
             require_finite_time(t_end)
+        if t_end is None and self._t_end == float("-inf"):
+            return []  # horizon -inf: every breakpoint lies past it
         end = t_end if t_end is not None else self._t_end + 2 * tau
         intervals = self.inner.bursty_times(event_id, theta, tau, t_end=end)
         if merge_gap > 0.0 and intervals:
@@ -695,9 +697,7 @@ class ExactStore(_StoreBase):
         return self.inner.cumulative_frequency_many(event_id, ts)
 
     def export_records(self) -> tuple[np.ndarray, np.ndarray]:
-        items = [
-            item for table in self.inner._tables for item in table.items()
-        ]
+        items = list(self.inner._items())
         if not items:
             return (
                 np.empty(0, dtype=np.int64),
@@ -730,8 +730,9 @@ class ExactStore(_StoreBase):
 
     # -- snapshots & stacks --------------------------------------------
     def snapshot(self) -> "ExactStore":
-        """An independent copy for readers in O(own table): the
-        per-event lists are copied, stacked tables are shared."""
+        """An independent copy for readers in O(events): it shares the
+        append-only per-event lists, bounded by their current lengths,
+        and every stacked table (see :meth:`ExactBurstStore.snapshot`)."""
         copy = ExactStore(self.inner.snapshot())
         copy._t_end = self._t_end
         return copy
@@ -758,9 +759,8 @@ class ExactStore(_StoreBase):
             raise InvalidParameterError("can only merge exact with exact")
         merged = ExactStore()
         for part in (self, other):
-            for table in part.inner._tables:
-                for event_id, times in table.items():
-                    merged.inner._timestamps[event_id].extend(times)
+            for event_id, times in part.inner._items():
+                merged.inner._timestamps[event_id].extend(times)
         for times in merged.inner._timestamps.values():
             times.sort()
         merged.inner._count = self.inner.count + other.inner.count

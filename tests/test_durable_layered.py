@@ -1,8 +1,8 @@
 """Layered durable reads: the exact read view is a stack of immutable parts.
 
 A durable store with an ``exact`` child answers queries over its cached
-sealed view, each frozen pending-seal generation and an O(memtable) copy
-of the live memtable, without merging them.  Three locks on that:
+sealed view, each frozen pending-seal generation and an O(events)
+snapshot of the live memtable, without merging them.  Three locks on that:
 
 * a hypothesis differential — every query on the surface, in every
   lifecycle state (memtable only, sealed only, sealed + memtable,

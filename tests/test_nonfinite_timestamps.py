@@ -6,8 +6,9 @@ then makes every later write look out of order.  Every ingest entry
 point must therefore raise :class:`InvalidParameterError` for NaN and
 ``±inf`` — scalar and batch, on every store backend, on a durable store
 before the record reaches the WAL, on the parallel-ingest coordinator,
-and on the bare PBE-1 / PBE-2 sketches — and leave the target exactly
-as it was, still accepting later finite records.  Query times and
+on the bare PBE-1 / PBE-2 sketches and on the raw exact baseline — and
+leave the target exactly as it was, still accepting later finite
+records.  Query times and
 bursty-time / peak bounds are held to the same rule on every backend.
 """
 
@@ -18,6 +19,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.baselines.exact import ExactBurstStore
 from repro.core.durable import create_durable, recover
 from repro.core.errors import InvalidParameterError
 from repro.core.parallel_ingest import ParallelIngestCoordinator
@@ -105,6 +107,32 @@ def test_sketch_rejects_non_finite(make, bad):
     sketch.update(2.0)
     sketch.extend_batch([3.0, 4.0])
     assert sketch.count == 4
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=NON_FINITE_IDS)
+def test_exact_baseline_rejects_non_finite(bad):
+    # The raw ground-truth class, not only the stores wrapping it.
+    with pytest.raises(InvalidParameterError, match="finite"):
+        ExactBurstStore.from_stream([(1, 1.0), (1, bad)])
+    store = ExactBurstStore()
+    store.update(1, 1.0)
+    with pytest.raises(InvalidParameterError, match="finite"):
+        store.update(1, bad)
+    store.update(1, 5.0)
+    assert store.count == 2
+    assert list(store.timestamps_of(1)) == [1.0, 5.0]
+    assert store.burstiness(1, 5.0, 1.0) == 1
+    queries = [
+        lambda: store.burstiness(1, bad, 1.0),
+        lambda: store.burstiness_many([1, 1], [2.0, bad], 1.0),
+        lambda: store.cumulative_frequency(1, bad),
+        lambda: store.cumulative_frequency_many(1, [2.0, bad]),
+        lambda: store.bursty_events(bad, 0.0, 1.0),
+        lambda: store.bursty_times(1, 0.0, 1.0, t_end=bad),
+    ]
+    for ask in queries:
+        with pytest.raises(InvalidParameterError, match="finite"):
+            ask()
 
 
 # ----------------------------------------------------------------------
