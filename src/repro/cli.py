@@ -24,8 +24,8 @@ recover
 rebalance
     Rewrite a sharded durable directory to a different shard count
     offline (``repro rebalance DIR --shards M``): every acknowledged
-    record is streamed through the Fibonacci shard hash into M fresh
-    shard directories, committed by a crash-safe journal swap.
+    record is streamed through the Fibonacci shard hash into M new
+    shard directories, committed by one atomic manifest replace.
 query
     Answer point / bursty-time queries from a serialized store (either
     the versioned envelope or a legacy v1 blob).
@@ -752,8 +752,9 @@ def _cmd_recover(args: argparse.Namespace) -> int:
         )
         if shards is not None:
             replayed = " ".join(
-                f"shard-{index:03d}={child.replayed_records}"
-                for index, child in enumerate(shards)
+                f"{Path(child.directory).name}="
+                f"{child.replayed_records}"
+                for child in shards
             )
             print(f"replayed from WAL tails: {replayed}")
         else:

@@ -40,43 +40,37 @@ Hokusai-style stores use to keep unbounded streams bounded:
   ``sharded-durable`` directories (CLI: ``repro rebalance DIR --shards
   M``).  Every acknowledged record is exported from the old layout,
   streamed through the same Fibonacci shard hash the sharded store
-  routes with, and written into ``M`` fresh shard directories built in
-  a staging area.  The commit point is one atomic journal write
-  (``REBALANCE-COMMIT.json``); :func:`_redo_rebalance` then replays a
-  fully idempotent sequence (drop old dirs, rename staged dirs in,
-  rewrite the top manifest, clear staging, drop the journal) so a
-  crash at *any* step either leaves the old layout intact (journal
-  absent: staging is swept as garbage) or completes on the next
-  :func:`repro.core.durable.recover` (journal present: the redo runs
-  to the end).  Staged directories carry a per-run nonce file so the
-  redo can always tell "new layout, keep" from "old layout, replace".
+  routes with, and written into ``M`` new shard directories under the
+  root, named for the next layout generation.  It commits the way a
+  compaction swap does: one atomic top-level manifest replace names the
+  new directories and lists the old ones as ``tombstones``, then the
+  old directories are removed and the tombstones cleared.
+
+  Crash windows, by construction:
+
+  - crash before the manifest replace → the old layout is intact; the
+    new directories are of a newer generation than any the manifest
+    lists, so :func:`repro.core.durable.recover` removes them;
+  - crash after the replace, before the drain ends → the manifest
+    already serves the new layout; recovery drains the tombstoned old
+    directories (a half-deleted one included);
+  - crash mid-manifest-write → ``os.replace`` leaves the old manifest
+    intact, which is the "before" case.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 import os
-import re
-import shutil
 import threading
 
 import numpy as np
 
 from repro.core import tracing as _tracing
-from repro.core.errors import (
-    CompactionError,
-    InvalidParameterError,
-    RecoveryError,
-)
+from repro.core.errors import CompactionError, InvalidParameterError
 from repro.core.metrics import global_registry
 from repro.core.parallel import merge_stores
-from repro.core.serialize import (
-    _fsync_directory,
-    atomic_write_bytes,
-    open_store,
-    save_store,
-)
+from repro.core.serialize import atomic_write_bytes, open_store, save_store
 from repro.core.store import _FIB_MIX
 
 __all__ = [
@@ -92,11 +86,6 @@ _logger = logging.getLogger("repro.core.compaction")
 
 DEFAULT_COMPACT_FANIN = 8
 DEFAULT_COMPACT_MIN_SEGMENTS = 4
-
-REBALANCE_JOURNAL = "REBALANCE-COMMIT.json"
-REBALANCE_STAGING = "rebalance-staging"
-_NONCE_NAME = ".rebalance-nonce"
-_SHARD_DIR_RE = re.compile(r"^shard-\d{3}$")
 
 
 # ----------------------------------------------------------------------
@@ -376,120 +365,6 @@ class Compactor:
 # ----------------------------------------------------------------------
 # Offline shard rebalancing
 # ----------------------------------------------------------------------
-def _dump_json(payload: dict) -> bytes:
-    return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
-
-
-def _read_nonce(path: str) -> str | None:
-    try:
-        with open(os.path.join(path, _NONCE_NAME), "rb") as handle:
-            return handle.read().decode("utf-8", "replace").strip()
-    except OSError:
-        return None
-
-
-def _redo_rebalance(directory: str, journal: dict) -> None:
-    """Idempotently finish a committed rebalance.
-
-    Safe to re-run from any crash point after the journal write: every
-    step checks the on-disk state (via the per-run nonce marking each
-    staged directory) before acting, and the journal is deleted only
-    after the new layout and manifest are fully in place.
-    """
-    nonce = str(journal["nonce"])
-    staging = os.path.join(
-        directory, str(journal.get("staging", REBALANCE_STAGING))
-    )
-    # 1. Old-layout shard directories (no matching nonce) are doomed
-    #    the instant the journal commits; staged/renamed ones survive.
-    for name in journal.get("old_dirs", []):
-        path = os.path.join(directory, os.path.basename(str(name)))
-        if os.path.isdir(path) and _read_nonce(path) != nonce:
-            shutil.rmtree(path)
-    # 2. Rename staged shards into place (skipping any already moved
-    #    by a previous attempt).
-    if os.path.isdir(staging):
-        for name in sorted(os.listdir(staging)):
-            source = os.path.join(staging, name)
-            if not os.path.isdir(source):
-                continue
-            target = os.path.join(directory, name)
-            if os.path.isdir(target):
-                if _read_nonce(target) == nonce:
-                    shutil.rmtree(source)
-                    continue
-                shutil.rmtree(target)
-            os.replace(source, target)
-    # 3. Publish the new top-level manifest (idempotent rewrite).
-    from repro.core.durable import MANIFEST_NAME
-
-    atomic_write_bytes(
-        os.path.join(directory, MANIFEST_NAME),
-        _dump_json(journal["manifest"]),
-        fsync=True,
-    )
-    # 4-5. Clear staging, then retire the journal; only after the
-    #    journal is gone may the nonce markers go (a redo must always
-    #    be able to tell the new directories apart).
-    shutil.rmtree(staging, ignore_errors=True)
-    try:
-        os.unlink(os.path.join(directory, REBALANCE_JOURNAL))
-    except OSError:
-        pass
-    _fsync_directory(directory)
-    for name in os.listdir(directory):
-        if _SHARD_DIR_RE.match(name):
-            try:
-                os.unlink(os.path.join(directory, name, _NONCE_NAME))
-            except OSError:
-                pass
-
-
-def _drain_rebalance(directory) -> bool:
-    """Finish (journal present) or discard (no journal) a rebalance.
-
-    Called by :func:`repro.core.durable.recover` before it reads the
-    manifest, so a directory killed mid-rebalance always recovers to
-    a consistent layout: pre-commit crashes leave the old layout and
-    garbage staging; post-commit crashes complete to the new layout.
-    Returns ``True`` when a committed rebalance was replayed.
-    """
-    directory = os.fspath(directory)
-    journal_path = os.path.join(directory, REBALANCE_JOURNAL)
-    if os.path.exists(journal_path):
-        try:
-            with open(journal_path, "rb") as handle:
-                journal = json.loads(handle.read().decode("utf-8"))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise RecoveryError(
-                f"unreadable rebalance journal in {directory}: {exc}"
-            ) from None
-        if (
-            not isinstance(journal, dict)
-            or "nonce" not in journal
-            or not isinstance(journal.get("manifest"), dict)
-        ):
-            raise RecoveryError(
-                f"malformed rebalance journal in {directory}"
-            )
-        _redo_rebalance(directory, journal)
-        return True
-    staging = os.path.join(directory, REBALANCE_STAGING)
-    if os.path.isdir(staging):
-        shutil.rmtree(staging, ignore_errors=True)
-    try:
-        names = os.listdir(directory)
-    except OSError:
-        return False
-    for name in names:
-        if _SHARD_DIR_RE.match(name):
-            try:
-                os.unlink(os.path.join(directory, name, _NONCE_NAME))
-            except OSError:
-                pass
-    return False
-
-
 def rebalance(directory, *, shards: int, fsync: str = "batch", tracer=None) -> dict:
     """Rewrite a ``sharded-durable`` directory to ``shards`` shards.
 
@@ -497,17 +372,20 @@ def rebalance(directory, *, shards: int, fsync: str = "batch", tracer=None) -> d
     recovers the old layout, exports every acknowledged record
     (requires a record-retaining child backend such as ``exact``),
     routes them through the same Fibonacci shard hash the sharded
-    store queries with, and builds the new shard directories in a
-    staging area.  The switch to the new layout is a single atomic
-    journal write; a crash at any point either leaves the old layout
-    fully intact or is completed by the next :func:`recover`.
+    store queries with, and builds the new shard directories beside
+    the old ones.  The switch is one atomic manifest replace; a crash
+    at any point either leaves the old layout intact or is completed
+    by the next :func:`~repro.core.durable.recover`.
 
     Returns ``{"shards": M, "records": N}``.
     """
     from repro.core.durable import (
         DEFAULT_SEAL_ELEMENTS,
-        MANIFEST_NAME,
         DurableBurstStore,
+        _commit_shard_layout,
+        _next_shard_layout,
+        _read_manifest_file,
+        _sharded_layout,
         recover,
     )
 
@@ -515,24 +393,8 @@ def rebalance(directory, *, shards: int, fsync: str = "batch", tracer=None) -> d
     shards = int(shards)
     if shards <= 0:
         raise InvalidParameterError(f"shards must be > 0, got {shards}")
-    _drain_rebalance(directory)
-    manifest_path = os.path.join(directory, MANIFEST_NAME)
-    try:
-        with open(manifest_path, "rb") as handle:
-            manifest = json.loads(handle.read().decode("utf-8"))
-    except FileNotFoundError:
-        raise RecoveryError(f"no durable manifest in {directory}") from None
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise RecoveryError(
-            f"unreadable durable manifest in {directory}: {exc}"
-        ) from None
-    kind = manifest.get("kind") if isinstance(manifest, dict) else None
-    if kind != "sharded-durable":
-        raise InvalidParameterError(
-            f"{directory} holds a {kind!r} manifest; rebalance operates "
-            "on sharded-durable directories (created with shards > 1)"
-        )
-    backend = manifest["backend"]
+    manifest = _read_manifest_file(directory)
+    names = _next_shard_layout(_sharded_layout(directory, manifest), shards)
     child_cfg = dict(manifest.get("child_cfg", {}))
     seal_elements = int(
         manifest.get("seal_elements", DEFAULT_SEAL_ELEMENTS)
@@ -547,22 +409,10 @@ def rebalance(directory, *, shards: int, fsync: str = "batch", tracer=None) -> d
         routes = (mixed % np.uint64(shards)).astype(np.int64)
     else:
         routes = np.empty(0, dtype=np.int64)
-    old_dirs = sorted(
-        name
-        for name in os.listdir(directory)
-        if _SHARD_DIR_RE.match(name)
-        and os.path.isdir(os.path.join(directory, name))
-    )
-    staging = os.path.join(directory, REBALANCE_STAGING)
-    if os.path.isdir(staging):
-        shutil.rmtree(staging)
-    os.makedirs(staging)
-    nonce = os.urandom(8).hex()
-    for index in range(shards):
+    for index, name in enumerate(names):
         mask = routes == index
         sub_ids = ids[mask]
         sub_ts = ts[mask]
-        shard_dir = os.path.join(staging, f"shard-{index:03d}")
         with _tracing.span(
             "rebalance.shard",
             tracer=tracer,
@@ -570,8 +420,8 @@ def rebalance(directory, *, shards: int, fsync: str = "batch", tracer=None) -> d
             records=int(sub_ids.size),
         ):
             child = DurableBurstStore(
-                shard_dir,
-                backend=backend,
+                os.path.join(directory, name),
+                backend=manifest["backend"],
                 seal_elements=seal_elements,
                 fsync=fsync,
                 tracer=tracer,
@@ -585,32 +435,5 @@ def rebalance(directory, *, shards: int, fsync: str = "batch", tracer=None) -> d
                     child.extend_batch(sub_ids, sub_ts)
             finally:
                 child.close()
-        atomic_write_bytes(
-            os.path.join(shard_dir, _NONCE_NAME),
-            (nonce + "\n").encode(),
-            fsync=fsync != "never",
-        )
-    journal = {
-        "format": 1,
-        "nonce": nonce,
-        "staging": REBALANCE_STAGING,
-        "old_dirs": old_dirs,
-        "manifest": {
-            "format": int(manifest.get("format", 1)),
-            "kind": "sharded-durable",
-            "shards": shards,
-            "backend": backend,
-            "child_cfg": child_cfg,
-            "seal_elements": seal_elements,
-        },
-    }
-    # THE commit point: before this write a crash preserves the old
-    # layout untouched; after it the redo below (or the one recovery
-    # runs) completes the switch.
-    atomic_write_bytes(
-        os.path.join(directory, REBALANCE_JOURNAL),
-        _dump_json(journal),
-        fsync=True,
-    )
-    _redo_rebalance(directory, journal)
+    _commit_shard_layout(directory, manifest, names)
     return {"shards": shards, "records": int(ids.size)}

@@ -69,8 +69,15 @@ unchanged: recovery replays the live WALs in order into one memtable.
 
 Sharded operation: :func:`create_durable` with ``shards=N`` builds a
 :class:`~repro.core.store.ShardedBurstStore` whose children are durable
-stores in per-shard subdirectories (per-shard WALs), recorded in a
-top-level manifest so :func:`recover` can rebuild the whole composite.
+stores in per-shard subdirectories (per-shard WALs).  A top-level
+``sharded-durable`` manifest lists those directories in shard order
+(``shard_dirs``), so :func:`recover` can rebuild the whole composite.
+This module is the one reader and writer of that manifest; the
+parallel-ingest coordinator and :func:`~repro.core.compaction.rebalance`
+go through it too.  A rebalance commits like a compaction swap: it
+writes the new shards under the next layout generation's names, swaps
+the manifest once with the old directories as ``tombstones``, then
+drains them.
 
 Maintenance (``compact=True`` or ``store.compact()``): sealed segments
 never stop accumulating on their own, so a size-tiered compactor
@@ -97,6 +104,7 @@ import json
 import logging
 import os
 import re
+import shutil
 import struct
 import threading
 import time
@@ -110,7 +118,6 @@ from repro.core.compaction import (
     DEFAULT_COMPACT_FANIN,
     DEFAULT_COMPACT_MIN_SEGMENTS,
     Compactor,
-    _drain_rebalance,
 )
 from repro.core.errors import (
     CompactionError,
@@ -155,6 +162,9 @@ _logger = logging.getLogger("repro.core.durable")
 
 MANIFEST_NAME = "MANIFEST.json"
 MANIFEST_FORMAT = 1
+# The commit journal of the rebalance protocol that shard-layout
+# manifests replaced: a leftover one is refused, never replayed.
+_LEGACY_REBALANCE_JOURNAL = "REBALANCE-COMMIT.json"
 DEFAULT_SEAL_ELEMENTS = 100_000
 
 # Background sealing: how many frozen-but-unsealed memtable generations
@@ -164,7 +174,6 @@ DEFAULT_MAX_UNSEALED = 2
 _NEG_INF = float("-inf")
 
 _SEGMENT_RE = re.compile(r"^segment-(\d+)\.beds$")
-_SHARD_DIR_RE = re.compile(r"^shard-\d{3}$")
 
 
 def _segment_index(name: str) -> int:
@@ -176,8 +185,65 @@ def _segment_index(name: str) -> int:
     return int(match.group(1))
 
 
-def _dump_manifest(manifest: dict) -> bytes:
-    return (json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode()
+def _write_manifest_file(directory: str, manifest: dict, *, fsync) -> None:
+    atomic_write_bytes(
+        os.path.join(directory, MANIFEST_NAME),
+        (json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode(),
+        fsync=fsync,
+    )
+
+
+def _read_manifest_file(directory: str) -> dict:
+    """Read and version-check the manifest of a durable directory."""
+    journal = os.path.join(directory, _LEGACY_REBALANCE_JOURNAL)
+    if os.path.exists(journal):
+        raise RecoveryError(
+            f"{journal} is the commit journal of a rebalance run by an "
+            "earlier version; it is refused, not replayed — finish that "
+            "rebalance with the version that started it"
+        )
+    try:
+        with open(os.path.join(directory, MANIFEST_NAME), "rb") as handle:
+            manifest = json.loads(handle.read().decode("utf-8"))
+    except FileNotFoundError:
+        raise RecoveryError(f"no durable manifest in {directory}") from None
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise RecoveryError(
+            f"unreadable durable manifest in {directory}: {exc}"
+        ) from None
+    if not isinstance(manifest, dict):
+        raise RecoveryError("durable manifest is not a JSON object")
+    if int(manifest.get("format", 0)) > MANIFEST_FORMAT:
+        raise RecoveryError(
+            f"durable manifest format v{manifest.get('format')} is "
+            f"newer than supported v{MANIFEST_FORMAT}"
+        )
+    return manifest
+
+
+def _drain_tombstones(directory: str, names) -> None:
+    """Delete what a committed manifest retired: the input segments of
+    a compaction swap, the old shard directories of a rebalance, or the
+    shard directories of a rebalance that never committed.
+
+    Per-store and top-level recovery both call it.  The manifest no
+    longer lists these names, so no reader can use them; a drain that
+    a crash cut short (a file already gone, a half-deleted directory)
+    simply finishes on the next run.
+    """
+    for name in names:
+        path = os.path.join(directory, name)
+        try:
+            if os.path.isdir(path):
+                shutil.rmtree(path)
+            else:
+                os.unlink(path)
+        except FileNotFoundError:
+            pass
+        except OSError as exc:
+            raise RecoveryError(
+                f"cannot remove retired {path}: {exc}"
+            ) from None
 
 
 @dataclass
@@ -396,11 +462,8 @@ class DurableBurstStore(_StoreBase):
     def _wal_path(self, seq: int) -> str:
         return os.path.join(self.directory, f"wal-{seq:08d}.log")
 
-    def _manifest_path(self) -> str:
-        return os.path.join(self.directory, MANIFEST_NAME)
-
     def _attach(self, *, resume: bool) -> None:
-        if os.path.exists(self._manifest_path()):
+        if os.path.exists(os.path.join(self.directory, MANIFEST_NAME)):
             if not resume:
                 raise InvalidParameterError(
                     f"{self.directory} already holds a durable store; "
@@ -424,20 +487,7 @@ class DurableBurstStore(_StoreBase):
         )
 
     def _read_manifest(self) -> dict:
-        try:
-            with open(self._manifest_path(), "rb") as handle:
-                manifest = json.loads(handle.read().decode("utf-8"))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise RecoveryError(
-                f"unreadable durable manifest in {self.directory}: {exc}"
-            ) from None
-        if not isinstance(manifest, dict):
-            raise RecoveryError("durable manifest is not a JSON object")
-        if int(manifest.get("format", 0)) > MANIFEST_FORMAT:
-            raise RecoveryError(
-                f"durable manifest format v{manifest.get('format')} is "
-                f"newer than supported v{MANIFEST_FORMAT}"
-            )
+        manifest = _read_manifest_file(self.directory)
         if manifest.get("kind") != "durable":
             raise RecoveryError(
                 f"{self.directory} holds a {manifest.get('kind')!r} "
@@ -461,11 +511,7 @@ class DurableBurstStore(_StoreBase):
         # manifest swap whose deletion did not finish before a crash.
         # They are not in ``segments`` anymore, so unlinking them can
         # never touch a live file.
-        for name in manifest.get("tombstones", []):
-            try:
-                os.unlink(os.path.join(self.directory, name))
-            except OSError:
-                pass
+        _drain_tombstones(self.directory, manifest.get("tombstones", []))
         for name in manifest.get("segments", []):
             path = os.path.join(self.directory, name)
             try:
@@ -636,11 +682,7 @@ class DurableBurstStore(_StoreBase):
         }
         if durable is None:
             durable = self.fsync_policy != "never"
-        atomic_write_bytes(
-            self._manifest_path(),
-            _dump_manifest(manifest),
-            fsync=durable,
-        )
+        _write_manifest_file(self.directory, manifest, fsync=durable)
 
     # -- ingest --------------------------------------------------------
     def _inner_update(self, event_id, timestamp, count) -> None:
@@ -1376,6 +1418,187 @@ class DurableBurstStore(_StoreBase):
 # ----------------------------------------------------------------------
 # Directory-level composition and recovery
 # ----------------------------------------------------------------------
+# A sharded root holds a ``sharded-durable`` MANIFEST.json and one
+# durable store directory per shard.  ``shard_dirs`` names them in shard
+# order — position i is the shard the Fibonacci hash routes index i to.
+# A manifest without ``shard_dirs`` (every root written before
+# rebalances named their shards) means ``shard-000 … shard-{N-1}``.
+# Each rebalance builds its shards under the next layout generation
+# (``shard-000.g1``, …), so a new name is never one that a committed
+# manifest used, and commits like a compaction swap: one atomic
+# manifest replace listing the old directories as ``tombstones``, then
+# the drain.  This section is the only code that reads or writes that
+# manifest or names a shard directory.
+_SHARD_DIR_RE = re.compile(r"^shard-\d{3}(?:\.g(\d+))?$")
+
+
+def _shard_dir_name(index: int, generation: int) -> str:
+    return f"shard-{index:03d}" + (f".g{generation}" if generation else "")
+
+
+def _shard_generation(name: str) -> int | None:
+    """Layout generation of a shard directory name; None for others."""
+    match = _SHARD_DIR_RE.match(name)
+    return None if match is None else int(match.group(1) or 0)
+
+
+def _sharded_layout(directory, manifest, *, shards=None, backend=None):
+    """Check a top-level manifest; return its shard directory names.
+
+    ``shards`` and ``backend`` are what a caller is about to open the
+    layout with: one writer owns one shard, so a different shard count
+    raises :class:`~repro.core.errors.ShardCountMismatchError`.
+    """
+    kind = manifest.get("kind")
+    if kind != "sharded-durable":
+        raise InvalidParameterError(
+            f"{directory} holds a {kind!r} manifest, not a "
+            "sharded-durable layout (created with shards > 1)"
+        )
+    have = int(manifest["shards"])
+    if shards is not None and have != int(shards):
+        raise ShardCountMismatchError(
+            f"{directory} holds {have} shards but {int(shards)} were "
+            "requested; the shard count must match (one writer per "
+            "shard) — change it offline with "
+            f"`repro rebalance {directory} --shards {int(shards)}`"
+        )
+    if backend is not None and manifest.get("backend") != backend:
+        raise InvalidParameterError(
+            f"{directory} holds backend {manifest.get('backend')!r}, "
+            f"not {backend!r}"
+        )
+    names = list(
+        manifest.get("shard_dirs")
+        or [_shard_dir_name(index, 0) for index in range(have)]
+    )
+    tombstones = list(manifest.get("tombstones", []))
+    if (
+        len(names) != have
+        or len(set(names)) != have
+        or set(names) & set(tombstones)
+        or any(_shard_generation(str(n)) is None for n in names + tombstones)
+    ):
+        raise RecoveryError(
+            f"malformed sharded-durable manifest in {directory}: "
+            f"shard_dirs {names}, tombstones {tombstones}"
+        )
+    return names
+
+
+def _settle_shard_dirs(directory, manifest, names, *, fsync) -> list[str]:
+    """Bring a sharded root in line with its manifest; return the paths.
+
+    Drains the manifest's tombstones (old shards of a committed
+    rebalance), then removes every unlisted shard directory of a newer
+    generation than the listed ones: the output of a rebalance that
+    crashed before its commit, swept like an orphan segment.  Any other
+    disagreement raises :class:`~repro.core.errors.ShardLayoutError` —
+    a missing shard would silently drop acknowledged records from
+    answers, an extra one holds records nothing would consult.
+    """
+    if manifest.get("tombstones"):
+        _drain_tombstones(directory, manifest["tombstones"])
+        _write_manifest_file(
+            directory, {**manifest, "tombstones": []}, fsync=fsync
+        )
+    generation = max(_shard_generation(name) for name in names)
+    try:
+        present = {
+            name
+            for name in os.listdir(directory)
+            if _shard_generation(name) is not None
+            and os.path.isdir(os.path.join(directory, name))
+        }
+    except OSError as exc:
+        raise RecoveryError(
+            f"cannot list shard directories in {directory}: {exc}"
+        ) from None
+    orphans = [
+        name
+        for name in sorted(present - set(names))
+        if _shard_generation(name) > generation
+    ]
+    _drain_tombstones(directory, orphans)
+    missing = sorted(set(names) - present)
+    extra = sorted(present - set(names) - set(orphans))
+    if missing or extra:
+        detail = []
+        if missing:
+            detail.append(f"missing {', '.join(missing)}")
+        if extra:
+            detail.append(f"extra {', '.join(extra)}")
+        raise ShardLayoutError(
+            f"{directory} manifest declares {len(names)} shards but "
+            f"the directory layout disagrees: {'; '.join(detail)}"
+        )
+    return [os.path.join(directory, name) for name in names]
+
+
+def _open_shard_layout(
+    directory, *, resume, shards, backend, child_cfg, seal_elements, fsync
+) -> list[str]:
+    """Shard directory paths of a sharded root, for writers to open.
+
+    An existing root needs ``resume=True`` and must hold ``shards``
+    shards of ``backend``; it is settled first.  A root without a
+    manifest gets one for a generation-0 layout.
+    """
+    if os.path.exists(os.path.join(directory, MANIFEST_NAME)):
+        if not resume:
+            raise InvalidParameterError(
+                f"{directory} already holds a durable store; pass "
+                "resume=True or use recover()"
+            )
+        manifest = _read_manifest_file(directory)
+        names = _sharded_layout(
+            directory, manifest, shards=shards, backend=backend
+        )
+        return _settle_shard_dirs(directory, manifest, names, fsync=fsync)
+    os.makedirs(directory, exist_ok=True)
+    names = [_shard_dir_name(index, 0) for index in range(int(shards))]
+    manifest = {
+        "format": MANIFEST_FORMAT,
+        "kind": "sharded-durable",
+        "shards": int(shards),
+        "backend": backend,
+        "child_cfg": dict(child_cfg),
+        "seal_elements": int(seal_elements),
+        "shard_dirs": names,
+        "tombstones": [],
+    }
+    _write_manifest_file(directory, manifest, fsync=fsync)
+    return [os.path.join(directory, name) for name in names]
+
+
+def _next_shard_layout(names, shards: int) -> list[str]:
+    """Directory names for a rebalance of the layout ``names`` to
+    ``shards``: the next generation, which no committed manifest used."""
+    generation = 1 + max(_shard_generation(name) for name in names)
+    return [_shard_dir_name(index, generation) for index in range(shards)]
+
+
+def _commit_shard_layout(directory, manifest: dict, names) -> None:
+    """Switch a sharded root to the (already built) shard dirs ``names``.
+
+    The compaction-swap commit: one atomic manifest replace that lists
+    the old directories as tombstones is the commit point, then the
+    old directories are drained and the tombstones cleared.  Recovery
+    finishes the drain after a crash past the commit; before it, the
+    new directories are newer-generation orphans it removes.
+    """
+    retired = _sharded_layout(directory, manifest)
+    committed = {
+        **manifest,
+        "shards": len(names),
+        "shard_dirs": list(names),
+        "tombstones": retired,
+    }
+    _write_manifest_file(directory, committed, fsync=True)
+    _drain_tombstones(directory, retired)
+    _write_manifest_file(directory, {**committed, "tombstones": []}, fsync=True)
+
+
 def _wrap_shards(children: list) -> ShardedBurstStore:
     wrapper = ShardedBurstStore(
         shards=len(children), backend="durable", _children=children
@@ -1408,9 +1631,10 @@ def create_durable(
 
     With ``shards > 1``, returns a
     :class:`~repro.core.store.ShardedBurstStore` whose children are
-    durable stores in ``shard-NNN/`` subdirectories — per-shard WALs,
+    durable stores in per-shard subdirectories — per-shard WALs,
     per-shard seals — tied together by a top-level manifest that
-    :func:`recover` reads back.  ``flush_bytes``/``flush_records``
+    names them and that :func:`recover` reads back; resuming checks the
+    shard count against it.  ``flush_bytes``/``flush_records``
     bound the unsynced WAL tail under ``fsync="batch"``;
     ``background_seal``/``max_unsealed`` move segment writes off the
     ingest hot path (see :class:`DurableBurstStore`).
@@ -1418,9 +1642,7 @@ def create_durable(
     if int(shards) <= 0:
         raise InvalidParameterError(f"shards must be > 0, got {shards}")
     directory = os.fspath(directory)
-    durable_kwargs = dict(
-        backend=backend,
-        seal_elements=seal_elements,
+    runtime = dict(
         fsync=fsync,
         flush_bytes=flush_bytes,
         flush_records=flush_records,
@@ -1430,64 +1652,27 @@ def create_durable(
         compact_fanin=compact_fanin,
         compact_min_segments=compact_min_segments,
         tracer=tracer,
-        **child_cfg,
+    )
+    durable_kwargs = dict(
+        backend=backend, seal_elements=seal_elements, **runtime, **child_cfg
     )
     if int(shards) == 1:
         return DurableBurstStore(directory, resume=resume, **durable_kwargs)
-    manifest_path = os.path.join(directory, MANIFEST_NAME)
-    if os.path.exists(manifest_path):
-        if not resume:
-            raise InvalidParameterError(
-                f"{directory} already holds a durable store; pass "
-                "resume=True or use recover()"
-            )
-        try:
-            with open(manifest_path, "rb") as handle:
-                existing = json.loads(handle.read().decode("utf-8"))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError):
-            existing = None  # recover() raises the precise error
-        if (
-            isinstance(existing, dict)
-            and existing.get("kind") == "sharded-durable"
-            and int(existing.get("shards", 0)) != int(shards)
-        ):
-            have = int(existing.get("shards", 0))
-            raise ShardCountMismatchError(
-                f"{directory} holds {have} shards but {int(shards)} were "
-                f"requested; shard counts change offline with "
-                f"`repro rebalance {directory} --shards {int(shards)}`"
-            )
-        return recover(
-            directory,
-            fsync=fsync,
-            flush_bytes=flush_bytes,
-            flush_records=flush_records,
-            background_seal=background_seal,
-            max_unsealed=max_unsealed,
-            compact=compact,
-            compact_fanin=compact_fanin,
-            compact_min_segments=compact_min_segments,
-            tracer=tracer,
+    if resume and os.path.exists(os.path.join(directory, MANIFEST_NAME)):
+        _sharded_layout(
+            directory, _read_manifest_file(directory), shards=shards
         )
-    os.makedirs(directory, exist_ok=True)
-    manifest = {
-        "format": MANIFEST_FORMAT,
-        "kind": "sharded-durable",
-        "shards": int(shards),
-        "backend": backend,
-        "child_cfg": dict(child_cfg),
-        "seal_elements": int(seal_elements),
-    }
-    atomic_write_bytes(
-        manifest_path, _dump_manifest(manifest), fsync=fsync != "never"
+        return recover(directory, **runtime)
+    paths = _open_shard_layout(
+        directory,
+        resume=resume,
+        shards=shards,
+        backend=backend,
+        fsync=fsync != "never",
+        child_cfg=child_cfg,
+        seal_elements=seal_elements,
     )
-    children = [
-        DurableBurstStore(
-            os.path.join(directory, f"shard-{index:03d}"),
-            **durable_kwargs,
-        )
-        for index in range(int(shards))
-    ]
+    children = [DurableBurstStore(path, **durable_kwargs) for path in paths]
     return _wrap_shards(children)
 
 
@@ -1510,34 +1695,23 @@ def recover(
     Reads the manifest, reopens every sealed segment, replays each live
     WAL and returns a ready store (single or sharded, per the
     manifest).  Idempotent: recovering an already-clean directory — or
-    recovering twice — yields identical query answers.  A rebalance
-    journal left by a crashed ``repro rebalance`` run is drained first
-    (completing the committed layout switch, or sweeping the
-    uncommitted staging area).
+    recovering twice — yields identical query answers.  A
+    ``REBALANCE-COMMIT.json`` journal left by an earlier version's
+    rebalance is refused with a :class:`~repro.core.errors.RecoveryError`.
 
     Sharded layouts recover every shard concurrently on a thread pool
     (``parallel=False`` forces the sequential path); each recovered
     store exposes ``replayed_records``, and the sharded wrapper's
-    children do so per shard.  The on-disk ``shard-NNN`` directory set
-    is validated against the manifest first — a missing or extra shard
-    directory raises :class:`~repro.core.errors.ShardLayoutError`
-    instead of silently answering from a partial store.
+    children do so per shard.  First the root is settled against the
+    manifest's ``shard_dirs``: retired shard directories (tombstones)
+    are drained, those of an uncommitted rebalance removed, and any
+    other missing or extra shard directory raises
+    :class:`~repro.core.errors.ShardLayoutError` instead of silently
+    answering from a partial store.
     """
     directory = os.fspath(directory)
-    _drain_rebalance(directory)
-    manifest_path = os.path.join(directory, MANIFEST_NAME)
-    try:
-        with open(manifest_path, "rb") as handle:
-            manifest = json.loads(handle.read().decode("utf-8"))
-    except FileNotFoundError:
-        raise RecoveryError(
-            f"no durable manifest in {directory}"
-        ) from None
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise RecoveryError(
-            f"unreadable durable manifest in {directory}: {exc}"
-        ) from None
-    kind = manifest.get("kind") if isinstance(manifest, dict) else None
+    manifest = _read_manifest_file(directory)
+    kind = manifest.get("kind")
     durable_kwargs = dict(
         fsync=fsync,
         flush_bytes=flush_bytes,
@@ -1557,38 +1731,17 @@ def recover(
         seal_elements = int(
             manifest.get("seal_elements", DEFAULT_SEAL_ELEMENTS)
         )
-        n_shards = int(manifest["shards"])
-        # Never trust the shard count blindly: a missing shard dir
-        # would silently drop acknowledged records from answers, an
-        # extra one holds acknowledged records nothing would consult.
-        expected = {f"shard-{index:03d}" for index in range(n_shards)}
-        try:
-            present = {
-                name
-                for name in os.listdir(directory)
-                if _SHARD_DIR_RE.match(name)
-                and os.path.isdir(os.path.join(directory, name))
-            }
-        except OSError as exc:
-            raise RecoveryError(
-                f"cannot list shard directories in {directory}: {exc}"
-            ) from None
-        missing = sorted(expected - present)
-        extra = sorted(present - expected)
-        if missing or extra:
-            detail = []
-            if missing:
-                detail.append(f"missing {', '.join(missing)}")
-            if extra:
-                detail.append(f"extra {', '.join(extra)}")
-            raise ShardLayoutError(
-                f"{directory} manifest declares {n_shards} shards but "
-                f"the directory layout disagrees: {'; '.join(detail)}"
-            )
+        paths = _settle_shard_dirs(
+            directory,
+            manifest,
+            _sharded_layout(directory, manifest),
+            fsync=fsync != "never",
+        )
+        n_shards = len(paths)
 
         def _recover_shard(index: int) -> DurableBurstStore:
             return DurableBurstStore(
-                os.path.join(directory, f"shard-{index:03d}"),
+                paths[index],
                 backend=backend,
                 seal_elements=seal_elements,
                 resume=True,

@@ -86,10 +86,14 @@ class RecoveryError(ReproError):
 class ShardLayoutError(RecoveryError):
     """A sharded-durable directory disagrees with its manifest.
 
-    The manifest says N shards but the on-disk ``shard-NNN`` directory
-    set differs: *missing* shards mean acknowledged data would silently
+    The manifest lists N shard directories (``shard_dirs``; a manifest
+    without it means ``shard-000 … shard-{N-1}``) but the on-disk set
+    differs: *missing* shards mean acknowledged data would silently
     vanish from query answers; *extra* shard directories mean someone's
     acknowledged records exist on disk but would never be consulted.
+    (An unlisted directory of a newer layout generation is the output
+    of a rebalance that crashed before its commit; recovery removes it
+    instead.)
     Either way recovery must stop instead of answering queries from a
     partial store.  The message names the offending shards.
     """

@@ -32,9 +32,12 @@ item 2 — the Hokusai per-aggregator sharding shape:
   unsealed-memtable cap blocks appends the same way.
 
 The on-disk layout is exactly what ``create_durable(shards=N)``
-produces — a top-level ``sharded-durable`` manifest over ``shard-NNN/``
-subdirectories — so :func:`~repro.core.durable.recover` (and the
-``repro recover`` CLI) work unchanged on a parallel-ingested store.
+produces — a top-level ``sharded-durable`` manifest over one
+subdirectory per shard, read and written by :mod:`repro.core.durable`
+alone — so :func:`~repro.core.durable.recover` (and the ``repro
+recover`` CLI) work unchanged on a parallel-ingested store, and a
+resumed coordinator opens the shard directories the manifest lists
+(after a ``repro rebalance``, those of the new layout).
 
 Queue protocol (one work queue per writer, one shared ack queue)::
 
@@ -75,7 +78,6 @@ Two cross-process observability channels ride the protocol:
 
 from __future__ import annotations
 
-import json
 import multiprocessing as mp
 import os
 import queue as queue_module
@@ -90,16 +92,14 @@ from repro.core.durable import (
     DEFAULT_SEAL_ELEMENTS,
     MANIFEST_NAME,
     DurableBurstStore,
+    _open_shard_layout,
 )
 from repro.core.errors import (
     InvalidParameterError,
-    RecoveryError,
-    ShardCountMismatchError,
     StreamOrderError,
     WriterProcessError,
 )
 from repro.core.metrics import global_registry, merge_snapshots
-from repro.core.serialize import atomic_write_bytes
 from repro.core.store import _FIB_MIX
 from repro.core.tracing import (
     JsonlSpanExporter,
@@ -119,8 +119,6 @@ __all__ = [
 #: busy across an fsync stall, shallow enough that backpressure reaches
 #: the coordinator within a few batches.
 DEFAULT_QUEUE_DEPTH = 8
-
-_MANIFEST_FORMAT = 1
 
 #: A writer acknowledges at the latest every this-many applied batches.
 #: Acks are coalesced while the writer has a backlog (each ack is an
@@ -485,8 +483,16 @@ class ParallelIngestCoordinator:
         )
         if self._coalesce_budget is not None:
             self._coalesce_budget_gauge.set(self._coalesce_effective)
-        self._prepare_directory(
-            seal_elements=int(seal_elements), resume=resume
+        # Validates an existing layout (shard count, backend) before
+        # any writer spawns; a fresh root gets its manifest here.
+        shard_dirs = _open_shard_layout(
+            self.directory,
+            resume=resume,
+            shards=self.n_writers,
+            backend=self.backend,
+            fsync=True,
+            child_cfg=self.child_cfg,
+            seal_elements=seal_elements,
         )
         store_cfg = dict(
             backend=self.backend,
@@ -509,9 +515,7 @@ class ParallelIngestCoordinator:
             process = ctx.Process(
                 target=_writer_main,
                 args=(
-                    os.path.join(
-                        self.directory, f"shard-{writer_id:03d}"
-                    ),
+                    shard_dirs[writer_id],
                     writer_id,
                     store_cfg,
                     self._trace_cfg,
@@ -523,66 +527,6 @@ class ParallelIngestCoordinator:
             )
             process.start()
             self._processes.append(process)
-
-    def _prepare_directory(
-        self, *, seal_elements: int, resume: bool
-    ) -> None:
-        """Write (or validate) the top-level sharded-durable manifest.
-
-        The layout is byte-compatible with ``create_durable(shards=N)``
-        so ``recover()`` needs no parallel-specific path.
-        """
-        manifest_path = os.path.join(self.directory, MANIFEST_NAME)
-        if os.path.exists(manifest_path):
-            if not resume:
-                raise InvalidParameterError(
-                    f"{self.directory} already holds a durable store; "
-                    "pass resume=True or use recover()"
-                )
-            try:
-                with open(manifest_path, "rb") as handle:
-                    manifest = json.loads(handle.read().decode("utf-8"))
-            except (
-                OSError,
-                UnicodeDecodeError,
-                json.JSONDecodeError,
-            ) as exc:
-                raise RecoveryError(
-                    f"unreadable durable manifest in {self.directory}: "
-                    f"{exc}"
-                ) from None
-            if manifest.get("kind") != "sharded-durable":
-                raise InvalidParameterError(
-                    "parallel ingest resumes only sharded-durable "
-                    f"layouts, found {manifest.get('kind')!r}"
-                )
-            if int(manifest.get("shards", -1)) != self.n_writers:
-                raise ShardCountMismatchError(
-                    f"{self.directory} was created with "
-                    f"{manifest.get('shards')} shards; writer count "
-                    "must match (one writer per shard) — change the "
-                    "shard count offline with `repro rebalance "
-                    f"{self.directory} --shards {self.n_writers}`"
-                )
-            if manifest.get("backend") != self.backend:
-                raise InvalidParameterError(
-                    f"{self.directory} holds backend "
-                    f"{manifest.get('backend')!r}, not {self.backend!r}"
-                )
-            return
-        os.makedirs(self.directory, exist_ok=True)
-        manifest = {
-            "format": _MANIFEST_FORMAT,
-            "kind": "sharded-durable",
-            "shards": self.n_writers,
-            "backend": self.backend,
-            "child_cfg": self.child_cfg,
-            "seal_elements": seal_elements,
-        }
-        payload = (
-            json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-        ).encode()
-        atomic_write_bytes(manifest_path, payload, fsync=True)
 
     # -- ingest --------------------------------------------------------
     def extend_batch(self, event_ids, timestamps, counts=None) -> None:

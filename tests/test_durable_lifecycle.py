@@ -3,9 +3,11 @@
 Every change to the segment list — an inline seal, a background seal,
 a compaction swap — commits through ``DurableBurstStore._commit_segment``.
 A hypothesis ``RuleBasedStateMachine`` interleaves appends, seals,
-``drain_seals``, compactions, queries and crashes (copy the directory,
-``recover()`` the copy), and injects a failure at the k-th
-``atomic_write_bytes`` or ``os.unlink`` of a seal or of a compaction.
+``drain_seals``, compactions, queries, crashes (copy the directory,
+``recover()`` the copy) and clean restarts (``close()``, then
+``recover()`` in place), and injects a failure at the k-th
+``atomic_write_bytes``, ``os.unlink`` or ``os.replace`` of a seal or of
+a compaction.
 The model is the list of acknowledged records: after every step the
 store must answer the full query matrix bit-identically to an
 ``ExactStore`` fed exactly that prefix, and so must every recovery.
@@ -50,12 +52,21 @@ from test_crash_recovery import (
 SEAL_ELEMENTS = 8
 
 
+_GLOBAL_CALLS = {
+    "unlink": (os, "unlink"),
+    "replace": (os, "replace"),
+    "rmtree": (shutil, "rmtree"),
+}
+
+
 class _Faults:
     """Raise :class:`_InjectedCrash` at the k-th call of one kind.
 
     ``kind="write"`` counts ``atomic_write_bytes`` calls through the
-    durable and compaction modules together; ``kind="unlink"`` counts
-    ``os.unlink`` calls.  ``fired`` tells whether the k-th call came.
+    durable and compaction modules together; ``"unlink"``, ``"replace"``
+    and ``"rmtree"`` count process-global ``os.unlink``, ``os.replace``
+    and ``shutil.rmtree`` calls.  ``fired`` tells whether the k-th call
+    came; ``k=0`` never fires, so it only counts the calls.
     """
 
     def __init__(self, kind: str, k: int) -> None:
@@ -83,8 +94,11 @@ class _Faults:
                 for module in (durable_mod, compaction_mod)
             ]
         else:
+            module, name = _GLOBAL_CALLS[self.kind]
             self._patches = [
-                mock.patch.object(os, "unlink", self._wrap(os.unlink))
+                mock.patch.object(
+                    module, name, self._wrap(getattr(module, name))
+                )
             ]
         for patch in self._patches:
             patch.start()
@@ -119,7 +133,7 @@ class TestFailedInlineSealCommit:
         recovered.close()
 
 
-_FAULT = st.sampled_from(["write", "unlink"])
+_FAULT = st.sampled_from(["write", "unlink", "replace"])
 
 
 class DurableLifecycle(RuleBasedStateMachine):
@@ -203,6 +217,15 @@ class DurableLifecycle(RuleBasedStateMachine):
     @rule()
     def crash(self):
         self._crash()
+
+    @rule()
+    def close_and_resume(self):
+        self.store.close()
+        self.store = recover(
+            self._path(), fsync="never", background_seal=self.background
+        )
+        assert self.store.count == len(self.ids)
+        assert_matrix_identical(self.store, self._oracle())
 
     @precondition(lambda self: self.store._memtable_elements > 0)
     @rule(kind=_FAULT, k=st.integers(1, 3))
