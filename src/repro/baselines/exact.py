@@ -1,12 +1,15 @@
 """Exact baseline (paper §II-B).
 
 Stores every event's full timestamp list and answers all three query types
-exactly via binary search:
+exactly:
 
-* point query — ``O(log n)``,
+* point query — ``O(log n)`` via binary search,
 * bursty time query — evaluated at the ``O(n)`` breakpoints of the
   piecewise-constant burstiness function,
-* bursty event query — one point query per seen event id.
+* bursty event query — window counts over a time-ordered record log:
+  ``b_e(t) = #(t - tau, t] - #(t - 2 tau, t - tau]`` is three
+  ``searchsorted`` calls and two ``bincount`` calls per table, whatever
+  the number of events.
 
 Space is ``O(n)`` — the cost the PBE sketches avoid.  The baseline doubles
 as the ground-truth oracle for every accuracy experiment.
@@ -19,17 +22,29 @@ re-sorting them.  Counts ``F_e`` are integers, so per-table counts sum to
 exactly the counts of the merged lists: a stacked view answers every
 query bit-identically to the merged store.
 
+Each table also carries a record log: its records in time order as a
+``float64`` time column and an ``int32`` code column, where a code is
+the event's index in the table's first-seen key order.  A store that
+ingests appends to its log (the stream arrives in time order); a table
+filled directly (:meth:`ExactBurstStore.from_lists`: decoded segments,
+merge results) derives its log with one stable argsort by time on its
+first bursty-event query and keeps it.
+
 A stacked table may also be *bounded*: a :meth:`snapshot
 <ExactBurstStore.snapshot>` shares the source's own (append-only) lists
-and records each list's length at snapshot time, so it reads only the
-prefix ``[0, n)`` that can never change.  Every reader honours the
-bound: bisects stop at ``n``, whole-list readers slice ``[:n]`` and
-iterate the bound's keys, never the live table.
+and log and records each list's length, the log's length and its key
+count at snapshot time, so it reads only the prefix that can never
+change.  Every reader honours the bound: bisects stop at ``n``,
+whole-list readers slice ``[:n]`` and iterate the bound's keys, never
+the live table, and log readers stop at the bound's record count.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
+import mmap
+import threading
 from collections import defaultdict
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
@@ -53,6 +68,18 @@ __all__ = ["ExactBurstStore"]
 # three bisects per pair and list; larger groups convert the queried
 # window once and search it with numpy.
 _SMALL_GROUP = 8
+
+# Log columns of more than this many bytes get their own anonymous
+# mapping instead of a malloc block: a retired log (a replaced read view,
+# a grown buffer) then hands its pages back to the OS at once instead of
+# leaving a hole that the malloc heap keeps resident.  On the live-exact
+# benchmark that is about 15 MB of peak RSS.
+_MAPPED_COLUMN_BYTES = 1 << 20
+
+# A derived log is sorted in time slices of about this many records,
+# with slice edges taken from every _SAMPLE_STRIDE-th time of each list.
+_SLICE_RECORDS = 1 << 16
+_SAMPLE_STRIDE = 64
 
 
 def _burstiness_in(
@@ -86,21 +113,198 @@ def _window_counts(
     )
 
 
+def _runs(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A stable argsort of ``ids``, the sorted ids, and the edges
+    ``[0, ..., ids.size]`` of their runs of equal ids."""
+    order = np.argsort(ids, kind="stable")
+    grouped = ids[order]
+    edges = np.flatnonzero(grouped[1:] != grouped[:-1]) + 1
+    return order, grouped, np.concatenate(([0], edges, [ids.size]))
+
+
+def _column(size: int, dtype) -> np.ndarray:
+    """An uninitialised 1-d array for a log column."""
+    dtype = np.dtype(dtype)
+    if size * dtype.itemsize <= _MAPPED_COLUMN_BYTES:
+        return np.empty(size, dtype=dtype)
+    return np.frombuffer(mmap.mmap(-1, size * dtype.itemsize), dtype=dtype)
+
+
+class _RecordLog:
+    """One table's records in time order: ``ts`` (float64) and ``codes``
+    (int32), where a code indexes ``keys``, the table's event ids in
+    first-seen order.
+
+    Only ``[0, n)`` holds records.  Writers append past ``n`` and grow a
+    full buffer by copying it into a larger one before publishing it, so
+    a reader that took ``n`` earlier finds that prefix intact in
+    whichever buffer it reads.
+    """
+
+    __slots__ = ("ts", "codes", "n", "keys", "code_of", "_key_array")
+
+    def __init__(self, ts: np.ndarray, codes: np.ndarray, keys: list[int]):
+        self.ts = ts
+        self.codes = codes
+        self.n = ts.size
+        self.keys = keys
+        self.code_of = {event_id: code for code, event_id in enumerate(keys)}
+        self._key_array = np.empty(0, dtype=np.int64)
+
+    @classmethod
+    def derived(cls, table: dict[int, list[float]]) -> "_RecordLog":
+        """The log of a table as it stands: its concatenated lists in
+        stable time order.
+
+        The lists are sorted one time slice of about ``_SLICE_RECORDS``
+        records at a time (slice edges from a sample of every list), so
+        the sort's transients stay that small whatever the table's size.
+        Equal times never straddle two slices, so the result is the one
+        stable argsort of the whole concatenation would give.
+        """
+        lists = list(table.values())
+        size = sum(map(len, lists))
+        ts, codes = _column(size, np.float64), _column(size, np.int32)
+        sample = np.fromiter(
+            chain.from_iterable(times[::_SAMPLE_STRIDE] for times in lists),
+            np.float64,
+        )
+        sample.sort()
+        step = _SLICE_RECORDS // _SAMPLE_STRIDE
+        edges = [*sample[step - 1 :: step].tolist(), math.inf]
+        starts = [0] * len(lists)
+        filled = 0
+        for edge in edges:
+            stops = [
+                bisect.bisect_right(times, edge, start)
+                for times, start in zip(lists, starts)
+            ]
+            unsorted = np.fromiter(
+                chain.from_iterable(
+                    times[start:stop]
+                    for times, start, stop in zip(lists, starts, stops)
+                ),
+                np.float64,
+            )
+            order = np.argsort(unsorted, kind="stable")
+            end = filled + unsorted.size
+            np.take(unsorted, order, out=ts[filled:end])
+            lengths = np.array(
+                [stop - start for start, stop in zip(starts, stops)],
+                dtype=np.int64,
+            )
+            np.take(
+                np.repeat(np.arange(len(lists), dtype=np.int32), lengths),
+                order,
+                out=codes[filled:end],
+            )
+            filled, starts = end, stops
+        return cls(ts, codes, list(table))
+
+    def code(self, event_id: int) -> int:
+        """The event's code, assigning the next one on first sight."""
+        code = self.code_of.get(event_id)
+        if code is None:
+            code = self.code_of[event_id] = len(self.keys)
+            self.keys.append(event_id)
+        return code
+
+    def _grow(self, size: int) -> None:
+        # By a quarter, not by doubling, to bound the unused tail.
+        size = max(size, self.ts.size + self.ts.size // 4, 256)
+        n = self.n
+        ts = _column(size, np.float64)
+        ts[:n] = self.ts[:n]
+        codes = _column(size, np.int32)
+        codes[:n] = self.codes[:n]
+        self.ts, self.codes = ts, codes  # copy first, then publish
+
+    def append(self, t: float, code: int) -> None:
+        n = self.n
+        if n == self.ts.size:
+            self._grow(n + 1)
+        self.ts[n] = t
+        self.codes[n] = code
+        self.n = n + 1
+
+    def extend(self, ts: np.ndarray, codes: np.ndarray) -> None:
+        n, end = self.n, self.n + ts.size
+        if end > self.ts.size:
+            self._grow(end)
+        self.ts[n:end] = ts
+        self.codes[n:end] = codes
+        self.n = end
+
+    def key_array(self, n_keys: int) -> np.ndarray:
+        """The first ``n_keys`` keys as int64, converted once per growth."""
+        if self._key_array.size < n_keys:
+            self._key_array = np.asarray(self.keys[:], dtype=np.int64)
+        return self._key_array[:n_keys]
+
+    def window_values(
+        self, n: int, n_keys: int, lags: np.ndarray
+    ) -> np.ndarray:
+        """``b`` per code over ``[0, n)``: ``lags`` is ``(t - 2 tau,
+        t - tau, t)``, the windows are ``(t - tau, t]`` minus
+        ``(t - 2 tau, t - tau]``."""
+        lo, mid, hi = np.searchsorted(
+            self.ts[:n], lags, side="right"
+        ).tolist()
+        codes = self.codes
+        return np.bincount(codes[mid:hi], minlength=n_keys) - np.bincount(
+            codes[lo:mid], minlength=n_keys
+        )
+
+
+class _Table(defaultdict):
+    """A store's own table: per-event sorted lists, plus the record log.
+
+    The log is ``None`` until first needed, then derived from the lists
+    as they stand.  A table that ingests derives it (empty) before its
+    first append and appends to it from then on; a table filled directly
+    derives it on its first bursty-event query or snapshot.
+    """
+
+    __slots__ = ("log",)
+
+
+class _Bound(dict):
+    """A shared table's bound: per-event list lengths, plus the log's
+    record and key counts, all taken at snapshot time."""
+
+    __slots__ = ("n_records", "n_keys")
+
+
+# Serializes first derivations, so a part derives its log at most once.
+_DERIVE_LOCK = threading.Lock()
+
+
+def _log_of(table: _Table) -> _RecordLog:
+    """The table's record log, derived and published on first use."""
+    log = table.log
+    if log is None:
+        with _DERIVE_LOCK:
+            log = table.log
+            if log is None:
+                log = table.log = _RecordLog.derived(table)
+    return log
+
+
 class ExactBurstStore:
     """Ground-truth store: per-event sorted timestamp lists.
 
     ``_timestamps`` is the store's own, writable table; ``_tables`` is
     the stack every query reads, with the own table last.  ``_bounds``
-    runs parallel to ``_tables``: ``None`` reads the whole table, an
-    ``{event_id: length}`` dict reads only those events' prefixes.
+    runs parallel to ``_tables``: ``None`` reads the whole table, a
+    :class:`_Bound` reads only the prefixes it records.  No store holds
+    a reference to itself, so a dropped store is freed at once.
     """
 
     def __init__(self) -> None:
-        self._timestamps: dict[int, list[float]] = defaultdict(list)
-        self._tables: tuple[dict[int, list[float]], ...] = (
-            self._timestamps,
-        )
-        self._bounds: tuple[dict[int, int] | None, ...] = (None,)
+        self._timestamps = _Table(list)
+        self._timestamps.log = None
+        self._tables: tuple[_Table, ...] = (self._timestamps,)
+        self._bounds: tuple[_Bound | None, ...] = (None,)
         self._last_timestamp: float | None = None
         self._count = 0
 
@@ -132,20 +336,42 @@ class ExactBurstStore:
         )
         return view
 
+    @classmethod
+    def from_lists(
+        cls,
+        lists: dict[int, list[float]],
+        count: int,
+        last_timestamp: float | None,
+    ) -> "ExactBurstStore":
+        """A store whose own table is ``lists`` (each sorted), taken over
+        as is.  Its record log is derived on the first bursty-event
+        query, snapshot or append, so building one (a decoded segment, a
+        merge result) costs no sort."""
+        store = cls()
+        store._timestamps.update(lists)
+        store._count = count
+        store._last_timestamp = last_timestamp
+        return store
+
     def snapshot(self) -> "ExactBurstStore":
         """An independent, writable copy in O(events).
 
         The copy shares every stacked table and bounds this store's own
-        table by its current list lengths.  Writers only append, so the
+        table by its current list lengths and log length (a table filled
+        directly derives its log first).  Writers only append, so the
         bounded prefixes never change and later writes to either store
         stay invisible to the other.
         """
         copy = ExactBurstStore()
-        own = {
-            event_id: len(times)
-            for event_id, times in self._timestamps.items()
-            if times
-        }
+        log = _log_of(self._timestamps)
+        own = _Bound(
+            {
+                event_id: len(times)
+                for event_id, times in self._timestamps.items()
+                if times
+            }
+        )
+        own.n_records, own.n_keys = log.n, len(log.keys)
         shared = ((self._timestamps, own),) if own else ()
         copy._tables = (
             *self._tables[:-1],
@@ -184,8 +410,48 @@ class ExactBurstStore:
                 f"timestamp {timestamp} arrived after {self._last_timestamp}"
             )
         self._last_timestamp = timestamp
-        self._timestamps[int(event_id)].extend([float(timestamp)] * count)
+        event_id, timestamp = int(event_id), float(timestamp)
+        log = _log_of(self._timestamps)  # derived before the table grows
+        self._timestamps[event_id].extend([timestamp] * count)
+        code = log.code(event_id)
+        for _ in range(count):
+            log.append(timestamp, code)
         self._count += count
+
+    def _append_batch(
+        self, ids: np.ndarray, ts: np.ndarray, counts: np.ndarray | None
+    ) -> None:
+        """Append a validated, non-decreasing record batch (``ids``
+        int64): each event's list grows by one slice of the batch sorted
+        by event, the log by the batch in stream order."""
+        first = float(ts[0])
+        if self._last_timestamp is not None and first < self._last_timestamp:
+            raise StreamOrderError(
+                f"timestamp {first} arrived after {self._last_timestamp}"
+            )
+        log = _log_of(self._timestamps)
+        order, grouped, edges = _runs(ids)
+        event_ids = grouped[edges[:-1]].tolist()
+        group_codes = [log.code_of.get(event_id) for event_id in event_ids]
+        if None in group_codes:  # first sight: codes in table insertion order
+            group_codes = [log.code(event_id) for event_id in event_ids]
+        codes = np.empty(ids.size, dtype=np.int32)
+        codes[order] = np.repeat(
+            np.asarray(group_codes, dtype=np.int32), np.diff(edges)
+        )
+        grouped_ts = ts[order]
+        if counts is not None:
+            grouped_ts = np.repeat(grouped_ts, counts[order])
+            edges = np.concatenate(([0], np.cumsum(counts[order])))[edges]
+            ts, codes = np.repeat(ts, counts), np.repeat(codes, counts)
+        times = grouped_ts.tolist()
+        bounds = edges.tolist()
+        table = self._timestamps
+        for event_id, start, stop in zip(event_ids, bounds, bounds[1:]):
+            table[event_id].extend(times[start:stop])
+        log.extend(ts, codes)
+        self._count += int(ts.size)
+        self._last_timestamp = float(ts[-1])
 
     # ------------------------------------------------------------------
     def _lists_of(self, event_id: int) -> list[tuple[list[float], int | None]]:
@@ -266,10 +532,9 @@ class ExactBurstStore:
         counts = np.zeros(ids.size, dtype=np.int64)
         if ids.size == 0:
             return counts.astype(np.float64)
-        order = np.argsort(ids, kind="stable")
-        grouped = ids[order]
-        cuts = (np.flatnonzero(grouped[1:] != grouped[:-1]) + 1).tolist()
-        for start, stop in zip([0, *cuts], [*cuts, ids.size]):
+        order, grouped, edges = _runs(ids)
+        bounds = edges.tolist()
+        for start, stop in zip(bounds, bounds[1:]):
             lists = self._lists_of(int(grouped[start]))
             if not lists:
                 continue
@@ -363,37 +628,45 @@ class ExactBurstStore:
     def bursty_events(
         self, t: float, theta: float, tau: float
     ) -> list[BurstyEvent]:
-        """Exact bursty event query over all seen events."""
+        """Exact bursty event query over all seen events.
+
+        Per stacked table, ``b`` of every event is two ``bincount``
+        calls over the log windows ``(t - tau, t]`` and ``(t - 2 tau,
+        t - tau]``, found by three ``searchsorted`` calls.  The tables'
+        values sum by event id, in first-seen order across the stack;
+        hits (``b >= theta``, so every seen event when ``theta <= 0``)
+        are ordered by falling ``b``, ties in first-seen order.
+        """
         require_tau(tau)
         require_finite_time(t)
-        # _burstiness_in inlined: this loop runs once per list of every
-        # event, so call overhead is most of its cost.
-        right = bisect.bisect_right
-        lag1, lag2 = t - tau, t - 2 * tau
-        values: dict[int, int] = defaultdict(int)
+        lags = np.array([t - 2 * tau, t - tau, t])
+        ids, values = [], []
         for table, bound in zip(self._tables, self._bounds):
-            if bound is None:
-                for event_id, times in table.items():
-                    values[event_id] += (
-                        right(times, t)
-                        - 2 * right(times, lag1)
-                        + right(times, lag2)
-                    )
+            if not table:  # a view's empty own table
                 continue
-            for event_id, n in bound.items():
-                times = table[event_id]
-                values[event_id] += (
-                    right(times, t, 0, n)
-                    - 2 * right(times, lag1, 0, n)
-                    + right(times, lag2, 0, n)
-                )
-        hits = [
-            BurstyEvent(event_id, float(value))
-            for event_id, value in values.items()
-            if value >= theta
+            log = _log_of(table)
+            if bound is None:
+                n, n_keys = log.n, len(log.keys)  # n first: see _RecordLog
+            else:
+                n, n_keys = bound.n_records, bound.n_keys
+            values.append(log.window_values(n, n_keys, lags))
+            ids.append(log.key_array(n_keys))
+        if not ids:
+            return []
+        seen, first, inverse = np.unique(
+            np.concatenate(ids), return_index=True, return_inverse=True
+        )
+        value = np.bincount(
+            inverse, weights=np.concatenate(values), minlength=seen.size
+        )
+        order = np.argsort(first)  # first-seen order across the stack
+        seen, value = seen[order], value[order]
+        hot = np.flatnonzero(value >= theta)
+        hot = hot[np.argsort(-value[hot], kind="stable")]
+        return [
+            BurstyEvent(event_id, float(b))
+            for event_id, b in zip(seen[hot].tolist(), value[hot].tolist())
         ]
-        hits.sort(key=lambda hit: -hit.burstiness)
-        return hits
 
     # ------------------------------------------------------------------
     @property

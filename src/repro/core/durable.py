@@ -1128,6 +1128,10 @@ class DurableBurstStore(_StoreBase):
             for job in self._pending:  # left behind by a failed seal
                 if job.old_wal is not None:
                     job.old_wal.close()
+            # A closed store that is still referenced must not pin a
+            # merged copy of its history; a later read rebuilds it.
+            self._invalidate_views_locked(spliced=True)
+            self._view = None
 
     # -- read path -----------------------------------------------------
     def _invalidate_views_locked(

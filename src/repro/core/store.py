@@ -33,6 +33,7 @@ from __future__ import annotations
 import io
 import json
 import struct
+from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from typing import (
     Callable,
@@ -58,7 +59,6 @@ from repro.core.dyadic import BurstyEvent, BurstyEventIndex
 from repro.core.errors import (
     InvalidParameterError,
     SerializationError,
-    StreamOrderError,
     UnknownBackendError,
     require_finite_time,
     require_tau,
@@ -622,23 +622,7 @@ class ExactStore(_StoreBase):
         self.inner.update(event_id, timestamp, count)
 
     def _inner_extend_batch(self, ids, ts, counts) -> None:
-        store = self.inner
-        first = float(ts[0])
-        if (
-            store._last_timestamp is not None
-            and first < store._last_timestamp
-        ):
-            raise StreamOrderError(
-                f"timestamp {first} arrived after {store._last_timestamp}"
-            )
-        for event_id, order in _iter_groups(ids.astype(np.int64)):
-            group_ts = ts[order]
-            if counts is not None:
-                group_ts = np.repeat(group_ts, counts[order])
-            store._timestamps[int(event_id)].extend(group_ts.tolist())
-        total = int(ids.size) if counts is None else int(counts.sum())
-        store._count += total
-        store._last_timestamp = float(ts[-1])
+        self.inner._append_batch(ids.astype(np.int64), ts, counts)
 
     # -- queries -------------------------------------------------------
     def _point(self, event_id: int, t: float, tau: float) -> float:
@@ -731,8 +715,9 @@ class ExactStore(_StoreBase):
     # -- snapshots & stacks --------------------------------------------
     def snapshot(self) -> "ExactStore":
         """An independent copy for readers in O(events): it shares the
-        append-only per-event lists, bounded by their current lengths,
-        and every stacked table (see :meth:`ExactBurstStore.snapshot`)."""
+        append-only per-event lists and record log, bounded by their
+        current lengths, and every stacked table (see
+        :meth:`ExactBurstStore.snapshot`)."""
         copy = ExactStore(self.inner.snapshot())
         copy._t_end = self._t_end
         return copy
@@ -757,20 +742,25 @@ class ExactStore(_StoreBase):
         exact storage has no per-part state to offset)."""
         if not isinstance(other, ExactStore):
             raise InvalidParameterError("can only merge exact with exact")
-        merged = ExactStore()
+        lists: dict[int, list[float]] = defaultdict(list)
         for part in (self, other):
             for event_id, times in part.inner._items():
-                merged.inner._timestamps[event_id].extend(times)
-        for times in merged.inner._timestamps.values():
+                lists[event_id].extend(times)
+        for times in lists.values():
             times.sort()
-        merged.inner._count = self.inner.count + other.inner.count
-        last_candidates = [
-            s.inner._last_timestamp
-            for s in (self, other)
-            if s.inner._last_timestamp is not None
-        ]
-        if last_candidates:
-            merged.inner._last_timestamp = max(last_candidates)
+        last = max(
+            (
+                s.inner._last_timestamp
+                for s in (self, other)
+                if s.inner._last_timestamp is not None
+            ),
+            default=None,
+        )
+        merged = ExactStore(
+            ExactBurstStore.from_lists(
+                lists, self.inner.count + other.inner.count, last
+            )
+        )
         merged._t_end = max(self._t_end, other._t_end)
         return merged
 
@@ -794,8 +784,11 @@ class ExactStore(_StoreBase):
             raise SerializationError("truncated exact-store payload")
         count, n_events = header.unpack_from(payload)
         offset = header.size
-        store = cls()
+        lists: dict[int, list[float]] = {}
+        stored = 0
         for _ in range(n_events):
+            if len(payload) < offset + 16:
+                raise SerializationError("truncated exact-store payload")
             event_id, n_times = struct.unpack_from("<qQ", payload, offset)
             offset += 16
             end = offset + 8 * n_times
@@ -803,9 +796,20 @@ class ExactStore(_StoreBase):
                 raise SerializationError("truncated exact-store payload")
             times = np.frombuffer(payload, dtype="<f8", count=n_times,
                                   offset=offset)
-            store.inner._timestamps[int(event_id)] = times.tolist()
+            lists[int(event_id)] = times.tolist()
+            stored += n_times
             offset = end
-        store.inner._count = int(count)
+        if offset != len(payload):
+            raise SerializationError(
+                f"{len(payload) - offset} trailing bytes after the last "
+                "exact-store event"
+            )
+        if stored != count or len(lists) != n_events:
+            raise SerializationError(
+                f"exact-store header says {count} records of {n_events} "
+                f"events; the payload holds {stored} of {len(lists)}"
+            )
+        store = cls(ExactBurstStore.from_lists(lists, int(count), None))
         store._restore_config(config)
         if store._t_end != float("-inf"):
             store.inner._last_timestamp = store._t_end

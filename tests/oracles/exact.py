@@ -8,21 +8,27 @@ replaced, kept as the answers it must match byte for byte:
   scalar ``burstiness`` (three bisects per stacked list) per candidate;
 * :func:`burstiness_many` — one ``np.asarray`` of every stacked list of
   each queried event, then one ``searchsorted`` per lag;
+* :func:`bursty_events` — the per-event scan: three bisects per event
+  and stacked list, summed in a dict in first-seen order, then a stable
+  sort by falling burstiness;
 * :func:`copied_snapshot` — the O(memtable) snapshot that copied the
   store's own per-event lists instead of bounding them.
 
-All three read a store's stacked lists through their bounds, in stack
+All four read a store's stacked lists through their bounds, in stack
 order, exactly as the replaced code read its (unbounded) lists.
 """
 
 from __future__ import annotations
 
+import bisect
+from collections import defaultdict
 from itertools import chain
 
 import numpy as np
 
 from repro.baselines.exact import ExactBurstStore
-from repro.core.errors import require_tau
+from repro.core.dyadic import BurstyEvent
+from repro.core.errors import require_finite_time, require_tau
 
 
 def stacked_lists(store: ExactBurstStore, event_id: int) -> list[list[float]]:
@@ -92,16 +98,45 @@ def burstiness_many(
     return counts.astype(np.float64)
 
 
+def bursty_events(
+    store: ExactBurstStore, t: float, theta: float, tau: float
+) -> list[BurstyEvent]:
+    require_tau(tau)
+    require_finite_time(t)
+    right = bisect.bisect_right
+    lag1, lag2 = t - tau, t - 2 * tau
+    values: dict[int, int] = defaultdict(int)
+    for table, bound in zip(store._tables, store._bounds):
+        lengths = (
+            {event_id: None for event_id in table} if bound is None else bound
+        )
+        for event_id, n in lengths.items():
+            times = table[event_id]
+            values[event_id] += (
+                right(times, t, 0, n)
+                - 2 * right(times, lag1, 0, n)
+                + right(times, lag2, 0, n)
+            )
+    hits = [
+        BurstyEvent(event_id, float(value))
+        for event_id, value in values.items()
+        if value >= theta
+    ]
+    hits.sort(key=lambda hit: -hit.burstiness)
+    return hits
+
+
 def copied_snapshot(store: ExactBurstStore) -> ExactBurstStore:
     """A snapshot that copies the own table's lists (stacked tables and
     their bounds are shared, as before)."""
-    copy = ExactBurstStore()
-    copy._timestamps.update(
-        (event_id, times.copy())
-        for event_id, times in store._timestamps.items()
+    copy = ExactBurstStore.from_lists(
+        {
+            event_id: times.copy()
+            for event_id, times in store._timestamps.items()
+        },
+        store._count,
+        store._last_timestamp,
     )
     copy._tables = (*store._tables[:-1], copy._timestamps)
     copy._bounds = (*store._bounds[:-1], None)
-    copy._last_timestamp = store._last_timestamp
-    copy._count = store._count
     return copy

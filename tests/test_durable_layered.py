@@ -371,3 +371,46 @@ class TestNoReadAfterWriteCliff:
                 panel, np.full(UNIVERSE, 394.0), 5.0
             )
         assert held.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("backend", ["exact", "cm-pbe-1"])
+def test_close_drops_the_read_view_caches_and_keeps_answers(
+    tmp_path, backend
+):
+    # A closed store that is still referenced must not pin a merged copy
+    # of its history; the next read rebuilds the view from its segments.
+    cfg = (
+        {}
+        if backend == "exact"
+        else dict(universe_size=UNIVERSE, eta=20, width=4, depth=2, seed=0)
+    )
+    ids = np.arange(330, dtype=np.int64) % UNIVERSE
+    ts = np.arange(330, dtype=np.float64)
+    store = create_durable(
+        tmp_path / "s",
+        backend=backend,
+        seal_elements=100,
+        fsync="never",
+        **cfg,
+    )
+    panel = np.arange(UNIVERSE + 1)
+
+    def answers():
+        return (
+            store.point_query_batch(
+                panel, np.full(panel.size, 329.0), 5.0
+            ).tobytes(),
+            store.bursty_event_query(329.0, 1.0, 5.0),
+            store.bursty_event_query(200.0, 0.0, 5.0),
+            store.bursty_time_query(1, 1.0, 5.0),
+        )
+
+    try:
+        store.extend_batch(ids, ts)
+        assert store.n_segments == 3 and store._memtable_elements == 30
+        before = answers()
+        assert store._view is not None and store._sealed_view is not None
+    finally:
+        store.close()
+    assert (store._view, store._lower, store._sealed_view) == (None,) * 3
+    assert answers() == before

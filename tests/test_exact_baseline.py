@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 
 from repro.baselines.exact import ExactBurstStore
-from repro.core.errors import InvalidParameterError, StreamOrderError
+from repro.core.errors import (
+    InvalidParameterError,
+    SerializationError,
+    StreamOrderError,
+)
+from repro.core.store import ExactStore, _pack_config, _unpack_config
 from repro.streams.events import SingleEventStream
 
 
@@ -125,3 +132,48 @@ class TestBurstyEvents:
         store = ExactBurstStore.from_stream(mixed_stream)
         hits = store.bursty_events(520.0, 300.0, 50.0)
         assert [hit.event_id for hit in hits] == [5]
+
+
+class TestExactStoreDecoding:
+    """``ExactStore.from_bytes`` refuses payloads its encoder never
+    writes, instead of loading a store whose count lies."""
+
+    @staticmethod
+    def _three_records() -> tuple[dict, bytes]:
+        store = ExactStore()
+        store.extend_batch([4, 9, 4], [1.0, 2.0, 3.0])
+        return _unpack_config(store.to_bytes())
+
+    def test_round_trip_still_loads(self):
+        config, payload = self._three_records()
+        loaded = ExactStore.from_bytes(_pack_config(config, payload))
+        assert loaded.count == 3
+        assert loaded.to_bytes() == _pack_config(config, payload)
+
+    def test_header_count_must_match_the_stored_records(self):
+        config, payload = self._three_records()
+        _, n_events = struct.unpack_from("<QQ", payload)
+        lying = struct.pack("<QQ", 99, n_events) + payload[16:]
+        with pytest.raises(SerializationError, match="99 records"):
+            ExactStore.from_bytes(_pack_config(config, lying))
+
+    def test_trailing_bytes_are_refused(self):
+        config, payload = self._three_records()
+        for tail in (b"\x00", b"\x00" * 8, b"\x00" * 24):
+            with pytest.raises(SerializationError, match="trailing bytes"):
+                ExactStore.from_bytes(_pack_config(config, payload + tail))
+
+    def test_a_repeated_event_is_refused(self):
+        config, payload = self._three_records()
+        count, _ = struct.unpack_from("<QQ", payload)
+        # Event 4's block again: a fourth event and two more records.
+        block = payload[16 : 16 + 16 + 8 * 2]
+        assert struct.unpack_from("<qQ", block) == (4, 2)
+        doubled = struct.pack("<QQ", count + 2, 3) + payload[16:] + block
+        with pytest.raises(SerializationError, match="of 2"):
+            ExactStore.from_bytes(_pack_config(config, doubled))
+
+    def test_truncated_event_header_is_refused(self):
+        config, payload = self._three_records()
+        with pytest.raises(SerializationError, match="truncated"):
+            ExactStore.from_bytes(_pack_config(config, payload[:20]))
