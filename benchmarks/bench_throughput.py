@@ -53,7 +53,13 @@ import pytest
 from repro.core.cmpbe import CMPBE
 from repro.core.dyadic import BurstyEventIndex
 from repro.core.metrics import global_registry
-from repro.core.pbe1 import PBE1, fold_buffers
+from repro.core.pbe1 import (
+    PBE1,
+    StaircaseApproximation,
+    _gap_cost_table,
+    _validated,
+    fold_buffers,
+)
 from repro.core.pbe2 import PBE2
 from repro.core.serialize import dump_cmpbe, dump_pbe1, dump_pbe2
 from repro.sketch.countmin import CountMinSketch
@@ -261,6 +267,91 @@ def _best_seconds(fn, repeats: int) -> float:
     return best
 
 
+def approximate_staircase_cht(
+    xs: np.ndarray, ys: np.ndarray, eta: int
+) -> StaircaseApproximation:
+    """PBE-1's historical ``O(eta * n)`` monotone convex-hull-trick DP.
+
+    The seed compression path, kept here as the scalar oracle whose
+    in-run rate is the denominator of the PBE-1 throughput floor (see
+    :func:`_ingest_layers`).  Its per-layer lower-envelope evaluation
+    shares no code with the vectorized refinement sweep in
+    ``repro.core.pbe1``.
+    """
+    xs, ys, trivial = _validated(xs, ys, eta)
+    if trivial is not None:
+        return trivial
+    n = xs.size
+    cw = _gap_cost_table(xs, ys)
+    inf = float("inf")
+
+    prev = [inf] * n  # E_{k-1}
+    prev[0] = 0.0
+    parent = np.full((eta + 1, n), -1, dtype=np.int32)
+    xs_list = xs.tolist()
+    ys_list = ys.tolist()
+    cw_list = cw.tolist()
+
+    best_layer_error = inf
+    for k in range(2, eta + 1):
+        current = [inf] * n
+        # Monotone convex-hull trick: lines f_i(x) = -y_i * x + intercept_i
+        # arrive with strictly decreasing slopes, queries at increasing x_j.
+        slopes: list[float] = []
+        intercepts: list[float] = []
+        owners: list[int] = []
+        head = 0
+        for j in range(k - 1, n):
+            i = j - 1
+            if prev[i] != inf:
+                slope = -ys_list[i]
+                intercept = prev[i] - cw_list[i] + ys_list[i] * xs_list[i]
+                # Pop hull lines made redundant by the new line.
+                while len(slopes) - head >= 2:
+                    s1, c1 = slopes[-2], intercepts[-2]
+                    s2, c2 = slopes[-1], intercepts[-1]
+                    # line 2 is unnecessary if the crossing of line 1 and the
+                    # new line lies at or below line 2.
+                    if (c2 - c1) * (s2 - slope) >= (intercept - c2) * (
+                        s1 - s2
+                    ):
+                        slopes.pop()
+                        intercepts.pop()
+                        owners.pop()
+                    else:
+                        break
+                if len(slopes) - head == 1 and slopes[-1] == slope:
+                    # Equal slopes cannot happen (ys strictly increase) but
+                    # guard against float collapse: keep the lower line.
+                    if intercept < intercepts[-1]:
+                        intercepts[-1] = intercept
+                        owners[-1] = i
+                else:
+                    slopes.append(slope)
+                    intercepts.append(intercept)
+                    owners.append(i)
+                if head >= len(slopes):
+                    head = len(slopes) - 1
+            if head < len(slopes):
+                x = xs_list[j]
+                while head + 1 < len(slopes) and (
+                    slopes[head + 1] * x + intercepts[head + 1]
+                    <= slopes[head] * x + intercepts[head]
+                ):
+                    head += 1
+                value = slopes[head] * x + intercepts[head]
+                current[j] = value + cw_list[j]
+                parent[k][j] = owners[head]
+        prev = current
+    selected = [n - 1]
+    j = n - 1
+    for k in range(eta, 1, -1):
+        j = int(parent[k][j])
+        selected.append(j)
+    selected.reverse()
+    return StaircaseApproximation(np.asarray(selected), float(prev[n - 1]))
+
+
 def _ingest_layers(
     soccer_ts: np.ndarray, mixed_ids: np.ndarray, mixed_ts: np.ndarray
 ):
@@ -276,7 +367,7 @@ def _ingest_layers(
     The PBE rows also carry an ``oracle_fn`` (``None`` elsewhere): a full
     ingest routed through the *seed* compression path, which the tree
     keeps as the cross-check oracles — PBE-1's convex-hull-trick DP
-    (:func:`repro.core.pbe1.approximate_staircase_cht`) and PBE-2's
+    (:func:`approximate_staircase_cht` below) and PBE-2's
     two-`clipped` half-plane chain.  Timing the oracle in the same run
     gives the batched-floor check a denominator that moves with the
     machine, so a shared runner's slow phases cannot fail the gate nor
@@ -400,8 +491,7 @@ def _ingest_layers(
 
         def cht(cells, eta):
             return [
-                pbe1_mod.approximate_staircase_cht(xs, ys, eta)
-                for xs, ys in cells
+                approximate_staircase_cht(xs, ys, eta) for xs, ys in cells
             ]
 
         saved = pbe1_mod.approximate_staircases

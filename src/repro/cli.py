@@ -78,7 +78,6 @@ from repro.core.errors import (
 )
 from repro.core.parallel_ingest import ParallelIngestCoordinator
 from repro.core.metrics import (
-    InstrumentedStore,
     dump_snapshot_json,
     global_registry,
     prometheus_exposition,
@@ -504,12 +503,12 @@ def _backend_config(args: argparse.Namespace) -> dict:
 
 def _write_metrics_json(
     path: Path,
-    store: InstrumentedStore | None = None,
+    store=None,
     *,
     global_snapshot: dict | None = None,
 ) -> None:
     """Dump the run's metrics: the process registry plus, when the run
-    went through an instrumented store, its per-store registry.
+    went through one store in this process, that store's own registry.
 
     ``global_snapshot`` overrides the process registry — the parallel
     ingest path passes the fleet-merged snapshot (coordinator + every
@@ -521,7 +520,7 @@ def _write_metrics_json(
             if global_snapshot is None
             else global_snapshot
         ),
-        "store": None if store is None else store.metrics.snapshot(),
+        "store": None if store is None else store.metrics_snapshot(),
     }
     path.write_text(dump_snapshot_json(snapshot))
     print(f"metrics -> {path}")
@@ -691,16 +690,12 @@ def _ingest_durable_single(
         # directory (ShardCountMismatchError points at `repro rebalance`).
         print(f"error: {error}", file=sys.stderr)
         return 2
-    instrumented = (
-        InstrumentedStore(store) if args.metrics_json is not None else None
-    )
-    target = instrumented if instrumented is not None else store
     with store:
         try:
             for event_ids, timestamps in iter_record_batches(
                 args.stream, args.batch_size
             ):
-                target.extend_batch(event_ids, timestamps)
+                store.extend_batch(event_ids, timestamps)
         except StreamOrderError as error:
             # Everything acknowledged so far is already durable; tell
             # the user where the stream violated the resume horizon.
@@ -732,7 +727,7 @@ def _ingest_durable_single(
             f"{_segment_total(store)} sealed segments -> {args.durable}"
         )
     if args.metrics_json is not None:
-        _write_metrics_json(args.metrics_json, instrumented)
+        _write_metrics_json(args.metrics_json, store)
     return 0
 
 
@@ -840,18 +835,11 @@ def _cmd_build(args: argparse.Namespace) -> int:
     else:
         store = create_store(args.backend, **cfg)
         label = args.backend
-    # Ingest through the instrumented wrapper when a snapshot was asked
-    # for; the serialized artifact is always the bare store, so the flag
-    # never changes what lands on disk.
-    instrumented = None
-    if args.metrics_json is not None:
-        instrumented = InstrumentedStore(store)
-    target = instrumented if instrumented is not None else store
     with store:
         for event_ids, timestamps in iter_record_batches(
             args.stream, args.batch_size
         ):
-            target.extend_batch(event_ids, timestamps)
+            store.extend_batch(event_ids, timestamps)
         store.finalize()
         payload = save_store(store)
     atomic_write_bytes(args.out, payload)
@@ -861,7 +849,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
         f"({store.size_in_bytes()} logical) -> {args.out}"
     )
     if args.metrics_json is not None:
-        _write_metrics_json(args.metrics_json, instrumented)
+        _write_metrics_json(args.metrics_json, store)
     return 0
 
 
@@ -896,16 +884,9 @@ def _read_query_batch(path: Path) -> tuple[list[int], list[float]]:
 
 def _cmd_query(args: argparse.Namespace) -> int:
     store = load_store(args.sketch.read_bytes())
-    instrumented = None
-    if args.metrics_json is not None:
-        if isinstance(store, InstrumentedStore):
-            instrumented = store
-        else:
-            instrumented = InstrumentedStore(store)
-        store = instrumented
     code = _run_query(args, store)
-    if instrumented is not None and code == 0:
-        _write_metrics_json(args.metrics_json, instrumented)
+    if args.metrics_json is not None and code == 0:
+        _write_metrics_json(args.metrics_json, store)
     return code
 
 

@@ -127,8 +127,6 @@ from repro.core.errors import (
     ShardCountMismatchError,
     ShardLayoutError,
     StreamOrderError,
-    require_finite_time,
-    require_time_range,
 )
 from repro.core.metrics import global_registry
 from repro.core.parallel import merge_stores
@@ -686,10 +684,6 @@ class DurableBurstStore(_StoreBase):
 
     # -- ingest --------------------------------------------------------
     def _inner_update(self, event_id, timestamp, count) -> None:
-        if count <= 0:
-            raise InvalidParameterError(
-                f"count must be positive, got {count}"
-            )
         ids = np.asarray([event_id], dtype=np.int64)
         ts = np.asarray([timestamp], dtype=np.float64)
         counts = (
@@ -767,7 +761,7 @@ class DurableBurstStore(_StoreBase):
             # log) can never orphan an unsealed remainder of a batch.
             if log and self._wal is not None:
                 self._wal.append(ids[start:end], ts[start:end], sub_counts)
-            self._memtable.extend_batch(
+            self._memtable._ingest_batch(
                 ids[start:end], ts[start:end], sub_counts
             )
             self._memtable_elements += int(took)
@@ -1234,47 +1228,31 @@ class DurableBurstStore(_StoreBase):
                 self._view_version = self._version
             return self._view
 
+    # Query hooks answer on the read view's hooks: the public methods
+    # of _StoreBase validate and account the call on this store.
     def _point(self, event_id: int, t: float, tau: float) -> float:
         with self._span("query.point"):
-            return self._read_view().point_query(event_id, t, tau)
+            return self._read_view()._point(event_id, t, tau)
 
-    def point_query_batch(self, event_ids, ts, tau: float) -> np.ndarray:
-        with self._span(
-            "query.point_batch", pairs=int(np.asarray(event_ids).size)
-        ):
-            return self._read_view().point_query_batch(event_ids, ts, tau)
+    def _point_batch(self, ids, times, tau: float) -> np.ndarray:
+        with self._span("query.point_batch", pairs=int(ids.size)):
+            return self._read_view()._point_batch(ids, times, tau)
 
-    def bursty_time_query(
-        self,
-        event_id: int,
-        theta: float,
-        tau: float,
-        t_end: float | None = None,
-        merge_gap: float = 0.0,
-        piecewise=None,
-    ):
+    def _bursty_times(self, event_id, theta, tau, t_end, merge_gap, piecewise):
         if t_end is None and self._t_end != _NEG_INF:
             t_end = self._t_end + 2 * tau
-        elif t_end is not None:
-            require_finite_time(t_end)
         with self._span("query.bursty_times"):
-            return self._read_view().bursty_time_query(
-                event_id, theta, tau,
-                t_end=t_end, merge_gap=merge_gap, piecewise=piecewise,
+            return self._read_view()._bursty_times(
+                event_id, theta, tau, t_end, merge_gap, piecewise
             )
 
     def _bursty_events(self, t: float, theta: float, tau: float):
         with self._span("query.bursty_events"):
-            return self._read_view().bursty_event_query(t, theta, tau)
+            return self._read_view()._bursty_events(t, theta, tau)
 
-    def peak_query(
-        self, event_id: int, t_start: float, t_end: float, tau: float
-    ):
-        require_time_range(t_start, t_end)
+    def _peak(self, event_id: int, t_start: float, t_end: float, tau: float):
         with self._span("query.peak"):
-            return self._read_view().peak_query(
-                event_id, t_start, t_end, tau
-            )
+            return self._read_view()._peak(event_id, t_start, t_end, tau)
 
     def segment_starts(self, event_id: int) -> list[float]:
         return self._read_view().segment_starts(event_id)

@@ -26,11 +26,11 @@ the whole observability substrate:
   (``parallel_coalesced_batches_total``,
   ``parallel_coalesce_flushes_total``,
   ``parallel_coalesce_budget_bytes``),
-* :class:`InstrumentedStore` — a :class:`~repro.core.store.BurstStore`
-  wrapper, registered in the backend registry under ``instrumented``,
-  that transparently accounts ingest volume, query counts, batch sizes,
-  per-call latency and serialized size for any backend while returning
-  bit-identical results.
+* :class:`StoreMetrics` — the ``store_*`` families every store owns
+  (elements ingested, batch sizes, per-kind query counts, per-call
+  latency, saved envelope size).  The public ingest and query methods
+  of every backend record into them, so ``store.metrics_snapshot()``
+  works on any store with no wrapper and no tracer.
 
 Everything here is stdlib-only and cheap enough for hot paths: an
 instrument update is one lock acquisition and one float add.
@@ -42,7 +42,7 @@ import json
 import re
 import threading
 import time
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from repro.core.errors import InvalidParameterError
 
@@ -51,7 +51,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "InstrumentedStore",
+    "StoreMetrics",
     "global_registry",
     "LATENCY_BUCKETS_SECONDS",
     "BATCH_SIZE_BUCKETS",
@@ -550,211 +550,70 @@ def prometheus_exposition(snapshot: dict) -> str:
 
 
 # ----------------------------------------------------------------------
-# InstrumentedStore: transparent accounting around any BurstStore
+# Per-store accounting (owned by every store, see repro.core.store)
 # ----------------------------------------------------------------------
-class InstrumentedStore:
-    """Wraps any burst store with per-store operational accounting.
+class StoreMetrics:
+    """One store's own operational accounting: a private
+    :class:`MetricsRegistry` with the ``store_*`` families.
 
-    Every call is delegated verbatim to the wrapped backend — results
-    are bit-identical — while a private :class:`MetricsRegistry`
-    (exposed as :attr:`metrics`) accounts elements ingested, batch
-    sizes, per-kind query counts, per-call latency and serialized size.
-
-    Registered in the backend registry as ``instrumented``:
-    ``create_store("instrumented", backend="cm-pbe-1", **cfg)`` builds
-    and wraps the child in one call.  Serialization stores the child's
-    backend key alongside its payload, so instrumented stores round-trip
-    through the standard envelope (metrics are runtime state and are
-    not persisted).
+    Every store allocates one on first use and records into it from its
+    public ingest and query methods (``_StoreBase`` in
+    :mod:`repro.core.store`): elements ingested, batch sizes, per-kind
+    query counts, per-call latency and the size of the last
+    :func:`~repro.core.serialize.save_store` envelope.  The parts a
+    composite store reads and writes through (durable read views and
+    memtables, shard children) are called through hooks and record
+    nothing, so each call is counted once, on the store the caller
+    holds.
     """
 
-    backend_key = "instrumented"
+    __slots__ = (
+        "registry", "elements", "ingest_batches", "ingest_batch_size",
+        "point_queries", "point_batches", "point_batch_size",
+        "bursty_time_queries", "bursty_event_queries", "peak_queries",
+        "query_seconds", "serialized_bytes",
+    )
 
-    def __init__(
-        self,
-        store=None,
-        *,
-        backend: str | None = None,
-        registry: MetricsRegistry | None = None,
-        **child_cfg,
-    ) -> None:
-        if (store is None) == (backend is None):
-            raise InvalidParameterError(
-                "pass exactly one of a prebuilt store or backend=<key>"
-            )
-        if store is None:
-            if backend == "instrumented":
-                raise InvalidParameterError(
-                    "instrumented stores cannot wrap themselves"
-                )
-            from repro.core.store import create_store
-
-            store = create_store(backend, **child_cfg)
-        self.inner = store
-        self.metrics = registry if registry is not None else MetricsRegistry()
-        m = self.metrics
-        self._elements = m.counter(
+    def __init__(self) -> None:
+        m = self.registry = MetricsRegistry()
+        self.elements = m.counter(
             "store_elements_ingested_total", "stream elements ingested"
         )
-        self._ingest_batches = m.counter(
+        self.ingest_batches = m.counter(
             "store_ingest_batches_total", "extend_batch calls"
         )
-        self._ingest_batch_size = m.histogram(
+        self.ingest_batch_size = m.histogram(
             "store_ingest_batch_size",
             "records per ingest batch",
             buckets=BATCH_SIZE_BUCKETS,
         )
-        self._point_queries = m.counter(
+        self.point_queries = m.counter(
             "store_point_queries_total", "scalar point queries served"
         )
-        self._point_batches = m.counter(
+        self.point_batches = m.counter(
             "store_point_query_batches_total", "batched point-query calls"
         )
-        self._point_batch_size = m.histogram(
+        self.point_batch_size = m.histogram(
             "store_point_query_batch_size",
             "pairs per point-query batch",
             buckets=BATCH_SIZE_BUCKETS,
         )
-        self._bursty_time_queries = m.counter(
+        self.bursty_time_queries = m.counter(
             "store_bursty_time_queries_total", "bursty-time queries served"
         )
-        self._bursty_event_queries = m.counter(
+        self.bursty_event_queries = m.counter(
             "store_bursty_event_queries_total",
             "bursty-event queries served",
         )
-        self._peak_queries = m.counter(
+        self.peak_queries = m.counter(
             "store_peak_queries_total", "peak queries served"
         )
-        self._query_seconds = m.histogram(
+        self.query_seconds = m.histogram(
             "store_query_seconds", "per-call query latency (seconds)"
         )
-        self._serialized_bytes = m.gauge(
+        self.serialized_bytes = m.gauge(
             "store_serialized_bytes", "size of the last to_bytes() payload"
         )
-
-    # -- ingest --------------------------------------------------------
-    def update(self, event_id: int, timestamp: float, count: int = 1) -> None:
-        self.inner.update(event_id, timestamp, count)
-        self._elements.inc(count)
-
-    def extend(self, records: Iterable[tuple[int, float]]) -> None:
-        for event_id, timestamp in records:
-            self.update(event_id, timestamp)
-
-    def append(self, event_id: int, timestamp: float, count: int = 1) -> None:
-        """Durable-lifecycle spelling of :meth:`update` (same accounting)."""
-        self.update(event_id, timestamp, count)
-
-    def extend_batch(self, event_ids, timestamps, counts=None) -> None:
-        self.inner.extend_batch(event_ids, timestamps, counts)
-        import numpy as np
-
-        n_records = int(np.asarray(event_ids).size)
-        self._ingest_batches.inc()
-        self._ingest_batch_size.observe(n_records)
-        self._elements.inc(
-            n_records if counts is None else int(np.asarray(counts).sum())
-        )
-
-    # -- queries -------------------------------------------------------
-    def point_query(self, event_id: int, t: float, tau: float) -> float:
-        with self._query_seconds.time():
-            value = self.inner.point_query(event_id, t, tau)
-        self._point_queries.inc()
-        return value
-
-    def burstiness(self, event_id: int, t: float, tau: float) -> float:
-        """Sketch-compatible alias of :meth:`point_query`."""
-        return self.point_query(event_id, t, tau)
-
-    def point_query_batch(self, event_ids, ts, tau: float):
-        with self._query_seconds.time():
-            values = self.inner.point_query_batch(event_ids, ts, tau)
-        self._point_batches.inc()
-        self._point_batch_size.observe(values.size)
-        return values
-
-    def bursty_time_query(self, event_id, theta, tau, **kwargs):
-        with self._query_seconds.time():
-            intervals = self.inner.bursty_time_query(
-                event_id, theta, tau, **kwargs
-            )
-        self._bursty_time_queries.inc()
-        return intervals
-
-    def bursty_event_query(self, t, theta, tau):
-        with self._query_seconds.time():
-            hits = self.inner.bursty_event_query(t, theta, tau)
-        self._bursty_event_queries.inc()
-        return hits
-
-    def peak_query(self, event_id, t_start, t_end, tau):
-        with self._query_seconds.time():
-            peak = self.inner.peak_query(event_id, t_start, t_end, tau)
-        self._peak_queries.inc()
-        return peak
-
-    # -- merge & codec -------------------------------------------------
-    def merge(self, other) -> "InstrumentedStore":
-        """Merge the wrapped stores; the result gets fresh metrics."""
-        inner_other = (
-            other.inner if isinstance(other, InstrumentedStore) else other
-        )
-        return InstrumentedStore(self.inner.merge(inner_other))
-
-    def to_bytes(self) -> bytes:
-        from repro.core.store import _pack_config
-
-        payload = self.inner.to_bytes()
-        blob = _pack_config(
-            {"backend": self.inner.backend_key}, payload
-        )
-        self._serialized_bytes.set(len(blob))
-        return blob
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "InstrumentedStore":
-        from repro.core.store import _unpack_config, load_backend
-
-        config, payload = _unpack_config(data)
-        return cls(load_backend(config["backend"], payload))
-
-    # -- everything else passes straight through -----------------------
-    def memory_elements(self) -> int:
-        return self.inner.memory_elements()
-
-    def size_in_bytes(self) -> int:
-        return self.inner.size_in_bytes()
-
-    def finalize(self) -> None:
-        self.inner.finalize()
-
-    def flush(self) -> None:
-        self.inner.flush()
-
-    def seal(self) -> None:
-        self.inner.seal()
-
-    def close(self) -> None:
-        self.inner.close()
-
-    def __enter__(self) -> "InstrumentedStore":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-    def metrics_snapshot(self) -> dict:
-        """Snapshot of this store's private registry."""
-        return self.metrics.snapshot()
-
-    def __getattr__(self, name: str):
-        # Delegate the long tail (segment_starts, cumulative_frequency,
-        # count, piecewise, t_end, universe_size, shards, close, ...) so
-        # the wrapper is drop-in anywhere the backend was.
-        if name.startswith("_") or name == "inner":
-            raise AttributeError(name)
-        return getattr(self.inner, name)
 
 
 def _json_default(value):

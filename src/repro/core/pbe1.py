@@ -37,11 +37,11 @@ sequential numpy steps once instead of once per cell.  Every cell keeps
 its own candidate ranges and the floating-point association
 ``cand(i, j) = (-y_i * x_j) + B_i`` with ``B_i = E_{k-1}[i] - A_i`` and
 ``A_i = CW_i + (-y_i * x_i)``, adding ``CW_j`` only after the minimum, so
-a batched result is bit-identical to a one-cell call.  The historical
-monotone convex-hull-trick layer evaluator is kept as
-:func:`approximate_staircase_cht` and the naive DP as
-:func:`approximate_staircase_bruteforce` — both serve as cross-check
-oracles for tests.
+a batched result is bit-identical to a one-cell call.  The naive DP is
+kept as :func:`approximate_staircase_bruteforce`, the cross-check oracle
+of ``tests/test_pbe1_dp.py``; the historical monotone convex-hull-trick
+layer evaluator lives on in ``benchmarks/bench_throughput.py`` as the
+scalar oracle of the PBE-1 throughput floor.
 
 **Streaming.**  :class:`PBE1` buffers incoming elements until the exact
 curve of the current buffer reaches ``buffer_size`` corners, compresses the
@@ -77,7 +77,6 @@ __all__ = [
     "StaircaseApproximation",
     "approximate_staircase",
     "approximate_staircase_bruteforce",
-    "approximate_staircase_cht",
     "approximate_staircases",
     "fold_buffers",
     "smallest_eta_for_error",
@@ -402,83 +401,6 @@ def _refine_staircases(
     return prev[offsets + ns - 1], selected
 
 
-def approximate_staircase_cht(
-    xs: np.ndarray, ys: np.ndarray, eta: int
-) -> StaircaseApproximation:
-    """The historical ``O(eta * n)`` monotone convex-hull-trick engine.
-
-    Kept as a second independent oracle: its per-layer lower-envelope
-    evaluation shares no code with the refinement sweep, so agreement on
-    the reported error is strong evidence for both.
-    """
-    xs, ys, trivial = _validated(xs, ys, eta)
-    if trivial is not None:
-        return trivial
-    n = xs.size
-    cw = _gap_cost_table(xs, ys)
-    inf = float("inf")
-
-    prev = [inf] * n  # E_{k-1}
-    prev[0] = 0.0
-    parent = np.full((eta + 1, n), -1, dtype=np.int32)
-    xs_list = xs.tolist()
-    ys_list = ys.tolist()
-    cw_list = cw.tolist()
-
-    best_layer_error = inf
-    for k in range(2, eta + 1):
-        current = [inf] * n
-        # Monotone convex-hull trick: lines f_i(x) = -y_i * x + intercept_i
-        # arrive with strictly decreasing slopes, queries at increasing x_j.
-        slopes: list[float] = []
-        intercepts: list[float] = []
-        owners: list[int] = []
-        head = 0
-        for j in range(k - 1, n):
-            i = j - 1
-            if prev[i] != inf:
-                slope = -ys_list[i]
-                intercept = prev[i] - cw_list[i] + ys_list[i] * xs_list[i]
-                # Pop hull lines made redundant by the new line.
-                while len(slopes) - head >= 2:
-                    s1, c1 = slopes[-2], intercepts[-2]
-                    s2, c2 = slopes[-1], intercepts[-1]
-                    # line 2 is unnecessary if the crossing of line 1 and the
-                    # new line lies at or below line 2.
-                    if (c2 - c1) * (s2 - slope) >= (intercept - c2) * (
-                        s1 - s2
-                    ):
-                        slopes.pop()
-                        intercepts.pop()
-                        owners.pop()
-                    else:
-                        break
-                if len(slopes) - head == 1 and slopes[-1] == slope:
-                    # Equal slopes cannot happen (ys strictly increase) but
-                    # guard against float collapse: keep the lower line.
-                    if intercept < intercepts[-1]:
-                        intercepts[-1] = intercept
-                        owners[-1] = i
-                else:
-                    slopes.append(slope)
-                    intercepts.append(intercept)
-                    owners.append(i)
-                if head >= len(slopes):
-                    head = len(slopes) - 1
-            if head < len(slopes):
-                x = xs_list[j]
-                while head + 1 < len(slopes) and (
-                    slopes[head + 1] * x + intercepts[head + 1]
-                    <= slopes[head] * x + intercepts[head]
-                ):
-                    head += 1
-                value = slopes[head] * x + intercepts[head]
-                current[j] = value + cw_list[j]
-                parent[k][j] = owners[head]
-        prev = current
-    return _backtrack_lists(prev[n - 1], parent, eta, n)
-
-
 def smallest_eta_for_error(
     xs: np.ndarray, ys: np.ndarray, max_error: float
 ) -> StaircaseApproximation:
@@ -534,18 +456,6 @@ def _backtrack(
         selected.append(j)
     selected.reverse()
     return StaircaseApproximation(np.asarray(selected), error)
-
-
-def _backtrack_lists(
-    final_error: float, parent: np.ndarray, eta: int, n: int
-) -> StaircaseApproximation:
-    selected = [n - 1]
-    j = n - 1
-    for k in range(eta, 1, -1):
-        j = int(parent[k][j])
-        selected.append(j)
-    selected.reverse()
-    return StaircaseApproximation(np.asarray(selected), float(final_error))
 
 
 class PBE1:

@@ -387,17 +387,11 @@ class HistoricalBurstAnalyzer:
         return self._store.size_in_bytes()
 
     def metrics_snapshot(self) -> dict:
-        """Operational metrics: the process-wide registry plus, when the
-        wrapped store is an
-        :class:`~repro.core.metrics.InstrumentedStore`, its per-store
-        registry under ``"store"`` (``None`` otherwise)."""
+        """Operational metrics: the process-wide registry, plus the
+        store's own registry under ``"store"``."""
         from repro.core.metrics import global_registry
 
-        store_snapshot = None
-        snapshot_fn = getattr(self._store, "metrics_snapshot", None)
-        if snapshot_fn is not None:
-            store_snapshot = snapshot_fn()
         return {
             "global": global_registry().snapshot(),
-            "store": store_snapshot,
+            "store": self._store.metrics_snapshot(),
         }

@@ -866,8 +866,8 @@ def _index_store_payload(key: str, data, start: int, end: int) -> list:
 
     Offsets are absolute within ``data`` (the outermost envelope
     payload), so nested structures — index levels, sharded children,
-    instrumented wrappers — flatten into a single table.  Backends with
-    no PBE cells (``exact``, custom registrations this walker does not
+    the ``instrumented`` wrapper of older envelopes — flatten into a
+    single table.  Backends with no PBE cells (``exact``, custom registrations this walker does not
     know) index as empty.
     """
     if key in ("cm-pbe-1", "cm-pbe-2"):
@@ -1001,7 +1001,7 @@ def save_store(store) -> bytes:
     table = _TABLE_COUNT.pack(len(entries)) + b"".join(
         _TABLE_ENTRY.pack(*entry) for entry in entries
     )
-    return (
+    blob = (
         _ENVELOPE_HEADER.pack(
             ENVELOPE_MAGIC, STORE_FORMAT_VERSION, len(encoded_key)
         )
@@ -1010,6 +1010,8 @@ def save_store(store) -> bytes:
         + struct.pack("<Q", len(payload))
         + payload
     )
+    store._accounting.serialized_bytes.set(len(blob))
+    return blob
 
 
 def load_store(data, *, lazy: bool = False):
@@ -1077,8 +1079,13 @@ def _load_store_inner(data):
     payload = data[offset : offset + payload_length]
     if entries is not None:
         _validate_offset_table(key, payload, entries)
-    from repro.core.store import load_backend
+    from repro.core.store import _unpack_config, load_backend
 
+    while key == "instrumented":
+        # Envelopes written by the former metrics-wrapper backend: its
+        # payload is the child's key and payload; load the child.
+        config, payload = _unpack_config(payload)
+        key = config["backend"]
     return load_backend(key, payload)
 
 

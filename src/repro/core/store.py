@@ -24,15 +24,18 @@ query and serialization surface.  This module unifies them:
   round-trips any registered backend, sharded composites included.
 
 Registered keys: ``exact``, ``cm-pbe-1``, ``cm-pbe-2``, ``direct``,
-``index``, ``sharded``, ``instrumented``, ``durable`` (the WAL +
-memtable + sealed-segment lifecycle in :mod:`repro.core.durable`).
+``index``, ``sharded``, ``durable`` (the WAL + memtable +
+sealed-segment lifecycle in :mod:`repro.core.durable`).  Every store
+validates and accounts its public calls itself (``store.metrics``).
 """
 
 from __future__ import annotations
 
 import io
 import json
+import math
 import struct
+import threading
 from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from typing import (
@@ -60,12 +63,17 @@ from repro.core.errors import (
     InvalidParameterError,
     SerializationError,
     UnknownBackendError,
+    require_count,
     require_finite_time,
     require_tau,
     require_theta,
     require_time_range,
 )
-from repro.core.metrics import InstrumentedStore, global_registry
+from repro.core.metrics import (
+    MetricsRegistry,
+    StoreMetrics,
+    global_registry,
+)
 from repro.core.parallel import merge_pbe1, merge_pbe2
 from repro.core.serialize import folded_sketch_cells
 from repro.core.tracing import set_tracer as _set_tracer
@@ -144,6 +152,8 @@ class BurstStore(Protocol):
     def merge(self, other: "BurstStore") -> "BurstStore": ...
 
     def memory_elements(self) -> int: ...
+
+    def metrics_snapshot(self) -> dict: ...
 
     def to_bytes(self) -> bytes: ...
 
@@ -344,7 +354,7 @@ def _scan_hits(
     store, ids: np.ndarray, t: float, theta: float, tau: float
 ) -> list[BurstyEvent]:
     """Bursty events among ``ids``: one batched point query at ``t``."""
-    values = store.point_query_batch(ids, np.full(ids.size, t), tau)
+    values = store._point_batch(ids, np.full(ids.size, t), tau)
     hit = np.flatnonzero(values >= theta)
     return _canonical_hits(
         [
@@ -378,18 +388,62 @@ class _CurveView:
 # ----------------------------------------------------------------------
 # Shared backend machinery
 # ----------------------------------------------------------------------
+#: Guards the first allocation of a store's accounting.
+_ACCOUNTING_LOCK = threading.Lock()
+
+
 class _StoreBase:
-    """Ingest bookkeeping and query plumbing shared by every backend."""
+    """The public ingest and query surface shared by every backend.
+
+    The public methods are the one place that validates arguments and
+    records the store's own accounting (:attr:`metrics`); backends
+    implement the hooks (``_inner_update``, ``_inner_extend_batch``,
+    ``_point``, ``_point_batch``, ``_bursty_times``, ``_bursty_events``,
+    ``_peak``), which trust their arguments.  Composite stores (the
+    sharded fan-out, the durable read path) call their parts' hooks, so
+    a call is validated and counted once, on the store the caller holds.
+    """
 
     backend_key = "base"
 
+    #: The store's :class:`~repro.core.metrics.StoreMetrics`, allocated
+    #: on first use: parts that only ever see hook calls never build one.
+    _store_metrics: StoreMetrics | None = None
+
     def __init__(self) -> None:
         self._t_end = float("-inf")
+
+    # -- accounting ----------------------------------------------------
+    @property
+    def _accounting(self) -> StoreMetrics:
+        accounting = self._store_metrics
+        if accounting is None:
+            with _ACCOUNTING_LOCK:
+                accounting = self._store_metrics
+                if accounting is None:
+                    accounting = self._store_metrics = StoreMetrics()
+        return accounting
+
+    @property
+    def metrics(self) -> MetricsRegistry:
+        """This store's own registry: the ``store_*`` ingest and query
+        families its public methods record into."""
+        return self._accounting.registry
+
+    def metrics_snapshot(self) -> dict:
+        """Snapshot of :attr:`metrics`."""
+        return self.metrics.snapshot()
 
     # -- ingest --------------------------------------------------------
     def update(self, event_id: int, timestamp: float, count: int = 1) -> None:
         """Ingest ``count`` mentions of ``event_id`` at ``timestamp``."""
         require_finite_time(timestamp)
+        require_count(count)
+        self._ingest(event_id, timestamp, count)
+        self._accounting.elements.inc(count)
+
+    def _ingest(self, event_id: int, timestamp: float, count: int) -> None:
+        """Validated scalar ingest, unaccounted (what composites call)."""
         self._inner_update(event_id, timestamp, count)
         if timestamp > self._t_end:
             self._t_end = float(timestamp)
@@ -404,6 +458,16 @@ class _StoreBase:
         ids, ts, counts = _validated_record_batch(
             event_ids, timestamps, counts
         )
+        self._ingest_batch(ids, ts, counts)
+        accounting = self._accounting
+        accounting.ingest_batches.inc()
+        accounting.ingest_batch_size.observe(ids.size)
+        accounting.elements.inc(
+            ids.size if counts is None else int(counts.sum())
+        )
+
+    def _ingest_batch(self, ids, ts, counts) -> None:
+        """Validated batch ingest, unaccounted (what composites call)."""
         if ids.size == 0:
             return
         self._inner_extend_batch(ids, ts, counts)
@@ -425,11 +489,11 @@ class _StoreBase:
         """POINT QUERY ``q(e, t, tau)`` → estimated ``b_e(t)``."""
         require_tau(tau)
         require_finite_time(t)
-        return float(self._point(event_id, t, tau))
-
-    def _point(self, event_id: int, t: float, tau: float) -> float:
-        """Backend hook of :meth:`point_query` (arguments validated)."""
-        return burstiness_from_curve(_CurveView(self, event_id), t, tau)
+        accounting = self._accounting
+        with accounting.query_seconds.time():
+            value = float(self._point(event_id, t, tau))
+        accounting.point_queries.inc()
+        return value
 
     # Alias kept so a store can stand in anywhere a raw sketch was used.
     def burstiness(self, event_id: int, t: float, tau: float) -> float:
@@ -439,17 +503,17 @@ class _StoreBase:
     def point_query_batch(self, event_ids, ts, tau: float) -> np.ndarray:
         """Batched POINT QUERY: estimated ``b_e(t)`` per ``(e, t)`` pair.
 
-        The base implementation is a scalar loop (correct for any
-        backend); engines with a vectorized read path override it.
         Results are bit-identical to calling :meth:`point_query` per
         pair.
         """
         require_tau(tau)
         ids, times = _validated_query_batch(event_ids, ts)
-        out = np.empty(ids.size, dtype=np.float64)
-        for i in range(ids.size):
-            out[i] = self.point_query(int(ids[i]), float(times[i]), tau)
-        return out
+        accounting = self._accounting
+        with accounting.query_seconds.time():
+            values = self._point_batch(ids, times, tau)
+        accounting.point_batches.inc()
+        accounting.point_batch_size.observe(values.size)
+        return values
 
     def bursty_time_query(
         self,
@@ -461,10 +525,69 @@ class _StoreBase:
         piecewise: Literal["constant", "linear"] | None = None,
     ) -> list[tuple[float, float]]:
         """BURSTY TIME QUERY ``q(e, theta, tau)`` → maximal intervals with
-        ``b_e(t) >= theta``."""
+        ``b_e(t) >= theta``.
+
+        ``theta`` may be negative (burstiness can be); NaN ``theta`` or
+        ``merge_gap`` is rejected.
+        """
         require_tau(tau)
         if t_end is not None:
             require_finite_time(t_end)
+        if math.isnan(theta) or math.isnan(merge_gap):
+            raise InvalidParameterError(
+                f"theta and merge_gap must not be NaN, got theta={theta}, "
+                f"merge_gap={merge_gap}"
+            )
+        accounting = self._accounting
+        with accounting.query_seconds.time():
+            intervals = self._bursty_times(
+                event_id, theta, tau, t_end, merge_gap, piecewise
+            )
+        accounting.bursty_time_queries.inc()
+        return intervals
+
+    def peak_query(
+        self, event_id: int, t_start: float, t_end: float, tau: float
+    ) -> tuple[float, float]:
+        """``(t_star, b_star)``: the event's burstiest moment in a range."""
+        require_time_range(t_start, t_end)
+        accounting = self._accounting
+        with accounting.query_seconds.time():
+            peak = self._peak(event_id, t_start, t_end, tau)
+        accounting.peak_queries.inc()
+        return peak
+
+    def bursty_event_query(
+        self, t: float, theta: float, tau: float
+    ) -> list[BurstyEvent]:
+        """BURSTY EVENT QUERY ``q(t, theta, tau)`` → the events with
+        ``b_e(t) >= theta``."""
+        require_finite_time(t)
+        require_theta(theta)
+        require_tau(tau)
+        accounting = self._accounting
+        with accounting.query_seconds.time():
+            hits = self._bursty_events(t, theta, tau)
+        accounting.bursty_event_queries.inc()
+        return hits
+
+    # -- query hooks (arguments validated by the public methods) -------
+    def _point(self, event_id: int, t: float, tau: float) -> float:
+        return burstiness_from_curve(_CurveView(self, event_id), t, tau)
+
+    def _point_batch(
+        self, ids: np.ndarray, times: np.ndarray, tau: float
+    ) -> np.ndarray:
+        """A scalar loop (correct for any backend); engines with a
+        vectorized read path override it."""
+        out = np.empty(ids.size, dtype=np.float64)
+        for i in range(ids.size):
+            out[i] = self._point(int(ids[i]), float(times[i]), tau)
+        return out
+
+    def _bursty_times(
+        self, event_id, theta, tau, t_end, merge_gap, piecewise
+    ) -> list[tuple[float, float]]:
         knots = self.segment_starts(event_id)
         if not knots:
             return []
@@ -479,11 +602,9 @@ class _StoreBase:
             merge_gap=merge_gap,
         )
 
-    def peak_query(
+    def _peak(
         self, event_id: int, t_start: float, t_end: float, tau: float
     ) -> tuple[float, float]:
-        """``(t_star, b_star)``: the event's burstiest moment in a range."""
-        require_time_range(t_start, t_end)
         return max_burstiness(
             self.curve(event_id),
             self.segment_starts(event_id),
@@ -493,18 +614,9 @@ class _StoreBase:
             piecewise=self.piecewise,
         )
 
-    def bursty_event_query(
-        self, t: float, theta: float, tau: float
-    ) -> list[BurstyEvent]:
-        """BURSTY EVENT QUERY ``q(t, theta, tau)`` → the events with
-        ``b_e(t) >= theta``."""
-        require_finite_time(t)
-        return self._bursty_events(t, theta, tau)
-
     def _bursty_events(
         self, t: float, theta: float, tau: float
     ) -> list[BurstyEvent]:
-        """Backend hook of :meth:`bursty_event_query` (``t`` validated)."""
         raise NotImplementedError
 
     def curve(self, event_id: int) -> _CurveView:
@@ -628,23 +740,14 @@ class ExactStore(_StoreBase):
     def _point(self, event_id: int, t: float, tau: float) -> float:
         return self.inner.burstiness(event_id, t, tau)
 
-    def point_query_batch(self, event_ids, ts, tau: float) -> np.ndarray:
-        return self.inner.burstiness_many(event_ids, ts, tau)
+    def _point_batch(self, ids, times, tau: float) -> np.ndarray:
+        return self.inner.burstiness_many(ids, times, tau)
 
-    def bursty_time_query(
-        self,
-        event_id: int,
-        theta: float,
-        tau: float,
-        t_end: float | None = None,
-        merge_gap: float = 0.0,
-        piecewise: Literal["constant", "linear"] | None = None,
+    def _bursty_times(
+        self, event_id, theta, tau, t_end, merge_gap, piecewise
     ) -> list[tuple[float, float]]:
         # The exact burstiness is genuinely a step function, so any
         # requested ``piecewise`` mode degenerates to breakpoint scans.
-        require_tau(tau)
-        if t_end is not None:
-            require_finite_time(t_end)
         if t_end is None and self._t_end == float("-inf"):
             return []  # horizon -inf: every breakpoint lies past it
         end = t_end if t_end is not None else self._t_end + 2 * tau
@@ -657,13 +760,11 @@ class ExactStore(_StoreBase):
     def _bursty_events(
         self, t: float, theta: float, tau: float
     ) -> list[BurstyEvent]:
-        require_theta(theta)
         return _canonical_hits(self.inner.bursty_events(t, theta, tau))
 
-    def peak_query(
+    def _peak(
         self, event_id: int, t_start: float, t_end: float, tau: float
     ) -> tuple[float, float]:
-        require_time_range(t_start, t_end)
         knots = self.inner.timestamps_between(
             event_id, t_start - 2 * tau, t_end
         )
@@ -883,13 +984,12 @@ class CMPBEStore(_StoreBase):
     def _point(self, event_id: int, t: float, tau: float) -> float:
         return self.inner.burstiness(event_id, t, tau)
 
-    def point_query_batch(self, event_ids, ts, tau: float) -> np.ndarray:
-        return self.inner.burstiness_many(event_ids, ts, tau)
+    def _point_batch(self, ids, times, tau: float) -> np.ndarray:
+        return self.inner.burstiness_many(ids, times, tau)
 
     def _bursty_events(
         self, t: float, theta: float, tau: float
     ) -> list[BurstyEvent]:
-        require_theta(theta)
         if self.universe_size is None:
             raise InvalidParameterError(
                 "bursty event queries on a flat CM-PBE scan the id "
@@ -1104,13 +1204,12 @@ class DirectMapStore(_StoreBase):
     def _point(self, event_id: int, t: float, tau: float) -> float:
         return self.inner.burstiness(event_id, t, tau)
 
-    def point_query_batch(self, event_ids, ts, tau: float) -> np.ndarray:
-        return self.inner.burstiness_many(event_ids, ts, tau)
+    def _point_batch(self, ids, times, tau: float) -> np.ndarray:
+        return self.inner.burstiness_many(ids, times, tau)
 
     def _bursty_events(
         self, t: float, theta: float, tau: float
     ) -> list[BurstyEvent]:
-        require_theta(theta)
         return _scan_hits(self, self.inner.ids(), t, theta, tau)
 
     def segment_starts(self, event_id: int) -> list[float]:
@@ -1259,13 +1358,12 @@ class DyadicIndexStore(_StoreBase):
     def _point(self, event_id: int, t: float, tau: float) -> float:
         return self._leaf.burstiness(event_id, t, tau)
 
-    def point_query_batch(self, event_ids, ts, tau: float) -> np.ndarray:
-        return self._leaf.burstiness_many(event_ids, ts, tau)
+    def _point_batch(self, ids, times, tau: float) -> np.ndarray:
+        return self._leaf.burstiness_many(ids, times, tau)
 
     def _bursty_events(
         self, t: float, theta: float, tau: float
     ) -> list[BurstyEvent]:
-        require_tau(tau)
         return _canonical_hits(self.inner.bursty_events(t, theta, tau))
 
     def segment_starts(self, event_id: int) -> list[float]:
@@ -1481,12 +1579,12 @@ class ShardedBurstStore(_StoreBase):
 
     # -- ingest --------------------------------------------------------
     def _inner_update(self, event_id, timestamp, count) -> None:
-        self._owner(event_id).update(event_id, timestamp, count)
+        self._owner(event_id)._ingest(event_id, timestamp, count)
 
     def _inner_extend_batch(self, ids, ts, counts) -> None:
         routes = self._shards_of(ids)
         for shard_index, order in _iter_groups(routes):
-            self.shards[shard_index].extend_batch(
+            self.shards[shard_index]._ingest_batch(
                 ids[order],
                 ts[order],
                 None if counts is None else counts[order],
@@ -1494,17 +1592,15 @@ class ShardedBurstStore(_StoreBase):
 
     # -- queries -------------------------------------------------------
     def _point(self, event_id: int, t: float, tau: float) -> float:
-        return self._owner(event_id).point_query(event_id, t, tau)
+        return self._owner(event_id)._point(event_id, t, tau)
 
-    def point_query_batch(self, event_ids, ts, tau: float) -> np.ndarray:
+    def _point_batch(self, ids, times, tau: float) -> np.ndarray:
         """Route each pair to its owning shard, one batch per shard.
 
         Shard batches run concurrently on a thread pool (each shard is an
         independent store, so there is no shared mutable query state) and
         scatter back into stream order.
         """
-        require_tau(tau)
-        ids, times = _validated_query_batch(event_ids, ts)
         out = np.empty(ids.size, dtype=np.float64)
         if ids.size == 0:
             return out
@@ -1520,7 +1616,7 @@ class ShardedBurstStore(_StoreBase):
             if len(groups) == 1:
                 shard_index, order = groups[0]
                 out[order] = self._timed(
-                    self.shards[shard_index].point_query_batch,
+                    self.shards[shard_index]._point_batch,
                     ids[order], times[order], tau,
                 )
                 return out
@@ -1530,7 +1626,7 @@ class ShardedBurstStore(_StoreBase):
                     order,
                     pool.submit(
                         self._timed,
-                        self.shards[shard_index].point_query_batch,
+                        self.shards[shard_index]._point_batch,
                         ids[order],
                         times[order],
                         tau,
@@ -1542,22 +1638,13 @@ class ShardedBurstStore(_StoreBase):
                 out[order] = future.result()
             return out
 
-    def bursty_time_query(
-        self,
-        event_id: int,
-        theta: float,
-        tau: float,
-        t_end: float | None = None,
-        merge_gap: float = 0.0,
-        piecewise: Literal["constant", "linear"] | None = None,
+    def _bursty_times(
+        self, event_id, theta, tau, t_end, merge_gap, piecewise
     ) -> list[tuple[float, float]]:
         if t_end is None and self._t_end != float("-inf"):
             t_end = self._t_end + 2 * tau
-        elif t_end is not None:
-            require_finite_time(t_end)
-        return self._owner(event_id).bursty_time_query(
-            event_id, theta, tau,
-            t_end=t_end, merge_gap=merge_gap, piecewise=piecewise,
+        return self._owner(event_id)._bursty_times(
+            event_id, theta, tau, t_end, merge_gap, piecewise
         )
 
     def _bursty_events(
@@ -1577,7 +1664,7 @@ class ShardedBurstStore(_StoreBase):
             if self.n_shards == 1:
                 shard_hits = [
                     self._timed(
-                        self.shards[0].bursty_event_query, t, theta, tau
+                        self.shards[0]._bursty_events, t, theta, tau
                     )
                 ]
             else:
@@ -1585,7 +1672,7 @@ class ShardedBurstStore(_StoreBase):
                 shard_hits = list(
                     pool.map(
                         lambda shard: self._timed(
-                            shard.bursty_event_query, t, theta, tau
+                            shard._bursty_events, t, theta, tau
                         ),
                         self.shards,
                     )
@@ -1598,13 +1685,10 @@ class ShardedBurstStore(_StoreBase):
         ]
         return _canonical_hits(hits)
 
-    def peak_query(
+    def _peak(
         self, event_id: int, t_start: float, t_end: float, tau: float
     ) -> tuple[float, float]:
-        require_time_range(t_start, t_end)
-        return self._owner(event_id).peak_query(
-            event_id, t_start, t_end, tau
-        )
+        return self._owner(event_id)._peak(event_id, t_start, t_end, tau)
 
     def segment_starts(self, event_id: int) -> list[float]:
         return self._owner(event_id).segment_starts(event_id)
@@ -1750,10 +1834,6 @@ register_backend(
 register_backend(
     "sharded", ShardedBurstStore, ShardedBurstStore.from_bytes,
     "hash-partitioned composite over N child backends",
-)
-register_backend(
-    "instrumented", InstrumentedStore, InstrumentedStore.from_bytes,
-    "metrics-collecting wrapper around any child backend",
 )
 
 # The durable backend lives in its own module (it builds *on* the

@@ -18,6 +18,7 @@ import numpy as np
 from repro.baselines.exact import ExactBurstStore
 from repro.core.errors import InvalidParameterError
 from repro.core.metrics import global_registry
+from repro.core.store import _StoreBase
 
 __all__ = ["ValidationReport", "WorstQuery", "validate_sketch"]
 
@@ -49,8 +50,8 @@ class ValidationReport:
     truth_scale: float  # max |exact burstiness| seen on the grid
     worst: list[WorstQuery] = field(default_factory=list)
     #: Operational metrics snapshot taken when the run finished
-    #: (process registry plus the sketch's own registry when it is an
-    #: :class:`~repro.core.metrics.InstrumentedStore`).
+    #: (process registry plus, when the sketch is a burst store, the
+    #: store's own registry).
     metrics: dict | None = None
 
     @property
@@ -132,10 +133,13 @@ def validate_sketch(
 
     errors_arr = np.asarray(errors)
     queries.sort(key=lambda q: -q.error)
-    snapshot_fn = getattr(sketch, "metrics_snapshot", None)
     metrics = {
         "global": global_registry().snapshot(),
-        "store": None if snapshot_fn is None else snapshot_fn(),
+        "store": (
+            sketch.metrics_snapshot()
+            if isinstance(sketch, _StoreBase)
+            else None
+        ),
     }
     return ValidationReport(
         n_queries=int(errors_arr.size),

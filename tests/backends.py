@@ -33,12 +33,6 @@ BACKEND_MATRIX: list[tuple[str, str, dict]] = [
         "sharded",
         dict(shards=3, backend="cm-pbe-1", universe_size=UNIVERSE, **_PBE1),
     ),
-    ("instrumented-exact", "instrumented", dict(backend="exact")),
-    (
-        "instrumented-cm-pbe-1",
-        "instrumented",
-        dict(backend="cm-pbe-1", universe_size=UNIVERSE, **_PBE1),
-    ),
     # Ephemeral durable lifecycle (directory=None): the tiny seal
     # threshold forces several memtable → segment transitions under the
     # standard workloads, so the matrix exercises the merge-fan read
@@ -64,7 +58,6 @@ EXACT_LABELS = {
     "exact",
     "sharded-x2-exact",
     "sharded-x4-exact",
-    "instrumented-exact",
     "durable-exact",
 }
 

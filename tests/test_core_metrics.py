@@ -1,23 +1,23 @@
 """Tests for the operational metrics layer (repro.core.metrics):
-instrument semantics, registry lifecycle, the InstrumentedStore
-pass-through differential over the backend matrix, and the first-party
-instrumentation wired into CMPBE, ShardedBurstStore, BurstMonitor and
-the stream readers."""
+instrument semantics, registry lifecycle, every store's own accounting
+over the backend matrix, and the first-party instrumentation wired into
+CMPBE, ShardedBurstStore, BurstMonitor and the stream readers."""
 
 from __future__ import annotations
 
 import re
+import struct
 
 import numpy as np
 import pytest
 
 from repro.core.cmpbe import CMPBE, HASH_CACHE_SIZE
+from repro.core.durable import create_durable
 from repro.core.errors import InvalidParameterError
 from repro.core.metrics import (
     Counter,
     Gauge,
     Histogram,
-    InstrumentedStore,
     MetricsRegistry,
     global_registry,
     merge_snapshots,
@@ -29,16 +29,6 @@ from repro.core.serialize import load_store, save_store
 from repro.core.store import create_store
 
 from tests.backends import BACKEND_IDS, BACKEND_MATRIX
-
-#: Matrix entries that are not already instrumented (the differential
-#: wraps each of these and demands identical answers).
-PLAIN_MATRIX = [
-    (label, backend, cfg)
-    for label, backend, cfg in BACKEND_MATRIX
-    if backend != "instrumented"
-]
-PLAIN_IDS = [label for label, _, _ in PLAIN_MATRIX]
-
 
 def drip_and_surge(n: int = 400) -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.default_rng(3)
@@ -169,117 +159,273 @@ class TestRendering:
         assert text.endswith("\n")
 
 
+#: Every ``store_*`` counter a store records, as the CLI snapshot
+#: lists them.
+STORE_COUNTERS = (
+    "store_elements_ingested_total",
+    "store_ingest_batches_total",
+    "store_point_queries_total",
+    "store_point_query_batches_total",
+    "store_bursty_time_queries_total",
+    "store_bursty_event_queries_total",
+    "store_peak_queries_total",
+)
+
+
+def store_counters(store) -> dict[str, float]:
+    counters = store.metrics_snapshot()["counters"]
+    return {name: counters[name]["value"] for name in STORE_COUNTERS}
+
+
+def _ingest_each(store, ids, ts) -> None:
+    for event_id, timestamp in zip(ids.tolist(), ts.tolist()):
+        store._ingest(event_id, timestamp, 1)
+
+
+def public_calls(ids, ts, tau: float = 50.0):
+    """``(counter deltas, public call, hook call)`` for every public
+    ingest and query method; the hook call is what a composite runs on
+    its parts (validated arguments, no accounting)."""
+    head, one, tail = slice(0, 300), 300, slice(301, None)
+    qids = ids[:64]
+    qts = ts[:64] + tau
+    return [
+        (
+            {
+                "store_elements_ingested_total": 300,
+                "store_ingest_batches_total": 1,
+            },
+            lambda s: s.extend_batch(ids[head], ts[head]),
+            lambda s: s._ingest_batch(ids[head], ts[head], None),
+        ),
+        (
+            {"store_elements_ingested_total": 1},
+            lambda s: s.update(int(ids[one]), float(ts[one])),
+            lambda s: s._ingest(int(ids[one]), float(ts[one]), 1),
+        ),
+        (
+            {"store_elements_ingested_total": ids[tail].size},
+            lambda s: s.extend(zip(ids[tail].tolist(), ts[tail].tolist())),
+            lambda s: _ingest_each(s, ids[tail], ts[tail]),
+        ),
+        (
+            {"store_point_queries_total": 1},
+            lambda s: s.point_query(3, 420.0, tau),
+            lambda s: float(s._point(3, 420.0, tau)),
+        ),
+        (
+            {"store_point_query_batches_total": 1},
+            lambda s: s.point_query_batch(qids, qts, tau).tobytes(),
+            lambda s: s._point_batch(qids, qts, tau).tobytes(),
+        ),
+        (
+            {"store_bursty_time_queries_total": 1},
+            lambda s: s.bursty_time_query(3, 20.0, tau),
+            lambda s: s._bursty_times(3, 20.0, tau, None, 0.0, None),
+        ),
+        (
+            {"store_bursty_event_queries_total": 1},
+            lambda s: s.bursty_event_query(420.0, 5.0, tau),
+            lambda s: s._bursty_events(420.0, 5.0, tau),
+        ),
+        (
+            {"store_peak_queries_total": 1},
+            lambda s: s.peak_query(3, 300.0, 600.0, tau),
+            lambda s: s._peak(3, 300.0, 600.0, tau),
+        ),
+    ]
+
+
+def parts_of(store) -> list:
+    """Every store a composite reads or writes through: shard children,
+    durable segments, pending generations, memtable and read views."""
+    parts = []
+    for child in getattr(store, "shards", None) or [store]:
+        if child is not store:
+            parts.append(child)
+        if hasattr(child, "_memtable"):
+            parts.extend(child._segments)
+            parts.extend(job.store for job in child._pending)
+            parts.extend(child._lower or [])
+            parts.extend(
+                part
+                for part in (
+                    child._memtable, child._view, child._sealed_view
+                )
+                if part is not None
+            )
+    return parts
+
+
+#: Children the legacy ``instrumented`` envelope test wraps.
+LEGACY_ROWS = [
+    row
+    for row in BACKEND_MATRIX
+    if row[0] in (
+        "exact", "cm-pbe-1", "direct-pbe1", "index-pbe1",
+        "sharded-x3-cm-pbe-1", "durable-exact",
+    )
+]
+
+
 class TestInstrumentedStoreDifferential:
-    """Wrapping a backend must never change any answer."""
+    """Every store is instrumented: its public calls answer exactly as
+    its unaccounted hooks do and add their volume to its own counters."""
 
     @pytest.mark.parametrize(
-        "label,backend,cfg", PLAIN_MATRIX, ids=PLAIN_IDS
+        "label,backend,cfg", BACKEND_MATRIX, ids=BACKEND_IDS
     )
     def test_identical_answers_and_counted_volume(self, label, backend, cfg):
+        """One count per public call; answers and serialized bytes
+        match the unaccounted hook calls bit for bit."""
         ids, ts = drip_and_surge()
-        plain = create_store(backend, **cfg)
-        wrapped = InstrumentedStore(create_store(backend, **cfg))
-        plain.extend_batch(ids, ts)
-        wrapped.extend_batch(ids, ts)
-        plain.finalize()
-        wrapped.finalize()
-        tau = 50.0
-        query_ids = ids[:64]
-        query_ts = ts[:64] + tau
-        assert np.array_equal(
-            wrapped.point_query_batch(query_ids, query_ts, tau),
-            plain.point_query_batch(query_ids, query_ts, tau),
-        ), label
-        for t in (300.0, 420.0, 900.0):
-            assert wrapped.point_query(3, t, tau) == plain.point_query(
-                3, t, tau
-            ), label
-            assert wrapped.bursty_event_query(
-                t, 5.0, tau
-            ) == plain.bursty_event_query(t, 5.0, tau), label
-        assert wrapped.bursty_time_query(
-            3, 20.0, tau
-        ) == plain.bursty_time_query(3, 20.0, tau), label
-        counters = {
-            name: entry["value"]
-            for name, entry in wrapped.metrics.snapshot()[
-                "counters"
-            ].items()
-        }
-        assert counters["store_elements_ingested_total"] == ids.size
-        assert counters["store_ingest_batches_total"] == 1
-        assert counters["store_point_queries_total"] == 3
-        assert counters["store_point_query_batches_total"] == 1
-        assert counters["store_bursty_event_queries_total"] == 3
-        assert counters["store_bursty_time_queries_total"] == 1
-
-    @pytest.mark.parametrize(
-        "label,backend,cfg", PLAIN_MATRIX, ids=PLAIN_IDS
-    )
-    def test_serialization_is_flag_transparent(self, label, backend, cfg):
-        """An instrumented store's envelope must reload to an
-        instrumented store wrapping an equivalent backend."""
-        ids, ts = drip_and_surge(150)
-        wrapped = InstrumentedStore(create_store(backend, **cfg))
-        wrapped.extend_batch(ids, ts)
-        wrapped.finalize()
-        again = load_store(save_store(wrapped))
-        assert again.backend_key == "instrumented"
-        assert again.inner.backend_key == backend
-        assert again.count == wrapped.count
-        assert again.point_query(3, 500.0, 50.0) == wrapped.point_query(
-            3, 500.0, 50.0
-        )
+        store = create_store(backend, **cfg)
+        twin = create_store(backend, **cfg)
+        expected = dict.fromkeys(STORE_COUNTERS, 0.0)
+        for deltas, public, hook in public_calls(ids, ts):
+            if "store_point_queries_total" in deltas:
+                store.finalize()
+                twin.finalize()
+            assert public(store) == hook(twin), (label, deltas)
+            for counter, amount in deltas.items():
+                expected[counter] += amount
+            assert store_counters(store) == expected, (label, deltas)
+        snapshot = store.metrics_snapshot()["histograms"]
+        assert snapshot["store_query_seconds"]["count"] == 5
+        assert snapshot["store_ingest_batch_size"]["count"] == 1
+        assert snapshot["store_ingest_batch_size"]["sum"] == 300
+        assert snapshot["store_point_query_batch_size"]["sum"] == 64
+        # Hook calls never allocate accounting, on the store or on any
+        # part a composite reads through.
+        assert twin._store_metrics is None, label
+        for part in parts_of(store) + parts_of(twin):
+            assert part._store_metrics is None, label
+        assert store.to_bytes() == twin.to_bytes(), label
+        store.close()
+        twin.close()
 
     def test_update_and_extend_count_elements(self):
-        wrapped = create_store("instrumented", backend="exact")
-        wrapped.update(1, 1.0)
-        wrapped.update(1, 2.0, count=3)
-        wrapped.extend([(2, 3.0), (2, 4.0)])
-        snapshot = wrapped.metrics.snapshot()
-        assert (
-            snapshot["counters"]["store_elements_ingested_total"]["value"]
-            == 6
-        )
+        """``update`` counts its ``count`` weight, ``extend`` each pair."""
+        store = create_store("exact")
+        store.update(1, 1.0)
+        store.update(1, 2.0, count=3)
+        store.extend([(2, 3.0), (2, 4.0)])
+        counters = store_counters(store)
+        assert counters["store_elements_ingested_total"] == 6
+        assert counters["store_ingest_batches_total"] == 0
 
-    def test_serialized_bytes_gauge_tracks_to_bytes(self):
-        wrapped = create_store("instrumented", backend="exact")
-        wrapped.update(1, 1.0)
-        blob = wrapped.to_bytes()
-        gauge = wrapped.metrics.snapshot()["gauges"][
-            "store_serialized_bytes"
-        ]
+
+class TestStoreAccounting:
+    """Each call counts once, on the store the caller holds, and never
+    changes an answer or the serialized artifact."""
+
+    @pytest.mark.parametrize("backend", ["exact", "cm-pbe-1"])
+    def test_durable_parts_count_nothing(self, tmp_path, backend):
+        """A durable store with sealed, pending and memtable parts
+        counts each call once; its read view allocates no registry."""
+        from tests.test_durable_layered import held_background_seals
+
+        cfg = {} if backend == "exact" else dict(
+            universe_size=48, eta=20, width=8, depth=3, seed=0
+        )
+        ids, ts = drip_and_surge()
+        store = create_durable(
+            tmp_path / "s",
+            backend=backend,
+            seal_elements=100,
+            fsync="never",
+            background_seal=True,
+            max_unsealed=10,
+            **cfg,
+        )
+        store.extend_batch(ids[:200], ts[:200])
+        store.drain_seals()
+        with held_background_seals() as gate:
+            try:
+                store.extend_batch(ids[200:350], ts[200:350])
+                assert store.n_segments == 2
+                assert store.seal_queue_depth == 1
+                assert store._memtable_elements == 50
+                expected = store_counters(store)
+                for deltas, public, _ in public_calls(ids, ts)[3:]:
+                    public(store)
+                    for counter, amount in deltas.items():
+                        expected[counter] += amount
+                    assert store_counters(store) == expected, deltas
+                    for part in parts_of(store):
+                        assert part._store_metrics is None, deltas
+            finally:
+                gate.set()
+                store.close()
+
+    def test_two_shard_store_counts_once(self):
+        ids, ts = drip_and_surge()
+        store = create_store("sharded", shards=2, backend="exact")
+        store.extend_batch(ids, ts)
+        store.bursty_event_query(420.0, 5.0, 50.0)
+        store.point_query_batch(ids[:64], ts[:64] + 50.0, 50.0)
+        counters = store_counters(store)
+        assert counters["store_ingest_batches_total"] == 1
+        assert counters["store_elements_ingested_total"] == ids.size
+        assert counters["store_bursty_event_queries_total"] == 1
+        assert counters["store_point_query_batches_total"] == 1
+        for child in store.shards:
+            assert child._store_metrics is None
+        store.close()
+
+    def test_serialized_bytes_gauge_tracks_save_store(self):
+        store = create_store("exact")
+        store.update(1, 1.0)
+        blob = save_store(store)
+        gauge = store.metrics_snapshot()["gauges"]["store_serialized_bytes"]
         assert gauge["value"] == len(blob)
 
-    def test_merge_unwraps_and_returns_instrumented(self):
-        a = InstrumentedStore(create_store("exact"))
-        b = InstrumentedStore(create_store("exact"))
-        a.update(1, 1.0)
-        b.update(1, 5.0)
-        merged = a.merge(b)
-        assert isinstance(merged, InstrumentedStore)
-        assert merged.count == 2
-        # Merging with a bare store works too.
-        bare = create_store("exact")
-        bare.update(1, 7.0)
-        assert merged.merge(bare).count == 3
+    @pytest.mark.parametrize(
+        "label,backend,cfg", LEGACY_ROWS, ids=[row[0] for row in LEGACY_ROWS]
+    )
+    def test_legacy_envelope_loads(self, label, backend, cfg):
+        """Envelopes saved by the former ``instrumented`` wrapper
+        backend (its payload: the child's key, then its payload) load
+        as the bare child."""
+        from repro.core.serialize import (
+            _ENVELOPE_HEADER,
+            _TABLE_COUNT,
+            _TABLE_ENTRY,
+            ENVELOPE_MAGIC,
+            STORE_FORMAT_VERSION,
+            _index_store_payload,
+        )
+        from repro.core.store import _pack_config
 
-    def test_constructor_validation(self):
-        with pytest.raises(InvalidParameterError):
-            InstrumentedStore()
-        with pytest.raises(InvalidParameterError):
-            InstrumentedStore(create_store("exact"), backend="exact")
-        with pytest.raises(InvalidParameterError):
-            create_store("instrumented", backend="instrumented")
-
-    def test_delegates_long_tail_attributes(self):
-        wrapped = create_store("instrumented", backend="exact")
-        wrapped.update(1, 1.0)
-        assert wrapped.piecewise == "constant"
-        assert wrapped.segment_starts(1) == [1.0]
-        assert wrapped.count == 1
-        with pytest.raises(AttributeError):
-            wrapped.no_such_attribute
+        ids, ts = drip_and_surge(150)
+        child = create_store(backend, **cfg)
+        child.extend_batch(ids, ts)
+        child.finalize()
+        payload = _pack_config({"backend": backend}, child.to_bytes())
+        entries = _index_store_payload(
+            "instrumented", payload, 0, len(payload)
+        )
+        key = b"instrumented"
+        blob = (
+            _ENVELOPE_HEADER.pack(
+                ENVELOPE_MAGIC, STORE_FORMAT_VERSION, len(key)
+            )
+            + key
+            + _TABLE_COUNT.pack(len(entries))
+            + b"".join(_TABLE_ENTRY.pack(*entry) for entry in entries)
+            + struct.pack("<Q", len(payload))
+            + payload
+        )
+        for lazy in (False, True):
+            again = load_store(blob, lazy=lazy)
+            assert again.backend_key == backend
+            assert again.count == child.count
+            assert again.point_query(3, 500.0, 50.0) == child.point_query(
+                3, 500.0, 50.0
+            )
+            assert save_store(again) == save_store(child)
+            again.close()
+        child.close()
 
 
 class TestFirstPartyInstrumentation:
@@ -379,7 +525,7 @@ class TestAnalyzerAndValidationSnapshots:
     def test_analyzer_metrics_snapshot(self):
         from repro.core.queries import HistoricalBurstAnalyzer
 
-        store = create_store("instrumented", backend="exact")
+        store = create_store("exact")
         analyzer = HistoricalBurstAnalyzer(store=store)
         analyzer.update(1, 1.0)
         analyzer.point_query(1, 5.0, 2.0)
@@ -393,10 +539,13 @@ class TestAnalyzerAndValidationSnapshots:
         )
 
     def test_analyzer_snapshot_without_instrumentation(self):
+        """No wrapper needed: the store's own families are always
+        there, zeroed before any call."""
         from repro.core.queries import HistoricalBurstAnalyzer
 
         analyzer = HistoricalBurstAnalyzer("exact")
-        assert analyzer.metrics_snapshot()["store"] is None
+        counters = analyzer.metrics_snapshot()["store"]["counters"]
+        assert counters["store_point_queries_total"]["value"] == 0
 
     def test_validation_report_embeds_metrics(self):
         import json
@@ -404,7 +553,7 @@ class TestAnalyzerAndValidationSnapshots:
         from repro.eval.validation import validate_sketch
 
         records = [(1, float(t)) for t in range(50)]
-        store = InstrumentedStore(create_store("exact"))
+        store = create_store("exact")
         store.extend(records)
         report = validate_sketch(store, records, tau=5.0, n_times=4)
         assert report.metrics is not None

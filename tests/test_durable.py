@@ -25,7 +25,6 @@ from repro.core.errors import (
     SerializationError,
     StreamOrderError,
 )
-from repro.core.metrics import InstrumentedStore
 from repro.core.monitor import BurstMonitor, MonitoredAnalyzer
 from repro.core.serialize import load_store, save_store
 from repro.core.store import ExactStore, ShardedBurstStore, create_store
@@ -606,18 +605,16 @@ class TestSerializationAndComposition:
         with pytest.raises(InvalidParameterError, match="differ"):
             a.merge(b)
 
-    def test_instrumented_wrapper_delegates_lifecycle(self, tmp_path):
-        inner = create_durable(tmp_path / "s", seal_elements=4)
-        wrapped = InstrumentedStore(inner)
-        with wrapped as store:
+    def test_durable_store_accounts_its_lifecycle(self, tmp_path):
+        with create_durable(tmp_path / "s", seal_elements=4) as store:
             store.append(1, 0.0)
             store.extend_batch([2, 3], [1.0, 2.0])
             store.seal()
             store.flush()
             assert store.n_segments == 1
         with pytest.raises(InvalidParameterError, match="closed"):
-            wrapped.append(4, 3.0)
-        snapshot = wrapped.metrics_snapshot()
+            store.append(4, 3.0)
+        snapshot = store.metrics_snapshot()
         counters = snapshot["counters"]
         assert counters["store_elements_ingested_total"]["value"] == 3.0
 
@@ -645,9 +642,8 @@ class TestContextManagers:
                                  width=8, depth=3, seed=0),
             lambda: create_store("sharded", shards=2, backend="exact"),
             lambda: create_store("durable", backend="exact"),
-            lambda: create_store("instrumented", backend="exact"),
         ],
-        ids=["exact", "cm-pbe-1", "sharded", "durable", "instrumented"],
+        ids=["exact", "cm-pbe-1", "sharded", "durable"],
     )
     def test_every_store_is_a_context_manager(self, factory):
         with factory() as store:
@@ -656,6 +652,8 @@ class TestContextManagers:
             store.flush()
             assert store.count == 2
         store.close()  # close after close: still idempotent
+        counters = store.metrics_snapshot()["counters"]
+        assert counters["store_elements_ingested_total"]["value"] == 2
 
     def test_sharded_close_chains_to_durable_children(self, tmp_path):
         store = create_durable(tmp_path / "s", shards=2, seal_elements=5)

@@ -217,9 +217,20 @@ class TestNonFiniteParameters:
         "label,backend,cfg", BACKEND_MATRIX, ids=BACKEND_IDS
     )
     def test_nan_theta_rejected(self, label, backend, cfg):
+        """NaN compares false against every threshold, so an unchecked
+        NaN ``theta`` (or ``merge_gap``) silently answers ``[]``."""
         store = _small_store(backend, cfg)
-        with pytest.raises(InvalidParameterError):
-            store.bursty_event_query(10.0, math.nan, TAU)
+        queries = [
+            lambda: store.bursty_event_query(10.0, math.nan, TAU),
+            lambda: store.bursty_time_query(3, math.nan, TAU),
+            lambda: store.bursty_time_query(3, math.nan, TAU, t_end=30.0),
+            lambda: store.bursty_time_query(3, 1.0, TAU, merge_gap=math.nan),
+        ]
+        for query in queries:
+            with pytest.raises(InvalidParameterError):
+                query()
+        # Burstiness can be negative, so a negative threshold stays legal.
+        assert isinstance(store.bursty_time_query(3, -1.0, TAU), list)
 
     def test_nan_time_range_rejected(self):
         store = _small_store("exact", {})

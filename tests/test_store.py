@@ -45,7 +45,6 @@ class TestRegistry:
             "direct",
             "index",
             "sharded",
-            "instrumented",
             "durable",
         }
 
