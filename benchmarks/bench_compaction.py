@@ -1,6 +1,6 @@
 """Segment-compaction benchmark (BENCH_compaction.json).
 
-The background compactor exists to stop a long-running ingest from
+Compaction (``store.compact()``) exists to stop a long-running ingest from
 degrading: every sealed segment adds one more envelope to the query
 fold and one more file to ``recover()``.  This suite measures exactly
 that claim, before and after a full merge-down of a many-segment

@@ -246,22 +246,29 @@ BATCH_SPEEDUP_FLOORS = {"seal-fold": 2.0}
 SEAL_RECORDS = 1_000
 
 
-def _best_seconds(fn, repeats: int) -> float:
-    """Best-of-N wall time; one untimed warmup absorbs cold caches.
+def _best_seconds_of(fns, repeats: int) -> list[float]:
+    """Best-of-N wall times of functions timed interleaved.
 
-    The collector is paused around the timed region (and the warmup's
+    Each repeat times every function once, rotating which goes first,
+    so the bests come from the same machine phase: a slow phase of a
+    shared runner slows all of them, not just the one that happened to
+    run in it.  One untimed warmup each absorbs cold caches.  The
+    collector is paused around the timed region (and the warmups'
     garbage collected before it) so a cycle collection triggered by a
     *previous* layer's allocations cannot land inside a measurement.
     """
-    fn()
+    for fn in fns:
+        fn()
     gc.collect()
-    best = float("inf")
+    best = [float("inf")] * len(fns)
     gc.disable()
     try:
-        for _ in range(repeats):
-            start = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - start)
+        for repeat in range(repeats):
+            for step in range(len(fns)):
+                index = (repeat + step) % len(fns)
+                start = time.perf_counter()
+                fns[index]()
+                best[index] = min(best[index], time.perf_counter() - start)
     finally:
         gc.enable()
     return best
@@ -641,7 +648,7 @@ def run_tracing_overhead(
         )
         # One sampled run pins the exact span count per ingest, then a
         # round-robin A/B (reported, not gated) with the collector
-        # paused as in _best_seconds.
+        # paused as in _best_seconds_of.
         set_tracer(sampled_tracer)
         try:
             ingest_once()
@@ -728,15 +735,18 @@ def run_ingest_comparison(
     for (
         name, n, vectorized, scalar_fn, batch_fn, verify_fn, oracle_fn
     ) in _ingest_layers(soccer_ts, mixed_ids, mixed_ts):
-        scalar_s = _best_seconds(scalar_fn, repeats)
-        # The oracle is timed immediately before the batch path so the
-        # floor check compares two measurements from the same machine
-        # phase (see _ingest_layers).
-        oracle_s = (
-            _best_seconds(oracle_fn, repeats) if oracle_fn is not None
-            else None
-        )
-        batch_s = _best_seconds(batch_fn, repeats)
+        # The scalar path, the oracle and the batch path are timed
+        # interleaved so the speedup and floor checks compare
+        # measurements from the same machine phase (see _ingest_layers).
+        if oracle_fn is None:
+            oracle_s = None
+            scalar_s, batch_s = _best_seconds_of(
+                [scalar_fn, batch_fn], repeats
+            )
+        else:
+            scalar_s, oracle_s, batch_s = _best_seconds_of(
+                [scalar_fn, oracle_fn, batch_fn], repeats
+            )
         rows.append(
             {
                 "layer": name,

@@ -15,15 +15,17 @@ Hokusai-style stores use to keep unbounded streams bounded:
   right over consecutive disjoint time ranges, and store merges are
   associative, so replacing an adjacent run with its merge preserves
   every fold result bit-for-bit.
-* :class:`Compactor` — one merge pass (:meth:`Compactor.run_once`)
-  merges the planned run through :func:`~repro.core.parallel.merge_stores`
-  (which dispatches to the lazy zero-copy ``merge_pbe1``/``merge_pbe2``
-  fast paths for PBE children), writes the merged segment atomically
-  under a name reserved from the store, then commits one atomic
-  manifest swap through the store's segment commit — the same one
-  every seal uses: new segment in, inputs out, inputs listed in the
-  manifest's ``tombstones`` field.  Only after the swap are the input
-  files unlinked and the tombstones cleared.
+* :func:`merge_pass` — one merge: it merges the planned run through
+  :func:`~repro.core.parallel.merge_stores` (which dispatches to the
+  lazy zero-copy ``merge_pbe1``/``merge_pbe2`` fast paths for PBE
+  children), writes the merged segment atomically under a name
+  reserved from the store, then commits one atomic manifest swap
+  through the store's segment commit — the same one every seal uses:
+  new segment in, inputs out, inputs listed in the manifest's
+  ``tombstones`` field.  Only after the swap are the input files
+  unlinked and the tombstones cleared.  :func:`compact_until_stable`
+  repeats it until the plan is empty.  Both run only when
+  ``DurableBurstStore.compact()`` is called, on the caller's thread.
 
   Crash windows, by construction:
 
@@ -60,15 +62,12 @@ Hokusai-style stores use to keep unbounded streams bounded:
 
 from __future__ import annotations
 
-import logging
 import os
-import threading
 
 import numpy as np
 
 from repro.core import tracing as _tracing
 from repro.core.errors import CompactionError, InvalidParameterError
-from repro.core.metrics import global_registry
 from repro.core.parallel import merge_stores
 from repro.core.serialize import atomic_write_bytes, open_store, save_store
 from repro.core.store import _FIB_MIX
@@ -76,13 +75,12 @@ from repro.core.store import _FIB_MIX
 __all__ = [
     "DEFAULT_COMPACT_FANIN",
     "DEFAULT_COMPACT_MIN_SEGMENTS",
-    "Compactor",
+    "compact_until_stable",
+    "merge_pass",
     "plan_compaction",
     "rebalance",
     "size_tier",
 ]
-
-_logger = logging.getLogger("repro.core.compaction")
 
 DEFAULT_COMPACT_FANIN = 8
 DEFAULT_COMPACT_MIN_SEGMENTS = 4
@@ -122,12 +120,10 @@ def plan_compaction(
     fanin = int(fanin)
     min_segments = int(min_segments)
     if fanin < 2:
-        raise InvalidParameterError(
-            f"compact_fanin must be >= 2, got {fanin}"
-        )
+        raise InvalidParameterError(f"fanin must be >= 2, got {fanin}")
     if min_segments < 2:
         raise InvalidParameterError(
-            f"compact_min_segments must be >= 2, got {min_segments}"
+            f"min_segments must be >= 2, got {min_segments}"
         )
     sizes = [int(size) for size in sizes]
     if len(sizes) < min_segments:
@@ -149,217 +145,75 @@ def plan_compaction(
 
 
 # ----------------------------------------------------------------------
-# Background compactor
+# Merge passes
 # ----------------------------------------------------------------------
-class Compactor:
-    """Size-tiered segment compactor for one ``DurableBurstStore``.
+def merge_pass(store, *, fanin: int, min_segments: int) -> bool:
+    """Plan and commit one merge of ``store``'s sealed segments; ``True``
+    if one ran.
 
-    Constructed for every directory-backed durable store (so the
-    compaction metric families are always registered); the background
-    thread only runs when the store was opened with ``compact=True``,
-    and :meth:`run_once` can always be driven synchronously via
-    ``store.compact()``.
-
-    Locking: :meth:`run_once` holds ``_run_lock`` end to end (manual
-    and background compaction never interleave), takes the store's
-    seal condition only to snapshot/plan (the store's
-    ``_commit_segment`` takes it again for the swap), and performs the
-    expensive merge + atomic segment write outside any store lock —
-    sealed segments are immutable, and the seal thread only ever
-    *appends* to the segment list, so the planned slice positions stay
-    valid across the unlocked window.
+    The caller holds ``store._compact_lock``, so passes never
+    interleave.  The store's seal condition is taken only to check that
+    the store is writable and to snapshot and plan (the store's
+    ``_commit_segment`` takes it again for the swap); the merge and the
+    atomic segment write run outside any store lock.  Sealed segments
+    are immutable and a seal only ever *appends* to the segment list, so
+    the planned slice stays valid across that unlocked window.
     """
-
-    def __init__(
-        self,
-        store,
-        *,
-        fanin: int = DEFAULT_COMPACT_FANIN,
-        min_segments: int = DEFAULT_COMPACT_MIN_SEGMENTS,
-    ) -> None:
-        if int(fanin) < 2:
-            raise InvalidParameterError(
-                f"compact_fanin must be >= 2, got {fanin}"
-            )
-        if int(min_segments) < 2:
-            raise InvalidParameterError(
-                f"compact_min_segments must be >= 2, got {min_segments}"
-            )
-        self.store = store
-        self.fanin = int(fanin)
-        self.min_segments = int(min_segments)
-        self._run_lock = threading.Lock()
-        self._wake = threading.Condition()
-        self._thread: threading.Thread | None = None
-        self._dirty = False
-        self._running = False
-        self._stop_flag = False
-        self._error: BaseException | None = None
-        metrics = global_registry()
-        self._runs_total = metrics.counter(
-            "compaction_runs_total", "segment compaction runs committed"
+    with store._seal_cv:
+        store._check_writable()
+        names_all = list(store._segment_names)
+        try:
+            sizes = [
+                os.path.getsize(os.path.join(store.directory, name))
+                for name in names_all
+            ]
+        except OSError:
+            return False
+        store._compaction_live.set(len(names_all))
+        plan = plan_compaction(sizes, fanin=fanin, min_segments=min_segments)
+        if plan is None:
+            return False
+        start, stop = plan
+        names = names_all[start:stop]
+        parts = list(store._segments[start:stop])
+        out_name = store._next_segment_name_locked()
+    out_path = os.path.join(store.directory, out_name)
+    try:
+        with store._span(
+            "compact.merge",
+            inputs=len(parts),
+            segment=out_name,
+            bytes_in=int(sum(sizes[start:stop])),
+        ):
+            payload = save_store(merge_stores(parts))
+        written = atomic_write_bytes(
+            out_path, payload, fsync=store.fsync_policy != "never"
         )
-        self._bytes_rewritten_total = metrics.counter(
-            "compaction_bytes_rewritten_total",
-            "segment bytes rewritten by compaction merges",
-        )
-        self._segments_merged_total = metrics.counter(
-            "compaction_segments_merged_total",
-            "input segments retired by compaction",
-        )
-        self._segments_live_gauge = metrics.gauge(
-            "compaction_segments_live",
-            "committed segments after the last compaction scan",
-        )
+        segment = open_store(out_path, lazy=True)
+    except BaseException as exc:
+        # The reserved output (if it got written) is an orphan no
+        # manifest references; the next recovery reaps it.
+        raise CompactionError(
+            f"compaction of {names} failed: {exc!r}"
+        ) from exc
+    with store._span(
+        "compact.manifest_swap", segment=out_name, inputs=len(names)
+    ):
+        store._commit_segment(out_name, segment, replaces=names)
+    store._compaction_runs.inc()
+    store._compaction_bytes_rewritten.inc(int(written))
+    store._compaction_segments_merged.inc(len(names))
+    store._compaction_live.set(store.n_segments)
+    return True
 
-    # -- one merge pass -------------------------------------------------
-    def run_once(self, *, fanin=None, min_segments=None) -> bool:
-        """Plan and commit one compaction merge; ``True`` if one ran."""
-        store = self.store
-        if store.directory is None:
-            raise InvalidParameterError(
-                "compaction requires a directory-backed store"
-            )
-        use_fanin = self.fanin if fanin is None else int(fanin)
-        use_min = self.min_segments if min_segments is None else int(min_segments)
-        with self._run_lock:
-            with store._seal_cv:
-                names_all = list(store._segment_names)
-                try:
-                    sizes = [
-                        os.path.getsize(
-                            os.path.join(store.directory, name)
-                        )
-                        for name in names_all
-                    ]
-                except OSError:
-                    return False
-                self._segments_live_gauge.set(len(names_all))
-                plan = plan_compaction(
-                    sizes, fanin=use_fanin, min_segments=use_min
-                )
-                if plan is None:
-                    return False
-                start, stop = plan
-                names = names_all[start:stop]
-                parts = list(store._segments[start:stop])
-                out_name = store._next_segment_name_locked()
-            out_path = os.path.join(store.directory, out_name)
-            try:
-                with store._span(
-                    "compact.merge",
-                    inputs=len(parts),
-                    segment=out_name,
-                    bytes_in=int(sum(sizes[start:stop])),
-                ):
-                    payload = save_store(merge_stores(parts))
-                written = atomic_write_bytes(
-                    out_path,
-                    payload,
-                    fsync=store.fsync_policy != "never",
-                )
-                segment = open_store(out_path, lazy=True)
-            except BaseException as exc:
-                # The reserved output (if it got written) is an orphan
-                # no manifest references; the next recovery reaps it.
-                raise CompactionError(
-                    f"compaction of {names} failed: {exc!r}"
-                ) from exc
-            with store._span(
-                "compact.manifest_swap", segment=out_name, inputs=len(names)
-            ):
-                store._commit_segment(out_name, segment, replaces=names)
-            self._runs_total.inc()
-            self._bytes_rewritten_total.inc(int(written))
-            self._segments_merged_total.inc(len(names))
-            self._segments_live_gauge.set(store.n_segments)
-            return True
 
-    def run_until_stable(self, *, fanin=None, min_segments=None) -> int:
-        """Compact until the tiering policy is satisfied; returns runs."""
-        runs = 0
-        while self.run_once(fanin=fanin, min_segments=min_segments):
-            runs += 1
-        return runs
-
-    # -- background thread ----------------------------------------------
-    def start(self) -> None:
-        """Start the background compaction thread (idempotent)."""
-        if self._thread is not None:
-            return
-        self._stop_flag = False
-        # Compact any backlog left by a previous session immediately.
-        self._dirty = True
-        self._thread = threading.Thread(
-            target=self._worker, name="durable-compact", daemon=True
-        )
-        self._thread.start()
-
-    def notify(self) -> None:
-        """Wake the background thread (called after each seal commit)."""
-        if self._thread is None:
-            return
-        with self._wake:
-            self._dirty = True
-            self._wake.notify_all()
-
-    def stop(self) -> None:
-        """Stop and join the background thread (idempotent)."""
-        thread = self._thread
-        if thread is None:
-            return
-        with self._wake:
-            self._stop_flag = True
-            self._wake.notify_all()
-        thread.join()
-        self._thread = None
-
-    def drain(self) -> None:
-        """Block until the background thread is idle (or has failed)."""
-        thread = self._thread
-        if thread is None:
-            self._raise_error()
-            return
-        with self._wake:
-            while (self._dirty or self._running) and self._error is None:
-                if not thread.is_alive():
-                    break
-                self._wake.wait(0.05)
-        self._raise_error()
-
-    def _raise_error(self) -> None:
-        if self._error is not None:
-            raise self._error
-
-    def _worker(self) -> None:
-        while True:
-            with self._wake:
-                while not self._dirty and not self._stop_flag:
-                    self._wake.wait()
-                if self._stop_flag:
-                    return
-                self._dirty = False
-                self._running = True
-            error: BaseException | None = None
-            try:
-                while not self._stop_flag and self.run_once():
-                    pass
-            except CompactionError as exc:
-                _logger.warning(
-                    "background compaction failed in %s: %r "
-                    "(the store stays consistent; the orphan output is "
-                    "reaped at the next recovery)",
-                    self.store.directory,
-                    exc,
-                )
-                error = exc
-            with self._wake:
-                self._running = False
-                if error is not None:
-                    self._error = error
-                    self._wake.notify_all()
-                    return
-                self._wake.notify_all()
+def compact_until_stable(store, *, fanin: int, min_segments: int) -> int:
+    """Run :func:`merge_pass` until the tiering policy is satisfied;
+    returns the number of merges committed."""
+    runs = 0
+    while merge_pass(store, fanin=fanin, min_segments=min_segments):
+        runs += 1
+    return runs
 
 
 # ----------------------------------------------------------------------

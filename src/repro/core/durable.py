@@ -79,13 +79,15 @@ writes the new shards under the next layout generation's names, swaps
 the manifest once with the old directories as ``tombstones``, then
 drains them.
 
-Maintenance (``compact=True`` or ``store.compact()``): sealed segments
-never stop accumulating on their own, so a size-tiered compactor
-(:mod:`repro.core.compaction`) merges adjacent runs of small segments
-into one and retires the inputs through a single atomic manifest swap
-whose ``tombstones`` field recovery drains — see that module for the
-crash-window analysis.  Shard counts are changed offline with
-:func:`repro.core.compaction.rebalance` (CLI: ``repro rebalance``).
+Maintenance (``store.compact()``): sealed segments never stop
+accumulating on their own, so :meth:`DurableBurstStore.compact` runs the
+size-tiered merge passes of :mod:`repro.core.compaction` on the caller's
+thread; no thread compacts on its own.  Each pass merges an adjacent run
+of small segments into one and retires the inputs through a single
+atomic manifest swap whose ``tombstones`` field recovery drains — see
+that module for the crash-window analysis.  Shard counts are changed
+offline with :func:`repro.core.compaction.rebalance` (CLI: ``repro
+rebalance``).
 
 Note on sketch-backed memtables: a snapshot folds the child's buffered
 state on a scratch copy (``to_bytes``), and a seal folds it in place
@@ -117,7 +119,7 @@ from repro.core import tracing as _tracing
 from repro.core.compaction import (
     DEFAULT_COMPACT_FANIN,
     DEFAULT_COMPACT_MIN_SEGMENTS,
-    Compactor,
+    compact_until_stable,
 )
 from repro.core.errors import (
     CompactionError,
@@ -294,9 +296,6 @@ class DurableBurstStore(_StoreBase):
         flush_records: int | None = None,
         background_seal: bool = False,
         max_unsealed: int = DEFAULT_MAX_UNSEALED,
-        compact: bool = False,
-        compact_fanin: int = DEFAULT_COMPACT_FANIN,
-        compact_min_segments: int = DEFAULT_COMPACT_MIN_SEGMENTS,
         resume: bool = False,
         tracer=None,
         _segments=None,
@@ -325,11 +324,6 @@ class DurableBurstStore(_StoreBase):
             raise InvalidParameterError(
                 "background sealing requires a directory (ephemeral seals "
                 "are just a list append; there is nothing to deamortize)"
-            )
-        if compact and self.directory is None:
-            raise InvalidParameterError(
-                "background compaction requires a directory (ephemeral "
-                "stores hold their segments in memory only)"
             )
         if int(max_unsealed) <= 0:
             raise InvalidParameterError(
@@ -388,20 +382,27 @@ class DurableBurstStore(_StoreBase):
         # Inputs of a committed compaction swap whose files are not yet
         # deleted; persisted in the manifest so recovery drains them.
         self._tombstones: list[str] = []
-        self.compact_enabled = bool(compact)
-        # Constructed for every directory store (keeps the compaction
-        # metric families registered); the thread starts only when
-        # ``compact=True``, and ``store.compact()`` drives it manually.
-        self._compactor = (
-            None
-            if self.directory is None
-            else Compactor(
-                self,
-                fanin=compact_fanin,
-                min_segments=compact_min_segments,
-            )
-        )
+        # Serializes compact() calls, and close() with an in-flight one.
+        self._compact_lock = threading.Lock()
         metrics = global_registry()
+        if self.directory is not None:
+            # Registered for every directory store, so the compaction
+            # families exist before its first merge.
+            self._compaction_runs = metrics.counter(
+                "compaction_runs_total", "segment compaction runs committed"
+            )
+            self._compaction_bytes_rewritten = metrics.counter(
+                "compaction_bytes_rewritten_total",
+                "segment bytes rewritten by compaction merges",
+            )
+            self._compaction_segments_merged = metrics.counter(
+                "compaction_segments_merged_total",
+                "input segments retired by compaction",
+            )
+            self._compaction_live = metrics.gauge(
+                "compaction_segments_live",
+                "committed segments after the last compaction scan",
+            )
         self._seal_seconds = metrics.histogram(
             "durable_seal_seconds", "memtable seal latency (seconds)"
         )
@@ -447,8 +448,6 @@ class DurableBurstStore(_StoreBase):
                 daemon=True,
             )
             self._seal_thread.start()
-        if self.compact_enabled:
-            self._compactor.start()
 
     def _span(self, name: str, *, parent=None, **attrs):
         """A tracing span on the store's tracer (or the process one)."""
@@ -948,8 +947,6 @@ class DurableBurstStore(_StoreBase):
                 )
         self._seals_total.inc()
         self._segment_bytes_total.inc(written)
-        if self._compactor is not None:
-            self._compactor.notify()
 
     def _commit_segment(
         self, name, segment, *, replaces=(), sealed=None, retired=()
@@ -967,9 +964,9 @@ class DurableBurstStore(_StoreBase):
         replaces = list(replaces)
         with self._seal_cv:
             names = self._segment_names
-            # Only the run-locked compactor removes names and seals only
-            # append, so a planned run cannot move — but never swap on a
-            # stale plan.
+            # Only a compact() holding _compact_lock removes names and
+            # seals only append, so a planned run cannot move — but
+            # never swap on a stale plan.
             start = names.index(replaces[0]) if replaces else len(names)
             stop = start + len(replaces)
             if names[start:stop] != replaces:
@@ -1042,30 +1039,29 @@ class DurableBurstStore(_StoreBase):
             self._raise_seal_error()
 
     # -- compaction ----------------------------------------------------
-    def compact(self, *, fanin=None, min_segments=None) -> int:
-        """Synchronously compact sealed segments until stable.
+    def compact(
+        self,
+        *,
+        fanin: int = DEFAULT_COMPACT_FANIN,
+        min_segments: int = DEFAULT_COMPACT_MIN_SEGMENTS,
+    ) -> int:
+        """Compact sealed segments until stable, on the caller's thread.
 
         Runs the size-tiered merge policy (see
         :mod:`repro.core.compaction`) until no adjacent same-tier run
-        remains; returns the number of merge passes committed.  The
-        optional overrides apply to this call only.
+        remains; returns the number of merge passes committed.  Refuses
+        like an append: ``InvalidParameterError`` once the store is
+        closed (its state may be stale, and a merge would commit it),
+        ``SerializationError`` after a failed seal.
         """
-        if self._compactor is None:
+        if self.directory is None:
             raise InvalidParameterError(
                 "compaction requires a directory-backed store"
             )
-        return self._compactor.run_until_stable(
-            fanin=fanin, min_segments=min_segments
-        )
-
-    def drain_compaction(self) -> None:
-        """Block until the background compactor (if any) is idle.
-
-        Re-raises a background compaction failure; no-op on stores
-        opened without ``compact=True``.
-        """
-        if self._compactor is not None:
-            self._compactor.drain()
+        with self._compact_lock:
+            return compact_until_stable(
+                self, fanin=int(fanin), min_segments=int(min_segments)
+            )
 
     @property
     def seal_queue_depth(self) -> int:
@@ -1112,10 +1108,10 @@ class DurableBurstStore(_StoreBase):
                 self._seal_cv.notify_all()
             thread.join()
             self._seal_thread = None
-        if self._compactor is not None:
-            # Joined without any store lock held: a mid-run merge pass
-            # finishes its commit (or its cleanup) and the thread exits.
-            self._compactor.stop()
+        # Taken without any store lock held: an in-flight compact()
+        # finishes its commit (or its cleanup) before close returns.
+        with self._compact_lock:
+            pass
         with self._lock:
             if self._wal is not None:
                 self._wal.close()
@@ -1537,6 +1533,9 @@ def _open_shard_layout(
             directory, manifest, shards=shards, backend=backend
         )
         return _settle_shard_dirs(directory, manifest, names, fsync=fsync)
+    # Every later resume reads child_cfg back from this manifest: let the
+    # backend refuse a keyword it does not take before it is persisted.
+    create_store(backend, **child_cfg)
     os.makedirs(directory, exist_ok=True)
     names = [_shard_dir_name(index, 0) for index in range(int(shards))]
     manifest = {
@@ -1602,9 +1601,6 @@ def create_durable(
     flush_records: int | None = None,
     background_seal: bool = False,
     max_unsealed: int = DEFAULT_MAX_UNSEALED,
-    compact: bool = False,
-    compact_fanin: int = DEFAULT_COMPACT_FANIN,
-    compact_min_segments: int = DEFAULT_COMPACT_MIN_SEGMENTS,
     resume: bool = False,
     tracer=None,
     **child_cfg,
@@ -1630,9 +1626,6 @@ def create_durable(
         flush_records=flush_records,
         background_seal=background_seal,
         max_unsealed=max_unsealed,
-        compact=compact,
-        compact_fanin=compact_fanin,
-        compact_min_segments=compact_min_segments,
         tracer=tracer,
     )
     durable_kwargs = dict(
@@ -1666,10 +1659,6 @@ def recover(
     flush_records: int | None = None,
     background_seal: bool = False,
     max_unsealed: int = DEFAULT_MAX_UNSEALED,
-    compact: bool = False,
-    compact_fanin: int = DEFAULT_COMPACT_FANIN,
-    compact_min_segments: int = DEFAULT_COMPACT_MIN_SEGMENTS,
-    parallel: bool = True,
     tracer=None,
 ):
     """Recover the durable store rooted at ``directory``.
@@ -1681,10 +1670,9 @@ def recover(
     ``REBALANCE-COMMIT.json`` journal left by an earlier version's
     rebalance is refused with a :class:`~repro.core.errors.RecoveryError`.
 
-    Sharded layouts recover every shard concurrently on a thread pool
-    (``parallel=False`` forces the sequential path); each recovered
-    store exposes ``replayed_records``, and the sharded wrapper's
-    children do so per shard.  First the root is settled against the
+    Sharded layouts recover every shard concurrently on a thread pool;
+    each recovered store exposes ``replayed_records``, and the sharded
+    wrapper's children do so per shard.  First the root is settled against the
     manifest's ``shard_dirs``: retired shard directories (tombstones)
     are drained, those of an uncommitted rebalance removed, and any
     other missing or extra shard directory raises
@@ -1700,9 +1688,6 @@ def recover(
         flush_records=flush_records,
         background_seal=background_seal,
         max_unsealed=max_unsealed,
-        compact=compact,
-        compact_fanin=compact_fanin,
-        compact_min_segments=compact_min_segments,
         tracer=tracer,
     )
     if kind == "durable":
@@ -1720,42 +1705,32 @@ def recover(
             fsync=fsync != "never",
         )
         n_shards = len(paths)
-
-        def _recover_shard(index: int) -> DurableBurstStore:
-            return DurableBurstStore(
-                paths[index],
-                backend=backend,
-                seal_elements=seal_elements,
-                resume=True,
-                **durable_kwargs,
-                **child_cfg,
-            )
-
         # A failing shard must not leak the ones already recovered
         # (their WAL handles and background threads): collect per-shard
         # outcomes, and close every success before the error propagates.
         children: list = [None] * n_shards
         failures: list[tuple[int, BaseException]] = []
 
-        def _recover_shard_safe(index: int) -> None:
+        def _recover_shard(index: int) -> None:
             try:
-                children[index] = _recover_shard(index)
+                children[index] = DurableBurstStore(
+                    paths[index],
+                    backend=backend,
+                    seal_elements=seal_elements,
+                    resume=True,
+                    **durable_kwargs,
+                    **child_cfg,
+                )
             except BaseException as exc:
                 failures.append((index, exc))
 
-        if parallel and n_shards > 1:
-            # WAL replay alternates parsing (CPU) with reads (IO); a
-            # thread pool overlaps the IO stalls across shards.
-            with ThreadPoolExecutor(
-                max_workers=min(n_shards, 8),
-                thread_name_prefix="recover-shard",
-            ) as pool:
-                list(pool.map(_recover_shard_safe, range(n_shards)))
-        else:
-            for index in range(n_shards):
-                _recover_shard_safe(index)
-                if failures:
-                    break
+        # WAL replay alternates parsing (CPU) with reads (IO); a thread
+        # pool overlaps the IO stalls across shards.
+        with ThreadPoolExecutor(
+            max_workers=min(n_shards, 8),
+            thread_name_prefix="recover-shard",
+        ) as pool:
+            list(pool.map(_recover_shard, range(n_shards)))
         if failures:
             for child in children:
                 if child is not None:

@@ -347,9 +347,9 @@ class ParallelIngestCoordinator:
         :meth:`close` before their barriers, so durability semantics
         are unchanged — only records *between* barriers may sit in the
         coordinator buffer instead of a writer queue.
-    start_method:
-        ``"spawn"`` (default, portable and what the tests prove) or any
-        other :mod:`multiprocessing` start method available locally.
+
+    Writers always seal in the background (``background_seal=True``)
+    and are started with the portable ``spawn`` method.
 
     Use as a context manager; :meth:`close` stops the writers (each
     drains its background seals and closes its WAL) and the directory
@@ -367,13 +367,11 @@ class ParallelIngestCoordinator:
         fsync: str = "batch",
         flush_bytes: int | None = None,
         flush_records: int | None = None,
-        background_seal: bool = True,
         max_unsealed: int = DEFAULT_MAX_UNSEALED,
         queue_depth: int = DEFAULT_QUEUE_DEPTH,
         coalesce_bytes: int | None = None,
         coalesce_ms: float | None = None,
         resume: bool = False,
-        start_method: str = "spawn",
         trace_dir=None,
         trace_sample_rate: float = 1.0,
         trace_slow_ms: float | None = None,
@@ -500,11 +498,11 @@ class ParallelIngestCoordinator:
             fsync=fsync,
             flush_bytes=flush_bytes,
             flush_records=flush_records,
-            background_seal=background_seal,
+            background_seal=True,
             max_unsealed=max_unsealed,
             **self.child_cfg,
         )
-        ctx = mp.get_context(start_method)
+        ctx = mp.get_context("spawn")
         self._work_queues = [
             ctx.Queue(maxsize=int(queue_depth))
             for _ in range(self.n_writers)

@@ -21,7 +21,10 @@ two monotonicity facts about the *leftmost* argmin ``a_k(j)``:
 * within a layer, ``a_k(j)`` is non-decreasing in ``j`` (the classical
   divide-and-conquer optimization), and
 * across layers, ``a_{k+1}(j) >= a_k(j)`` (the k-link-path result of
-  Aggarwal–Schieber–Tokuyama).
+  Aggarwal–Schieber–Tokuyama).  Rounding can break the second fact at
+  near ties, so the sweep floors a row by the leftmost candidate of the
+  previous layer within a rounding tolerance of its minimum
+  (``_FLOOR_TOLERANCE``), not by its argmin.
 
 :func:`approximate_staircases` exploits both with a fully vectorized
 *grid-refinement* sweep: each layer processes geometric stages of row
@@ -209,6 +212,13 @@ _STAGE_FIRST = 12
 _STAGE_RATIO = 16
 # Upper bound on one batched sweep's argmin table (see `_sweep_chunks`).
 _SWEEP_ARG_BYTES = 8 << 20
+# The cross-layer floor `a_{k+1}(j) >= a_k(j)` holds for exact leftmost
+# argmins, but float rounding can break a near tie of layer `k` to the
+# right, after which layer `k + 1` ties (or beats) a candidate left of
+# that argmin.  So the floor is the leftmost candidate within this many
+# `eps * y_max * |x|_max` of the layer's minimum.  Full-range scans of
+# epoch-scale inputs (n <= 80) needed at most 1.65.
+_FLOOR_TOLERANCE = 4.0
 
 _PLAN_CACHE: dict[int, list[dict]] = {}
 _PLAN_CACHE_MAX = 64
@@ -216,7 +226,8 @@ _PLAN_CACHE_MAX = 64
 
 def _refine_plan(n: int) -> list[dict]:
     """Static per-``n`` stage structure: row midpoints and, per row, the
-    index of the nearest already-processed row on each side."""
+    index of the nearest already-processed row on each side (``-1`` when
+    there is none)."""
     plan = _PLAN_CACHE.get(n)
     if plan is not None:
         return plan
@@ -238,25 +249,15 @@ def _refine_plan(n: int) -> list[dict]:
         keep[np.searchsorted(remaining, jms)] = False
         remaining = remaining[keep]
         if processed.size == 0:
-            zero = np.zeros(jms.size, dtype=np.intp)
-            none = np.ones(jms.size, dtype=bool)
-            left, left_missing = zero, none
-            right, right_missing = zero.copy(), none.copy()
+            left = np.full(jms.size, -1, dtype=np.intp)
+            right = left.copy()
         else:
             pos = np.searchsorted(processed, jms)
             left = processed[np.maximum(pos, 1) - 1]
-            left_missing = pos == 0
+            left[pos == 0] = -1
             right = processed[np.minimum(pos, processed.size - 1)]
-            right_missing = pos >= processed.size
-        stages.append(
-            dict(
-                jms=jms,
-                left=left,
-                left_missing=left_missing,
-                right=right,
-                right_missing=right_missing,
-            )
-        )
+            right[pos >= processed.size] = -1
+        stages.append(dict(jms=jms, left=left, right=right))
         processed = np.sort(np.concatenate([processed, jms]))
         size *= _STAGE_RATIO
     if len(_PLAN_CACHE) >= _PLAN_CACHE_MAX:
@@ -272,8 +273,8 @@ def _batched_stages(
 
     Stage ``s`` is the union of each cell's stage ``s`` (cells with fewer
     stages drop out).  Per row it carries the flat row index, the flat
-    left and right bracket rows and whether each is missing, the local
-    ``j - 1`` cap, and its cell's first flat row.
+    and the local (``-1`` if missing) left and right bracket rows, the
+    local ``j - 1`` cap, and its cell's first flat row.
     """
     plans = [_refine_plan(int(n)) for n in ns]
     stages = []
@@ -284,13 +285,15 @@ def _batched_stages(
             offsets[members], [part["jms"].size for part in parts]
         )
         local = np.concatenate([part["jms"] for part in parts])
+        left = np.concatenate([part["left"] for part in parts])
+        right = np.concatenate([part["right"] for part in parts])
         stages.append(
             (
                 local + first,
-                np.concatenate([part["left"] for part in parts]) + first,
-                np.concatenate([part["left_missing"] for part in parts]),
-                np.concatenate([part["right"] for part in parts]) + first,
-                np.concatenate([part["right_missing"] for part in parts]),
+                left + first,
+                left,
+                right + first,
+                right,
                 local - 1,
                 first,
             )
@@ -323,8 +326,17 @@ def _refine_staircases(
     stages = _batched_stages(ns, offsets)
     nys = -ys
     A = cw + nys * xs
+    # Rounding scale of a cell's candidates: every term (`CW` included)
+    # is within twice `y_max * |x|_max`.  See `_FLOOR_TOLERANCE`.
+    scale = [
+        y[-1] * max(abs(x[0]), abs(x[-1])) for x, y in zip(xss, yss)
+    ]
+    tol = np.repeat(
+        _FLOOR_TOLERANCE * np.finfo(np.float64).eps * np.array(scale), ns
+    )
     stage_xs = [xs[stage[0]] for stage in stages]
     stage_cw = [cw[stage[0]] for stage in stages]
+    stage_tol = [tol[stage[0]] for stage in stages]
     # Any cap at or above every local `j - 1` stands in for `n - 1`.
     no_right = int(ns.max())
 
@@ -335,7 +347,8 @@ def _refine_staircases(
     cur = np.empty(rows)
     B = np.empty(rows)
     args = np.zeros((budget - 1, rows), dtype=np.intp)
-    fin = np.zeros(rows, dtype=bool)
+    floor_prev = np.zeros(rows, dtype=np.intp)
+    floor_cur = np.zeros(rows, dtype=np.intp)
     ar = np.arange(0)
     for k in range(budget - 1):
         if k == 0:
@@ -348,18 +361,19 @@ def _refine_staircases(
             cur[offsets] = inf
             prev, cur = cur, prev
             continue
-        arg_prev = args[k - 1]
         arg_cur = args[k]
+        floor_prev, floor_cur = floor_cur, floor_prev
         np.subtract(prev, A, out=B)
         for s, stage in enumerate(stages):
-            jms, left, left_missing, right, right_missing, jm1, first = stage
+            jms, left, left_local, right, right_local, jm1, first = stage
+            # Row `j` is feasible in layer `k` iff its local index is at
+            # least `k + 1`; a missing or infeasible neighbour brackets
+            # nothing.
             ilos = arg_cur[left]
-            bad = left_missing | ~fin[left]
-            ilos[bad] = k
-            np.maximum(ilos, arg_prev[jms], out=ilos)
+            ilos[left_local <= k] = k
+            np.maximum(ilos, floor_prev[jms], out=ilos)
             ihis = arg_cur[right]
-            bad = right_missing | ~fin[right]
-            ihis[bad] = no_right
+            ihis[right_local <= k] = no_right
             np.minimum(ihis, jm1, out=ihis)
             np.minimum(ilos, ihis, out=ilos)
             cnt = ihis - ilos
@@ -377,14 +391,20 @@ def _refine_staircases(
             cand = nys[idxs] * np.repeat(stage_xs[s], cnt)
             cand += B[idxs]
             mins = np.minimum.reduceat(cand, starts)
-            matches = np.flatnonzero(cand == np.repeat(mins, cnt))
-            amin = idxs[matches[np.searchsorted(matches, starts)]]
+            # The next layer's floor is the leftmost candidate within
+            # the rounding tolerance of the minimum; it is the leftmost
+            # argmin too unless a near tie lies left of it.
+            near = np.flatnonzero(cand <= np.repeat(mins + stage_tol[s], cnt))
+            near = near[np.searchsorted(near, starts)]
+            amin = idxs[near]
             amin -= first
-            row_fin = mins != inf
-            amin[~row_fin] = 0
+            floor_cur[jms] = amin
+            if not np.array_equal(cand[near], mins):
+                matches = np.flatnonzero(cand == np.repeat(mins, cnt))
+                amin = idxs[matches[np.searchsorted(matches, starts)]]
+                amin -= first
             cur[jms] = mins + stage_cw[s]
             arg_cur[jms] = amin
-            fin[jms] = row_fin
         # A cell's first row picks up garbage through its clamped
         # `j - 1 = -1` slot (the flat candidate lands on the row just
         # before the cell, as a lone cell's `-1` wraps to its last row);

@@ -28,7 +28,7 @@ spans into the coordinator's trace (see
 :mod:`repro.core.parallel_ingest`, which carries the context in its
 work frames).
 
-Maintenance paths are traced too: the background compactor wraps each
+Maintenance paths are traced too: each compaction merge pass wraps its
 merge in ``compact.merge`` (inputs, bytes read) and the commit in
 ``compact.manifest_swap`` (segments before/after), and offline shard
 rebalancing emits one ``rebalance.shard`` span per staged shard

@@ -2,8 +2,9 @@
 
 Covers the tiering policy in isolation, end-to-end merge-down identity
 (answers bit-identical before/after compaction, across every backend
-with a lazy merge fast path), the background compactor thread, offline
-``rebalance`` round-trips, and the named errors that point users at
+with a lazy merge fast path), ``store.compact()`` racing background
+seals and refusing on closed or failed stores, offline ``rebalance``
+round-trips, and the named errors that point users at
 ``repro rebalance`` when shard counts disagree.
 """
 
@@ -14,9 +15,9 @@ import math
 import numpy as np
 import pytest
 
+import repro.core.durable as durable_mod
 from repro.core.compaction import (
     DEFAULT_COMPACT_FANIN,
-    Compactor,
     plan_compaction,
     rebalance,
     size_tier,
@@ -24,6 +25,7 @@ from repro.core.compaction import (
 from repro.core.durable import DurableBurstStore, create_durable, recover
 from repro.core.errors import (
     InvalidParameterError,
+    SerializationError,
     ShardCountMismatchError,
 )
 from repro.core.parallel_ingest import ParallelIngestCoordinator
@@ -32,10 +34,13 @@ from test_crash_recovery import (
     TAU,
     THETA,
     UNIVERSE,
+    _FailingAtomicWrite,
+    _InjectedCrash,
     _oracle,
     _stream,
     assert_matrix_identical,
 )
+from tests.test_durable_layered import held_background_seals
 
 
 def _segment_count(store):
@@ -188,64 +193,85 @@ class TestCompactionIdentity:
 
 
 # ----------------------------------------------------------------------
-# Background compactor thread
+# store.compact() is the one compaction path
 # ----------------------------------------------------------------------
-class TestBackgroundCompactor:
-    def test_background_thread_compacts_while_ingesting(self, tmp_path):
-        ids, ts = _stream(500)
-        store = create_durable(
-            tmp_path / "store",
-            seal_elements=10,
-            fsync="never",
-            compact=True,
-            compact_fanin=4,
-            compact_min_segments=2,
-        )
-        with store:
-            for start in range(0, 500, 50):
-                store.extend_batch(
-                    ids[start : start + 50], ts[start : start + 50]
-                )
-            store.seal()
-            store.drain_compaction()
-            assert _segment_count(store) < 50
-            assert_matrix_identical(store, _oracle(ids, ts))
-        recovered = recover(tmp_path / "store")
-        with recovered:
-            assert_matrix_identical(recovered, _oracle(ids, ts))
-
-    def test_background_with_background_seal(self, tmp_path):
+class TestCompactCall:
+    def test_compact_while_background_seals_are_in_flight(self, tmp_path):
         ids, ts = _stream(400)
         store = create_durable(
             tmp_path / "store",
             seal_elements=10,
             fsync="never",
             background_seal=True,
-            compact=True,
-            compact_fanin=4,
-            compact_min_segments=2,
+            max_unsealed=100,
         )
         with store:
-            store.extend_batch(ids, ts)
+            store.extend_batch(ids[:200], ts[:200])
             store.drain_seals()
-            store.drain_compaction()
+            with held_background_seals() as gate:
+                store.extend_batch(ids[200:], ts[200:])
+                assert store.seal_queue_depth > 0
+                runs = store.compact(fanin=4, min_segments=2)
+                assert runs >= 1
+                # The held generations stayed pending and readable.
+                assert store.seal_queue_depth > 0
+                assert_matrix_identical(store, _oracle(ids, ts))
+                gate.set()
+                store.drain_seals()
+            store.compact(fanin=4, min_segments=2)
             assert_matrix_identical(store, _oracle(ids, ts))
         recovered = recover(tmp_path / "store")
         with recovered:
+            assert recovered.count == 400
             assert_matrix_identical(recovered, _oracle(ids, ts))
 
-    def test_compact_true_requires_directory(self):
-        with pytest.raises(InvalidParameterError):
-            DurableBurstStore(None, compact=True)
-
-    def test_compactor_validates_parameters(self, tmp_path):
+    def test_compact_validates_parameters(self, tmp_path):
         store = create_durable(tmp_path / "store", fsync="never")
         with store:
             with pytest.raises(InvalidParameterError):
-                Compactor(store, fanin=1)
+                store.compact(fanin=1)
             with pytest.raises(InvalidParameterError):
-                Compactor(store, min_segments=0)
+                store.compact(min_segments=1)
         assert DEFAULT_COMPACT_FANIN >= 2
+
+    def test_compact_on_closed_store_refuses(self, tmp_path):
+        # A closed handle's state goes stale once the directory is
+        # recovered and written again; committing a merge from it would
+        # roll the manifest back and lose acknowledged records.
+        ids, ts = _stream(203)
+        path = tmp_path / "store"
+        stale = create_durable(path, seal_elements=10, fsync="never")
+        stale.extend_batch(ids[:200], ts[:200])
+        stale.close()
+        live = recover(path, fsync="never")
+        live.extend_batch(ids[200:], ts[200:])
+        live.seal()
+        with pytest.raises(InvalidParameterError, match="closed"):
+            stale.compact(fanin=4, min_segments=2)
+        live.close()
+        recovered = recover(path)
+        with recovered:
+            assert recovered.count == 203
+            assert_matrix_identical(recovered, _oracle(ids, ts))
+
+    def test_compact_after_failed_seal_refuses(self, tmp_path, monkeypatch):
+        ids, ts = _stream(50)
+        store = create_durable(
+            tmp_path / "store", seal_elements=10, fsync="never"
+        )
+        with store:
+            store.extend_batch(ids[:40], ts[:40])
+            monkeypatch.setattr(
+                durable_mod, "atomic_write_bytes", _FailingAtomicWrite(1)
+            )
+            with pytest.raises(_InjectedCrash):
+                store.extend_batch(ids[40:], ts[40:])
+            monkeypatch.undo()
+            with pytest.raises(SerializationError):
+                store.compact(fanin=2, min_segments=2)
+        recovered = recover(tmp_path / "store")
+        with recovered:
+            assert_matrix_identical(recovered, _oracle(ids, ts))
 
 
 # ----------------------------------------------------------------------

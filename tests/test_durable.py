@@ -676,13 +676,12 @@ class TestRecoveryLeakAndLayout:
         store.close()
         return ids, ts
 
-    @pytest.mark.parametrize("parallel", [True, False])
     def test_failing_shard_closes_already_opened_shards(
-        self, tmp_path, monkeypatch, parallel
+        self, tmp_path, monkeypatch
     ):
         self._build(tmp_path / "s")
         # Doctor one shard so its recovery raises after the others
-        # (parallel) or after shard-000 (sequential) have opened.
+        # have opened.
         bad_manifest = tmp_path / "s" / "shard-002" / MANIFEST_NAME
         bad_manifest.write_bytes(b"{this is not json")
 
@@ -698,11 +697,7 @@ class TestRecoveryLeakAndLayout:
 
         monkeypatch.setattr(durable_mod, "DurableBurstStore", Tracking)
         with pytest.raises(RecoveryError):
-            recover(
-                tmp_path / "s",
-                parallel=parallel,
-                background_seal=True,
-            )
+            recover(tmp_path / "s", background_seal=True)
         opened = [
             child for child in created if hasattr(child, "_closed")
         ]
@@ -738,6 +733,22 @@ class TestRecoveryLeakAndLayout:
         from repro.core.errors import ShardLayoutError
 
         assert issubclass(ShardLayoutError, RecoveryError)
+
+    def test_unknown_keyword_refused_before_the_manifest(self, tmp_path):
+        # A keyword the child backend does not take (a typo, or a removed
+        # option such as compact or start_method) must not reach the
+        # manifest's child_cfg, which every later resume feeds back to
+        # the backend.
+        from repro.core.parallel_ingest import ParallelIngestCoordinator
+
+        with pytest.raises(TypeError):
+            create_durable(tmp_path / "s", shards=2, not_an_option=1)
+        with pytest.raises(TypeError):
+            ParallelIngestCoordinator(
+                tmp_path / "p", writers=2, not_an_option=1
+            )
+        assert not (tmp_path / "s").exists()
+        assert not (tmp_path / "p").exists()
 
 
 class TestStaleSweepVsBackgroundSeal:

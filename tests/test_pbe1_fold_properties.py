@@ -188,6 +188,20 @@ def test_batched_engine_equals_per_cell_and_oracle(cells, eta):
         assert result.error == single.error == oracle.error
 
 
+def test_epoch_tie_keeps_the_leftmost_argmin():
+    # Corners 5 and 6 tie exactly for row 7 of layer 5, while rounding
+    # made 6 the strict argmin of layer 4; a floor at the previous
+    # layer's argmin skipped 5 and kept [0..3, 5, 6, ...] instead.
+    steps = [1700000001.9393728, 1.0] + [0.01] * 6 + [1.0] * 16
+    xs = np.cumsum(steps)
+    ys = np.arange(1.0, 25.0)
+    result = approximate_staircase(xs, ys, 23)
+    oracle = staircase_dp(xs, ys, 23)
+    expected = [0, 1, 2, 3, 4, 5, *range(7, 24)]
+    assert result.selected.tolist() == oracle.selected.tolist() == expected
+    assert result.error == oracle.error == 0.00999760627746582
+
+
 @given(cell=staircases(), eta=st.sampled_from([2, 5]))
 def test_one_cell_batch_is_the_single_call(cell, eta):
     (result,) = approximate_staircases([cell], eta)
