@@ -64,13 +64,11 @@ from __future__ import annotations
 
 import os
 
-import numpy as np
-
 from repro.core import tracing as _tracing
 from repro.core.errors import CompactionError, InvalidParameterError
 from repro.core.parallel import merge_stores
 from repro.core.serialize import atomic_write_bytes, open_store, save_store
-from repro.core.store import _FIB_MIX
+from repro.core.store import shard_routes
 
 __all__ = [
     "DEFAULT_COMPACT_FANIN",
@@ -258,11 +256,7 @@ def rebalance(directory, *, shards: int, fsync: str = "batch", tracer=None) -> d
         ids, ts = store.export_records()
     finally:
         store.close()
-    if ids.size:
-        mixed = ids.astype(np.uint64) * np.uint64(_FIB_MIX)
-        routes = (mixed % np.uint64(shards)).astype(np.int64)
-    else:
-        routes = np.empty(0, dtype=np.int64)
+    routes = shard_routes(ids, shards)
     for index, name in enumerate(names):
         mask = routes == index
         sub_ids = ids[mask]

@@ -14,19 +14,25 @@ an explicit lifecycle, the shape Hokusai-style segment stores use:
   the WAL is rotated, and the manifest commits the new segment list;
 * **reads** fan across the sealed segments (opened lazily via
   :func:`~repro.core.serialize.open_store`), the frozen pending-seal
-  generations and a snapshot of the live memtable.  Exact children
-  answer over a *stack* of those immutable parts (each query runs per
-  part and sums integer counts, see :meth:`ExactStore.stack
-  <repro.core.store.ExactStore.stack>`); the memtable part shares the
+  generations and a snapshot of the live memtable.  The read path asks
+  the child store for two operations only and never which kind it is:
+  ``snapshot()`` turns the live memtable into an immutable part and
+  ``stack(parts)`` joins immutable parts into one queryable view.  An
+  exact child stacks without merging (each query runs per part and
+  sums integer counts, see :meth:`ExactStore.stack
+  <repro.core.store.ExactStore.stack>`), and its snapshot shares the
   append-only memtable lists up to their current lengths, so a read
-  after a write costs O(events), not O(memtable) or O(history).
-  Sketch children fold the parts with the backend's own ``merge`` —
-  the §III-A time-range merge contract.
-  Either view is cached until the next state change.
+  after a write costs O(events), not O(memtable) or O(history).  A
+  sketch child's ``snapshot`` is its codec round trip and its
+  ``stack`` the left fold of its ``merge`` — the §III-A time-range
+  merge contract.  The view is cached until the next state change.
 
 Crash recovery (``resume=True`` / :func:`recover`) loads the manifest's
 segments and replays the WAL tail written after the last seal; it is
 idempotent, and any torn trailing frame is discarded and truncated.
+Every manifest field it reads is checked first: a missing or malformed
+one raises :class:`~repro.core.errors.RecoveryError` naming the field,
+before any tombstone drain, stale-file sweep or manifest rewrite.
 The correctness contract, locked by the crash-injection suite: after
 recovery, every query answers bit-identically to an
 :class:`~repro.baselines.exact.ExactBurstStore` fed the same prefix of
@@ -90,8 +96,8 @@ offline with :func:`repro.core.compaction.rebalance` (CLI: ``repro
 rebalance``).
 
 Note on sketch-backed memtables: a snapshot folds the child's buffered
-state on a scratch copy (``to_bytes``), and a seal folds it in place
-(``finalize``); both compress every partial PBE-1 buffer in one batched
+state on a scratch copy (the codec round trip), and a seal folds it in
+place (``finalize``); both compress every partial PBE-1 buffer in one batched
 sweep.  Buffered corners are exact, so a fold trades fidelity for space:
 approximation guarantees are unaffected, but a sealed segment's corner
 layout, and so its answers, can differ from a build that never sealed
@@ -101,9 +107,11 @@ differential uses.
 
 from __future__ import annotations
 
+import contextvars
 import io
 import json
 import logging
+import math
 import os
 import re
 import shutil
@@ -129,9 +137,9 @@ from repro.core.errors import (
     ShardCountMismatchError,
     ShardLayoutError,
     StreamOrderError,
+    UnknownBackendError,
 )
 from repro.core.metrics import global_registry
-from repro.core.parallel import merge_stores
 from repro.core.serialize import atomic_write_bytes, open_store, save_store
 from repro.core.store import (
     ShardedBurstStore,
@@ -193,8 +201,73 @@ def _write_manifest_file(directory: str, manifest: dict, *, fsync) -> None:
     )
 
 
+def _count(minimum: int):
+    return lambda value: type(value) is int and value >= minimum
+
+
+def _list_of(check):
+    return lambda value: isinstance(value, list) and all(map(check, value))
+
+
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+def _is_segment_name(value) -> bool:
+    return isinstance(value, str) and _SEGMENT_RE.match(value) is not None
+
+
+def _is_time(value) -> bool:
+    return value is None or (
+        type(value) in (int, float) and math.isfinite(value)
+    )
+
+
+#: Per manifest kind, every field recovery reads: ``(required, check)``.
+_MANIFEST_FIELDS = {
+    "durable": {
+        "backend": (True, _is_str),
+        "child_cfg": (False, lambda value: isinstance(value, dict)),
+        "seal_elements": (True, _count(1)),
+        "segments": (True, _list_of(_is_segment_name)),
+        "tombstones": (False, _list_of(_is_str)),
+        "wal_seq": (True, _count(0)),
+        "live_wals": (False, _list_of(_count(0))),
+        "t_end": (False, _is_time),
+    },
+    "sharded-durable": {
+        "backend": (True, _is_str),
+        "child_cfg": (False, lambda value: isinstance(value, dict)),
+        "shards": (True, _count(1)),
+        "seal_elements": (False, _count(1)),
+        "shard_dirs": (False, _list_of(_is_str)),
+        "tombstones": (False, _list_of(_is_str)),
+    },
+}
+
+
+def _check_manifest_fields(directory: str, manifest: dict) -> None:
+    """Refuse a manifest with a missing or malformed field, before any
+    reader acts on it: recovery drains tombstones, sweeps unlisted files
+    and rewrites the manifest, so a store rebuilt from a bad field could
+    delete acknowledged records or never accept another append."""
+    fields = _MANIFEST_FIELDS.get(manifest.get("kind"), {})
+    for name, (required, check) in fields.items():
+        if name not in manifest:
+            if required:
+                raise RecoveryError(
+                    f"durable manifest in {directory} has no {name!r} field"
+                )
+        elif not check(manifest[name]):
+            raise RecoveryError(
+                f"durable manifest in {directory} has a malformed "
+                f"{name!r} field: {manifest[name]!r}"
+            )
+
+
 def _read_manifest_file(directory: str) -> dict:
-    """Read and version-check the manifest of a durable directory."""
+    """Read, field-check and version-check the manifest of a durable
+    directory."""
     journal = os.path.join(directory, _LEGACY_REBALANCE_JOURNAL)
     if os.path.exists(journal):
         raise RecoveryError(
@@ -213,11 +286,18 @@ def _read_manifest_file(directory: str) -> dict:
         ) from None
     if not isinstance(manifest, dict):
         raise RecoveryError("durable manifest is not a JSON object")
-    if int(manifest.get("format", 0)) > MANIFEST_FORMAT:
+    version = manifest.get("format", 0)
+    if not _count(0)(version):
         raise RecoveryError(
-            f"durable manifest format v{manifest.get('format')} is "
+            f"durable manifest in {directory} has a malformed 'format' "
+            f"field: {version!r}"
+        )
+    if version > MANIFEST_FORMAT:
+        raise RecoveryError(
+            f"durable manifest format v{version} is "
             f"newer than supported v{MANIFEST_FORMAT}"
         )
+    _check_manifest_fields(directory, manifest)
     return manifest
 
 
@@ -500,8 +580,17 @@ class DurableBurstStore(_StoreBase):
         manifest = self._read_manifest()
         self.child_backend = manifest["backend"]
         self.child_cfg = dict(manifest.get("child_cfg", {}))
-        self.seal_elements = int(manifest["seal_elements"])
-        self._memtable = create_store(self.child_backend, **self.child_cfg)
+        self.seal_elements = manifest["seal_elements"]
+        try:
+            self._memtable = create_store(
+                self.child_backend, **self.child_cfg
+            )
+        except (TypeError, InvalidParameterError, UnknownBackendError) as exc:
+            raise RecoveryError(
+                f"durable manifest in {self.directory}: backend "
+                f"{self.child_backend!r} refuses its 'backend' or "
+                f"'child_cfg' field: {exc}"
+            ) from None
         self._empty = create_store(self.child_backend, **self.child_cfg)
         self._memtable_elements = 0
         # Drain compaction tombstones first: inputs of a committed
@@ -509,7 +598,7 @@ class DurableBurstStore(_StoreBase):
         # They are not in ``segments`` anymore, so unlinking them can
         # never touch a live file.
         _drain_tombstones(self.directory, manifest.get("tombstones", []))
-        for name in manifest.get("segments", []):
+        for name in manifest["segments"]:
             path = os.path.join(self.directory, name)
             try:
                 self._segments.append(open_store(path, lazy=True))
@@ -522,7 +611,7 @@ class DurableBurstStore(_StoreBase):
                     f"sealed segment {name} is corrupt: {exc}"
                 ) from None
             self._segment_names.append(name)
-        self._wal_seq = int(manifest["wal_seq"])
+        self._wal_seq = manifest["wal_seq"]
         # Compaction makes segment names non-dense (a merged segment
         # takes a fresh index while its inputs vanish), so the next
         # index is one past the largest committed one — never the
@@ -534,7 +623,7 @@ class DurableBurstStore(_StoreBase):
         # Replay every WAL still backing unsealed records, oldest first.
         # Backward compatibility: manifests written before background
         # sealing have no ``live_wals`` — the active log is the only one.
-        live_wals = [int(seq) for seq in manifest.get("live_wals", [])]
+        live_wals = list(manifest.get("live_wals", []))
         if not live_wals:
             live_wals = [self._wal_seq]
         replayed_seqs: list[int] = []
@@ -1150,12 +1239,6 @@ class DurableBurstStore(_StoreBase):
             self._sealed_view = None
             self._sealed_folded = 0
 
-    @property
-    def _layered(self) -> bool:
-        """Whether reads stack parts instead of merging them: true when
-        the child backend's class answers over a stack (``exact``)."""
-        return hasattr(type(self._empty), "stack")
-
     def _fold_sealed_locked(self):
         if self._sealed_folded != len(self._segments):
             view = self._sealed_view
@@ -1166,41 +1249,33 @@ class DurableBurstStore(_StoreBase):
         return self._sealed_view
 
     def _lower_parts_locked(self) -> list:
-        """The immutable parts under the memtable, cached until the
-        segment or pending list changes: the folded sealed view, then
-        the frozen pending generations — merged into one store for
-        sketch children, kept apart for stacked (exact) ones."""
+        """The immutable parts under the memtable as at most one store,
+        cached until the segment or pending list changes: the folded
+        sealed view and the frozen pending generations, stacked."""
         if self._lower is None:
             parts = [self._fold_sealed_locked()]
             parts.extend(job.store for job in self._pending)
             parts = [part for part in parts if part is not None]
-            if len(parts) > 1 and not self._layered:
-                parts = [merge_stores(parts)]
+            if len(parts) > 1:
+                parts = [type(self._empty).stack(parts)]
             self._lower = parts
         return self._lower
 
     def _memtable_part_locked(self):
-        """The live memtable as an immutable part (``None`` if empty).
-
-        The one place a memtable becomes a part: exact children take a
-        snapshot bounded by the current list lengths (O(events); the
-        memtable only appends, under this lock); sketch children
-        round-trip through their codec, which flushes buffered state.
-        """
+        """The live memtable as an immutable part (``None`` if empty):
+        the child's own :meth:`snapshot` — O(events) for an exact child,
+        whose memtable only appends under this lock."""
         if self._memtable_elements == 0:
             return None
-        if self._layered:
-            return self._memtable.snapshot()
-        return load_backend(self.child_backend, self._memtable.to_bytes())
+        return self._memtable.snapshot()
 
     def _read_view(self):
         """The current immutable queryable snapshot (cached per state).
 
-        The lower parts (sealed view + frozen pending generations) are
+        The lower part (sealed view + frozen pending generations) is
         cached until a seal, freeze or compaction; a non-empty memtable
-        adds one snapshot part per write.  Exact children answer over
-        the stack of parts (O(events) per new view); sketch children
-        merge the memtable part into their single folded lower part.
+        adds one snapshot part per write, and the child's ``stack``
+        joins the two (O(events) per new view for exact children).
         A reader sees either the pre-seal view (generation still
         pending) or the post-seal view (file-backed segment) — never a
         torn mix, because the pending→segment swap is one locked commit
@@ -1216,10 +1291,8 @@ class DurableBurstStore(_StoreBase):
                     view = self._empty
                 elif len(parts) == 1:
                     view = parts[0]
-                elif self._layered:
-                    view = type(self._empty).stack(parts)
                 else:
-                    view = merge_stores(parts)
+                    view = type(self._empty).stack(parts)
                 self._view = view
                 self._view_version = self._version
             return self._view
@@ -1433,7 +1506,7 @@ def _sharded_layout(directory, manifest, *, shards=None, backend=None):
             f"{directory} holds a {kind!r} manifest, not a "
             "sharded-durable layout (created with shards > 1)"
         )
-    have = int(manifest["shards"])
+    have = manifest["shards"]
     if shards is not None and have != int(shards):
         raise ShardCountMismatchError(
             f"{directory} holds {have} shards but {int(shards)} were "
@@ -1725,12 +1798,21 @@ def recover(
                 failures.append((index, exc))
 
         # WAL replay alternates parsing (CPU) with reads (IO); a thread
-        # pool overlaps the IO stalls across shards.
+        # pool overlaps the IO stalls across shards.  Each shard runs in
+        # a copy of the caller's context, so its spans join the caller's
+        # trace (pool threads start with an empty context).
         with ThreadPoolExecutor(
             max_workers=min(n_shards, 8),
             thread_name_prefix="recover-shard",
         ) as pool:
-            list(pool.map(_recover_shard, range(n_shards)))
+            futures = [
+                pool.submit(
+                    contextvars.copy_context().run, _recover_shard, index
+                )
+                for index in range(n_shards)
+            ]
+            for future in futures:
+                future.result()
         if failures:
             for child in children:
                 if child is not None:

@@ -100,7 +100,7 @@ from repro.core.errors import (
     WriterProcessError,
 )
 from repro.core.metrics import global_registry, merge_snapshots
-from repro.core.store import _FIB_MIX
+from repro.core.store import shard_routes
 from repro.core.tracing import (
     JsonlSpanExporter,
     Tracer,
@@ -132,14 +132,6 @@ _ACK_EVERY = 8
 #: budget (AIMD) but never below this, so a congested fleet still
 #: amortizes the per-frame IPC cost over a few KiB of records.
 _COALESCE_FLOOR_BYTES = 4096
-
-
-def _shard_routes(ids: np.ndarray, n_shards: int) -> np.ndarray:
-    """Shard index per record — must match ShardedBurstStore.shard_of
-    so parallel-ingested and single-process-ingested directories hold
-    identical per-shard record streams."""
-    mixed = ids.astype(np.uint64) * np.uint64(_FIB_MIX)
-    return (mixed % np.uint64(n_shards)).astype(np.int64)
 
 
 def _writer_tracer(trace_cfg: dict | None, writer_id: int):
@@ -558,7 +550,7 @@ class ParallelIngestCoordinator:
             # Capture inside the span so writer-side spans parent on
             # this dispatch, stitching one tree across processes.
             trace_ctx = current_context()
-            routes = _shard_routes(ids, self.n_writers)
+            routes = shard_routes(ids, self.n_writers)
             for writer_id in range(self.n_writers):
                 mask = routes == writer_id
                 if not bool(mask.any()):

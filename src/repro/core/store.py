@@ -31,6 +31,7 @@ validates and accounts its public calls itself (``store.metrics``).
 
 from __future__ import annotations
 
+import contextvars
 import io
 import json
 import math
@@ -74,8 +75,16 @@ from repro.core.metrics import (
     StoreMetrics,
     global_registry,
 )
-from repro.core.parallel import merge_pbe1, merge_pbe2
-from repro.core.serialize import folded_sketch_cells
+from repro.core.parallel import merge_pbe1, merge_pbe2, merge_stores
+from repro.core.serialize import (
+    dump_cmpbe,
+    dump_direct_map,
+    dump_index,
+    folded_sketch_cells,
+    load_cmpbe,
+    load_direct_map,
+    load_index,
+)
 from repro.core.tracing import set_tracer as _set_tracer
 from repro.core.tracing import span as _trace_span
 from repro.core.pbe1 import PBE1
@@ -695,6 +704,19 @@ class _StoreBase:
             "export_records / rebalancing)"
         )
 
+    # -- immutable parts (the durable read path) ----------------------
+    def snapshot(self) -> "_StoreBase":
+        """An immutable copy for readers: the codec round trip, which
+        folds a sketch's buffered state on scratch copies."""
+        return type(self).from_bytes(self.to_bytes())
+
+    @classmethod
+    def stack(cls, parts: Sequence["_StoreBase"]) -> "_StoreBase":
+        """One store answering over immutable parts built on consecutive
+        time ranges, oldest first: the left fold of :meth:`merge`
+        (:func:`~repro.core.parallel.merge_stores`)."""
+        return merge_stores(parts)
+
     # Subclass hooks ---------------------------------------------------
     def _inner_update(self, event_id, timestamp, count) -> None:
         raise NotImplementedError
@@ -918,453 +940,79 @@ class ExactStore(_StoreBase):
 
 
 # ----------------------------------------------------------------------
-# Backend: cm-pbe-1 / cm-pbe-2 (one flat CM-PBE grid)
+# Sketch backends: PBE cells in level sketches (CM-PBE grids, direct maps)
 # ----------------------------------------------------------------------
-class CMPBEStore(_StoreBase):
-    """A single CM-PBE grid (§IV) behind the :class:`BurstStore` surface.
+class _SketchStore(_StoreBase):
+    """The PBE-celled sketches behind the :class:`BurstStore` surface.
 
-    Bursty-event queries scan the id universe (``universe_size`` must be
-    configured); use the ``index`` backend for the pruned §V descent.
+    Every sketch backend keeps PBE-1/PBE-2 cells (``spec``) in one or
+    more *level sketches* — a :class:`~repro.core.cmpbe.CMPBE` grid or a
+    :class:`~repro.core.cmpbe.DirectPBEMap` — answers point and
+    bursty-time queries from the leaf level, and merges level by level
+    under the §III-A time-range merge.  A subclass supplies its
+    constructor, ``_bursty_events``, its extra merge check, how to
+    rebuild ``inner`` from merged levels, and its codec pair
+    (``_dump``/``_load``).
     """
 
-    def __init__(
-        self,
-        cell: str = "pbe1",
-        eta: int = 100,
-        buffer_size: int = 1500,
-        gamma: float = 20.0,
-        unit: float = 1.0,
-        width: int = 6,
-        depth: int = 3,
-        combiner: str = "median",
-        seed: int = 0,
-        universe_size: int | None = None,
-        _inner: CMPBE | None = None,
-        _spec: _CellSpec | None = None,
-    ) -> None:
-        super().__init__()
-        self.spec = _spec if _spec is not None else _CellSpec(
-            kind=cell, eta=eta, buffer_size=buffer_size, gamma=gamma,
-            unit=unit,
-        )
-        self.universe_size = universe_size
-        if _inner is not None:
-            self.inner = _inner
-        else:
-            self.inner = CMPBE(
-                cell_factory=self.spec.factory(),
-                width=width,
-                depth=depth,
-                combiner=combiner,
-                seed=seed,
-            )
+    #: What the refused-merge message calls this backend.
+    _kind: str
 
-    @property
-    def backend_key(self) -> str:  # type: ignore[override]
-        return "cm-pbe-1" if self.spec.kind == "pbe1" else "cm-pbe-2"
+    def __init__(self, spec: _CellSpec, inner) -> None:
+        super().__init__()
+        self.spec = spec
+        self.inner = inner
 
     @property
     def piecewise(self) -> Literal["constant", "linear"]:  # type: ignore[override]
         return self.spec.piecewise
 
-    @classmethod
-    def from_legacy(cls, inner: CMPBE) -> "CMPBEStore":
-        """Wrap a v1 ``CMPB`` blob's sketch (cell spec inferred)."""
-        first = inner._cells[0][0] if inner._cells else None
-        return cls(_inner=inner, _spec=_CellSpec.from_cell(first))
-
-    # -- ingest --------------------------------------------------------
-    def _inner_update(self, event_id, timestamp, count) -> None:
-        self.inner.update(event_id, timestamp, count)
-
-    def _inner_extend_batch(self, ids, ts, counts) -> None:
-        self.inner.extend_batch(ids, ts, counts)
-
-    # -- queries -------------------------------------------------------
-    def _point(self, event_id: int, t: float, tau: float) -> float:
-        return self.inner.burstiness(event_id, t, tau)
-
-    def _point_batch(self, ids, times, tau: float) -> np.ndarray:
-        return self.inner.burstiness_many(ids, times, tau)
-
-    def _bursty_events(
-        self, t: float, theta: float, tau: float
-    ) -> list[BurstyEvent]:
-        if self.universe_size is None:
-            raise InvalidParameterError(
-                "bursty event queries on a flat CM-PBE scan the id "
-                "universe; configure universe_size (or use the 'index' "
-                "backend)"
-            )
-        return _scan_hits(self, np.arange(self.universe_size), t, theta, tau)
-
-    def segment_starts(self, event_id: int) -> list[float]:
-        return self.inner.segment_starts(event_id)
-
-    def cumulative_frequency(self, event_id: int, t: float) -> float:
-        return float(self.inner.cumulative_frequency(event_id, t))
-
-    def cumulative_frequency_many(self, event_id: int, ts) -> np.ndarray:
-        return self.inner.cumulative_frequency_many(event_id, ts)
-
-    # -- accounting ----------------------------------------------------
-    @property
-    def count(self) -> int:
-        return self.inner.count
-
-    def finalize(self) -> None:
-        self.inner.finalize()
-
-    def memory_elements(self) -> int:
-        return sum(
-            _cell_elements(cell)
-            for row in self.inner._cells
-            for cell in row
-        )
-
-    def size_in_bytes(self) -> int:
-        return self.inner.size_in_bytes()
-
-    # -- merge & codec -------------------------------------------------
-    def _merge_compatible(self, other: "CMPBEStore") -> None:
-        if not isinstance(other, CMPBEStore):
-            raise InvalidParameterError("can only merge CM-PBE with CM-PBE")
-        if not self.spec.matches(other.spec):
-            raise InvalidParameterError("cell specs differ; cannot merge")
-        a, b = self.inner, other.inner
-        if (a.width, a.depth, a.combiner, a.seed) != (
-            b.width, b.depth, b.combiner, b.seed,
-        ):
-            raise InvalidParameterError(
-                "grid dimensions/seed differ; cannot merge"
-            )
-
-    def merge(self, other: "CMPBEStore") -> "CMPBEStore":
-        """Cell-wise merge of two grids built over consecutive, disjoint
-        time ranges (identical dimensions and hash seed required)."""
-        self._merge_compatible(other)
-        (merged_inner,) = _merge_levels(
-            [(self.inner, other.inner)], self.spec
-        )
-        merged = CMPBEStore(
-            universe_size=self.universe_size,
-            _inner=merged_inner,
-            _spec=self.spec,
-        )
-        merged._t_end = max(self._t_end, other._t_end)
-        return merged
-
-    def _config(self) -> dict:
-        config = super()._config()
-        config["cell"] = self.spec.to_dict()
-        config["universe_size"] = self.universe_size
-        return config
-
-    def to_bytes(self) -> bytes:
-        from repro.core.serialize import dump_cmpbe
-
-        return _pack_config(self._config(), dump_cmpbe(self.inner))
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "CMPBEStore":
-        from repro.core.serialize import load_cmpbe
-
-        config, payload = _unpack_config(data)
-        universe = config.get("universe_size")
-        store = cls(
-            universe_size=None if universe is None else int(universe),
-            _inner=load_cmpbe(payload),
-            _spec=_CellSpec.from_dict(config["cell"]),
-        )
-        store._restore_config(config)
-        return store
-
-
-def _merge_levels(
-    pairs: list[tuple], spec: _CellSpec
-) -> list[CMPBE | DirectPBEMap]:
-    """Merge ``(a, b)`` pairs of CM-PBE grids or direct maps.
-
-    The live cells of every operand are folded on scratch copies in one
-    batched call first, so merging never mutates a live sketch.
-    """
-    folded = iter(folded_sketch_cells([s for pair in pairs for s in pair]))
-    merged: list[CMPBE | DirectPBEMap] = []
-    for a, b in pairs:
-        cells_a, cells_b = next(folded), next(folded)
-        if isinstance(a, CMPBE) and isinstance(b, CMPBE):
-            merged.append(_merge_cmpbe(a, b, cells_a, cells_b))
-        elif isinstance(a, DirectPBEMap) and isinstance(b, DirectPBEMap):
-            merged.append(
-                _merge_direct(
-                    dict(zip(a._cells, cells_a)),
-                    dict(zip(b._cells, cells_b)),
-                    a.count + b.count,
-                    spec,
-                )
-            )
-        else:
-            raise InvalidParameterError("level layouts differ; cannot merge")
-    return merged
-
-
-def _merge_cmpbe(
-    a: CMPBE, b: CMPBE, cells_a: list, cells_b: list
-) -> CMPBE:
-    """Merge two CM-PBE grids cell-by-cell (same dims/seed assumed) from
-    their folded row-major cells."""
-    merged_cells = [
-        _merge_cells(cell_a, cell_b)
-        for cell_a, cell_b in zip(cells_a, cells_b)
-    ]
-    iterator = iter(merged_cells)
-    merged = CMPBE(
-        cell_factory=lambda: next(iterator),
-        width=a.width,
-        depth=a.depth,
-        combiner=a.combiner,
-        seed=a.seed,
-    )
-    merged._count = a.count + b.count
-    return merged
-
-
-def _merge_direct(
-    cells_a: dict, cells_b: dict, count: int, spec: _CellSpec
-) -> DirectPBEMap:
-    """Merge two direct maps from their folded id -> cell maps: union of
-    ids, cell merge on overlap."""
-    merged = DirectPBEMap(spec.factory())
-    for event_id in sorted(set(cells_a) | set(cells_b)):
-        cell_a = cells_a.get(event_id)
-        cell_b = cells_b.get(event_id)
-        if cell_a is not None and cell_b is not None:
-            merged._cells[event_id] = _merge_cells(cell_a, cell_b)
-        else:
-            merged._cells[event_id] = _copy_cell(
-                cell_a if cell_a is not None else cell_b
-            )
-    merged._count = count
-    return merged
-
-
-# ----------------------------------------------------------------------
-# Backend: direct (collision-free per-event PBE map)
-# ----------------------------------------------------------------------
-class DirectMapStore(_StoreBase):
-    """One PBE per seen event id — exact routing, approximate curves.
-
-    The per-event PBE-1/PBE-2 usage of §III becomes a multi-event store:
-    no hash collisions (estimates match a dedicated PBE per stream), at
-    the cost of space linear in the number of distinct ids.  Bursty-event
-    queries scan the *seen* ids, like the exact baseline.
-    """
-
-    backend_key = "direct"
-
-    def __init__(
-        self,
-        cell: str = "pbe1",
-        eta: int = 100,
-        buffer_size: int = 1500,
-        gamma: float = 20.0,
-        unit: float = 1.0,
-        _inner: DirectPBEMap | None = None,
-        _spec: _CellSpec | None = None,
-    ) -> None:
-        super().__init__()
-        self.spec = _spec if _spec is not None else _CellSpec(
-            kind=cell, eta=eta, buffer_size=buffer_size, gamma=gamma,
-            unit=unit,
-        )
-        self.inner = (
-            _inner if _inner is not None else DirectPBEMap(self.spec.factory())
-        )
-
-    @property
-    def piecewise(self) -> Literal["constant", "linear"]:  # type: ignore[override]
-        return self.spec.piecewise
-
-    @classmethod
-    def from_legacy(cls, inner: DirectPBEMap) -> "DirectMapStore":
-        """Wrap a v1 ``DMAP`` blob's map (cell spec inferred)."""
-        first = next(iter(inner._cells.values()), None)
-        spec = _CellSpec.from_cell(first)
-        inner._cell_factory = spec.factory()
-        return cls(_inner=inner, _spec=spec)
-
-    # -- ingest --------------------------------------------------------
-    def _inner_update(self, event_id, timestamp, count) -> None:
-        self.inner.update(event_id, timestamp, count)
-
-    def _inner_extend_batch(self, ids, ts, counts) -> None:
-        self.inner.extend_batch(ids, ts, counts)
-
-    # -- queries -------------------------------------------------------
-    def _point(self, event_id: int, t: float, tau: float) -> float:
-        return self.inner.burstiness(event_id, t, tau)
-
-    def _point_batch(self, ids, times, tau: float) -> np.ndarray:
-        return self.inner.burstiness_many(ids, times, tau)
-
-    def _bursty_events(
-        self, t: float, theta: float, tau: float
-    ) -> list[BurstyEvent]:
-        return _scan_hits(self, self.inner.ids(), t, theta, tau)
-
-    def segment_starts(self, event_id: int) -> list[float]:
-        return self.inner.segment_starts(event_id)
-
-    def cumulative_frequency(self, event_id: int, t: float) -> float:
-        return float(self.inner.cumulative_frequency(event_id, t))
-
-    def cumulative_frequency_many(self, event_id: int, ts) -> np.ndarray:
-        return self.inner.cumulative_frequency_many(event_id, ts)
-
-    # -- accounting ----------------------------------------------------
-    @property
-    def count(self) -> int:
-        return self.inner.count
-
-    def finalize(self) -> None:
-        self.inner.finalize()
-
-    def memory_elements(self) -> int:
-        return sum(
-            _cell_elements(cell) for cell in self.inner._cells.values()
-        )
-
-    def size_in_bytes(self) -> int:
-        return self.inner.size_in_bytes()
-
-    # -- merge & codec -------------------------------------------------
-    def merge(self, other: "DirectMapStore") -> "DirectMapStore":
-        """Per-id merge of two maps built over consecutive, disjoint
-        time ranges."""
-        if not isinstance(other, DirectMapStore):
-            raise InvalidParameterError(
-                "can only merge direct map with direct map"
-            )
-        if not self.spec.matches(other.spec):
-            raise InvalidParameterError("cell specs differ; cannot merge")
-        (merged_inner,) = _merge_levels(
-            [(self.inner, other.inner)], self.spec
-        )
-        merged = DirectMapStore(
-            _inner=merged_inner,
-            _spec=self.spec,
-        )
-        merged._t_end = max(self._t_end, other._t_end)
-        return merged
-
-    def _config(self) -> dict:
-        config = super()._config()
-        config["cell"] = self.spec.to_dict()
-        return config
-
-    def to_bytes(self) -> bytes:
-        from repro.core.serialize import dump_direct_map
-
-        return _pack_config(self._config(), dump_direct_map(self.inner))
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "DirectMapStore":
-        from repro.core.serialize import load_direct_map
-
-        config, payload = _unpack_config(data)
-        spec = _CellSpec.from_dict(config["cell"])
-        inner = load_direct_map(payload)
-        inner._cell_factory = spec.factory()
-        store = cls(_inner=inner, _spec=spec)
-        store._restore_config(config)
-        return store
-
-
-# ----------------------------------------------------------------------
-# Backend: index (dyadic bursty-event index)
-# ----------------------------------------------------------------------
-class DyadicIndexStore(_StoreBase):
-    """The §V dyadic index behind the :class:`BurstStore` surface.
-
-    Point and bursty-time queries are answered from the leaf-level
-    CM-PBE; bursty-event queries use the pruned descent.
-    """
-
-    backend_key = "index"
-
-    def __init__(
-        self,
-        universe_size: int | None = None,
-        cell: str = "pbe1",
-        eta: int = 100,
-        buffer_size: int = 1500,
-        gamma: float = 20.0,
-        unit: float = 1.0,
-        width: int = 6,
-        depth: int = 3,
-        combiner: str = "median",
-        seed: int = 0,
-        _inner: BurstyEventIndex | None = None,
-        _spec: _CellSpec | None = None,
-    ) -> None:
-        super().__init__()
-        self.spec = _spec if _spec is not None else _CellSpec(
-            kind=cell, eta=eta, buffer_size=buffer_size, gamma=gamma,
-            unit=unit,
-        )
-        if _inner is not None:
-            self.inner = _inner
-        else:
-            if universe_size is None:
-                raise InvalidParameterError(
-                    "the index backend requires universe_size"
-                )
-            self.inner = BurstyEventIndex(
-                universe_size,
-                cell_factory=self.spec.factory(),
-                width=width,
-                depth=depth,
-                combiner=combiner,
-                seed=seed,
-            )
-        self.universe_size = self.inner.universe_size
-
-    @property
-    def piecewise(self) -> Literal["constant", "linear"]:  # type: ignore[override]
-        return self.spec.piecewise
-
-    @classmethod
-    def from_legacy(cls, inner: BurstyEventIndex) -> "DyadicIndexStore":
-        """Wrap a v1 ``BIDX`` blob's index (cell spec inferred)."""
-        leaf = inner.level_sketch(0)
-        if isinstance(leaf, CMPBE):
-            first = leaf._cells[0][0] if leaf._cells else None
-        else:
-            first = next(iter(leaf._cells.values()), None)
-        return cls(_inner=inner, _spec=_CellSpec.from_cell(first))
-
-    # -- ingest --------------------------------------------------------
-    def _inner_update(self, event_id, timestamp, count) -> None:
-        self.inner.update(event_id, timestamp, count)
-
-    def _inner_extend_batch(self, ids, ts, counts) -> None:
-        self.inner.extend_batch(ids, ts, counts)
-
-    # -- queries -------------------------------------------------------
     @property
     def _leaf(self) -> CMPBE | DirectPBEMap:
-        return self.inner.level_sketch(0)
+        """The level sketch that answers per-event queries."""
+        return self.inner
 
+    def _levels(self) -> list[CMPBE | DirectPBEMap]:
+        """Every level sketch, leaf first."""
+        return [self.inner]
+
+    @classmethod
+    def from_legacy(cls, inner) -> "_SketchStore":
+        """Wrap the sketch of a v1 ``CMPB``/``DMAP``/``BIDX`` blob (cell
+        spec inferred)."""
+        return cls._adopt(inner, None, {})
+
+    @classmethod
+    def _adopt(
+        cls, inner, spec: _CellSpec | None, config: dict
+    ) -> "_SketchStore":
+        """A store over a decoded or merged ``inner``.  ``spec=None``
+        infers the cell spec from the leaf's first cell (v1 blobs carry
+        none); new direct-map cells follow the spec, and ``config``
+        restores the rest."""
+        store = cls(_inner=inner, _spec=spec or _CellSpec())
+        if spec is None:
+            first = next(iter(store._leaf.cells()), None)
+            store.spec = _CellSpec.from_cell(first)
+        for level in store._levels():
+            if isinstance(level, DirectPBEMap):
+                level._cell_factory = store.spec.factory()
+        store._restore_config(config)
+        return store
+
+    # -- ingest --------------------------------------------------------
+    def _inner_update(self, event_id, timestamp, count) -> None:
+        self.inner.update(event_id, timestamp, count)
+
+    def _inner_extend_batch(self, ids, ts, counts) -> None:
+        self.inner.extend_batch(ids, ts, counts)
+
+    # -- queries -------------------------------------------------------
     def _point(self, event_id: int, t: float, tau: float) -> float:
         return self._leaf.burstiness(event_id, t, tau)
 
     def _point_batch(self, ids, times, tau: float) -> np.ndarray:
         return self._leaf.burstiness_many(ids, times, tau)
-
-    def _bursty_events(
-        self, t: float, theta: float, tau: float
-    ) -> list[BurstyEvent]:
-        return _canonical_hits(self.inner.bursty_events(t, theta, tau))
 
     def segment_starts(self, event_id: int) -> list[float]:
         return self._leaf.segment_starts(event_id)
@@ -1384,54 +1032,47 @@ class DyadicIndexStore(_StoreBase):
         self.inner.finalize()
 
     def memory_elements(self) -> int:
-        total = 0
-        for level in range(self.inner.n_levels):
-            sketch = self.inner.level_sketch(level)
-            if isinstance(sketch, CMPBE):
-                total += sum(
-                    _cell_elements(cell)
-                    for row in sketch._cells
-                    for cell in row
-                )
-            else:
-                total += sum(
-                    _cell_elements(cell)
-                    for cell in sketch._cells.values()
-                )
-        return total
+        return sum(
+            _cell_elements(cell)
+            for level in self._levels()
+            for cell in level.cells()
+        )
 
     def size_in_bytes(self) -> int:
         return self.inner.size_in_bytes()
 
     # -- merge & codec -------------------------------------------------
-    def merge(self, other: "DyadicIndexStore") -> "DyadicIndexStore":
-        """Level-wise merge of two indexes over disjoint time ranges."""
-        if not isinstance(other, DyadicIndexStore):
-            raise InvalidParameterError("can only merge index with index")
+    def _check_merge(self, other: "_SketchStore") -> None:
+        """Backend-specific merge preconditions beyond the cell spec."""
+
+    def _inner_from_levels(self, levels: list):
+        """``inner`` rebuilt around merged level sketches."""
+        (level,) = levels
+        return level
+
+    def merge(self, other: "_SketchStore") -> "_SketchStore":
+        """Level-wise merge of two sketches built over consecutive,
+        disjoint time ranges.
+
+        The live cells of both operands are folded on scratch copies in
+        one batched call first, so merging never mutates a live sketch.
+        """
+        if not isinstance(other, type(self)):
+            raise InvalidParameterError(
+                f"can only merge {self._kind} with {self._kind}"
+            )
         if not self.spec.matches(other.spec):
             raise InvalidParameterError("cell specs differ; cannot merge")
-        if self.universe_size != other.universe_size:
-            raise InvalidParameterError("universe sizes differ; cannot merge")
-        merged_levels = _merge_levels(
-            [
-                (
-                    self.inner.level_sketch(level),
-                    other.inner.level_sketch(level),
-                )
-                for level in range(self.inner.n_levels)
-            ],
-            self.spec,
+        self._check_merge(other)
+        pairs = list(zip(self._levels(), other._levels()))
+        folded = iter(folded_sketch_cells([s for pair in pairs for s in pair]))
+        levels = [
+            _merged_level(a, b, next(folded), next(folded))
+            for a, b in pairs
+        ]
+        merged = self._adopt(
+            self._inner_from_levels(levels), self.spec, self._config()
         )
-        merged_inner = BurstyEventIndex(
-            self.universe_size,
-            cell_factory=self.spec.factory(),
-            width=getattr(self._leaf, "width", 1),
-            depth=getattr(self._leaf, "depth", 1),
-            combiner=getattr(self._leaf, "combiner", "median"),
-            seed=getattr(self._leaf, "seed", 0),
-        )
-        merged_inner._levels = merged_levels
-        merged = DyadicIndexStore(_inner=merged_inner, _spec=self.spec)
         merged._t_end = max(self._t_end, other._t_end)
         return merged
 
@@ -1441,21 +1082,257 @@ class DyadicIndexStore(_StoreBase):
         return config
 
     def to_bytes(self) -> bytes:
-        from repro.core.serialize import dump_index
-
-        return _pack_config(self._config(), dump_index(self.inner))
+        return _pack_config(self._config(), self._dump(self.inner))
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "DyadicIndexStore":
-        from repro.core.serialize import load_index
-
+    def from_bytes(cls, data: bytes) -> "_SketchStore":
         config, payload = _unpack_config(data)
-        store = cls(
-            _inner=load_index(payload),
-            _spec=_CellSpec.from_dict(config["cell"]),
+        return cls._adopt(
+            cls._load(payload), _CellSpec.from_dict(config["cell"]), config
         )
-        store._restore_config(config)
-        return store
+
+
+def _merged_level(
+    a: CMPBE | DirectPBEMap,
+    b: CMPBE | DirectPBEMap,
+    cells_a: list,
+    cells_b: list,
+) -> CMPBE | DirectPBEMap:
+    """Merge two level sketches from their folded ``cells()``: a CM-PBE
+    grid cell by cell (same dimensions and seed), a direct map over the
+    union of ids."""
+    if isinstance(a, CMPBE) and isinstance(b, CMPBE):
+        merged_cells = iter(
+            [_merge_cells(x, y) for x, y in zip(cells_a, cells_b)]
+        )
+        level = CMPBE(
+            cell_factory=lambda: next(merged_cells),
+            width=a.width,
+            depth=a.depth,
+            combiner=a.combiner,
+            seed=a.seed,
+        )
+    elif isinstance(a, DirectPBEMap) and isinstance(b, DirectPBEMap):
+        by_id_a = dict(zip(a._cells, cells_a))
+        by_id_b = dict(zip(b._cells, cells_b))
+        level = DirectPBEMap(a._cell_factory)
+        for event_id in sorted(set(by_id_a) | set(by_id_b)):
+            cell_a = by_id_a.get(event_id)
+            cell_b = by_id_b.get(event_id)
+            if cell_a is not None and cell_b is not None:
+                level._cells[event_id] = _merge_cells(cell_a, cell_b)
+            else:
+                level._cells[event_id] = _copy_cell(
+                    cell_a if cell_a is not None else cell_b
+                )
+    else:
+        raise InvalidParameterError("level layouts differ; cannot merge")
+    level._count = a.count + b.count
+    return level
+
+
+# ----------------------------------------------------------------------
+# Backend: cm-pbe-1 / cm-pbe-2 (one flat CM-PBE grid)
+# ----------------------------------------------------------------------
+class CMPBEStore(_SketchStore):
+    """A single CM-PBE grid (§IV) behind the :class:`BurstStore` surface.
+
+    Bursty-event queries scan the id universe (``universe_size`` must be
+    configured); use the ``index`` backend for the pruned §V descent.
+    """
+
+    _kind = "CM-PBE"
+    _dump = staticmethod(dump_cmpbe)
+    _load = staticmethod(load_cmpbe)
+
+    def __init__(
+        self,
+        cell: str = "pbe1",
+        eta: int = 100,
+        buffer_size: int = 1500,
+        gamma: float = 20.0,
+        unit: float = 1.0,
+        width: int = 6,
+        depth: int = 3,
+        combiner: str = "median",
+        seed: int = 0,
+        universe_size: int | None = None,
+        _inner: CMPBE | None = None,
+        _spec: _CellSpec | None = None,
+    ) -> None:
+        spec = _spec if _spec is not None else _CellSpec(
+            cell, eta, buffer_size, gamma, unit
+        )
+        super().__init__(
+            spec,
+            _inner
+            if _inner is not None
+            else CMPBE(
+                cell_factory=spec.factory(),
+                width=width,
+                depth=depth,
+                combiner=combiner,
+                seed=seed,
+            ),
+        )
+        self.universe_size = universe_size
+
+    @property
+    def backend_key(self) -> str:  # type: ignore[override]
+        return "cm-pbe-1" if self.spec.kind == "pbe1" else "cm-pbe-2"
+
+    def _bursty_events(
+        self, t: float, theta: float, tau: float
+    ) -> list[BurstyEvent]:
+        if self.universe_size is None:
+            raise InvalidParameterError(
+                "bursty event queries on a flat CM-PBE scan the id "
+                "universe; configure universe_size (or use the 'index' "
+                "backend)"
+            )
+        return _scan_hits(self, np.arange(self.universe_size), t, theta, tau)
+
+    def _check_merge(self, other: "CMPBEStore") -> None:
+        a, b = self.inner, other.inner
+        if (a.width, a.depth, a.combiner, a.seed) != (
+            b.width, b.depth, b.combiner, b.seed,
+        ):
+            raise InvalidParameterError(
+                "grid dimensions/seed differ; cannot merge"
+            )
+
+    def _config(self) -> dict:
+        config = super()._config()
+        config["universe_size"] = self.universe_size
+        return config
+
+    def _restore_config(self, config: dict) -> None:
+        super()._restore_config(config)
+        universe = config.get("universe_size")
+        self.universe_size = None if universe is None else int(universe)
+
+
+# ----------------------------------------------------------------------
+# Backend: direct (collision-free per-event PBE map)
+# ----------------------------------------------------------------------
+class DirectMapStore(_SketchStore):
+    """One PBE per seen event id — exact routing, approximate curves.
+
+    The per-event PBE-1/PBE-2 usage of §III becomes a multi-event store:
+    no hash collisions (estimates match a dedicated PBE per stream), at
+    the cost of space linear in the number of distinct ids.  Bursty-event
+    queries scan the *seen* ids, like the exact baseline.
+    """
+
+    backend_key = "direct"
+    _kind = "direct map"
+    _dump = staticmethod(dump_direct_map)
+    _load = staticmethod(load_direct_map)
+
+    def __init__(
+        self,
+        cell: str = "pbe1",
+        eta: int = 100,
+        buffer_size: int = 1500,
+        gamma: float = 20.0,
+        unit: float = 1.0,
+        _inner: DirectPBEMap | None = None,
+        _spec: _CellSpec | None = None,
+    ) -> None:
+        spec = _spec if _spec is not None else _CellSpec(
+            cell, eta, buffer_size, gamma, unit
+        )
+        super().__init__(
+            spec,
+            _inner if _inner is not None else DirectPBEMap(spec.factory()),
+        )
+
+    def _bursty_events(
+        self, t: float, theta: float, tau: float
+    ) -> list[BurstyEvent]:
+        return _scan_hits(self, self.inner.ids(), t, theta, tau)
+
+
+# ----------------------------------------------------------------------
+# Backend: index (dyadic bursty-event index)
+# ----------------------------------------------------------------------
+class DyadicIndexStore(_SketchStore):
+    """The §V dyadic index behind the :class:`BurstStore` surface.
+
+    Point and bursty-time queries are answered from the leaf-level
+    CM-PBE; bursty-event queries use the pruned descent.
+    """
+
+    backend_key = "index"
+    _kind = "index"
+    _dump = staticmethod(dump_index)
+    _load = staticmethod(load_index)
+
+    def __init__(
+        self,
+        universe_size: int | None = None,
+        cell: str = "pbe1",
+        eta: int = 100,
+        buffer_size: int = 1500,
+        gamma: float = 20.0,
+        unit: float = 1.0,
+        width: int = 6,
+        depth: int = 3,
+        combiner: str = "median",
+        seed: int = 0,
+        _inner: BurstyEventIndex | None = None,
+        _spec: _CellSpec | None = None,
+    ) -> None:
+        spec = _spec if _spec is not None else _CellSpec(
+            cell, eta, buffer_size, gamma, unit
+        )
+        if _inner is None:
+            if universe_size is None:
+                raise InvalidParameterError(
+                    "the index backend requires universe_size"
+                )
+            _inner = BurstyEventIndex(
+                universe_size,
+                cell_factory=spec.factory(),
+                width=width,
+                depth=depth,
+                combiner=combiner,
+                seed=seed,
+            )
+        super().__init__(spec, _inner)
+        self.universe_size = _inner.universe_size
+
+    @property
+    def _leaf(self) -> CMPBE | DirectPBEMap:
+        return self.inner.level_sketch(0)
+
+    def _levels(self) -> list[CMPBE | DirectPBEMap]:
+        return [
+            self.inner.level_sketch(level)
+            for level in range(self.inner.n_levels)
+        ]
+
+    def _bursty_events(
+        self, t: float, theta: float, tau: float
+    ) -> list[BurstyEvent]:
+        return _canonical_hits(self.inner.bursty_events(t, theta, tau))
+
+    def _check_merge(self, other: "DyadicIndexStore") -> None:
+        if self.universe_size != other.universe_size:
+            raise InvalidParameterError("universe sizes differ; cannot merge")
+
+    def _inner_from_levels(self, levels: list) -> BurstyEventIndex:
+        leaf = self._leaf
+        inner = BurstyEventIndex(
+            self.universe_size,
+            cell_factory=self.spec.factory(),
+            width=getattr(leaf, "width", 1),
+            depth=getattr(leaf, "depth", 1),
+            combiner=getattr(leaf, "combiner", "median"),
+            seed=getattr(leaf, "seed", 0),
+        )
+        inner._levels = levels
+        return inner
 
 
 # ----------------------------------------------------------------------
@@ -1463,6 +1340,15 @@ class DyadicIndexStore(_StoreBase):
 # ----------------------------------------------------------------------
 _FIB_MIX = 0x9E3779B97F4A7C15  # 2^64 / golden ratio — Fibonacci hashing
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
+
+
+def shard_routes(ids: np.ndarray, n_shards: int) -> np.ndarray:
+    """The owning shard of every id in ``ids`` (int64), equal per id to
+    :meth:`ShardedBurstStore.shard_of`: the one routing rule that the
+    sharded store, the parallel-ingest coordinator and rebalancing
+    share, so every path puts a record in the same shard."""
+    mixed = ids.astype(np.uint64) * np.uint64(_FIB_MIX)
+    return (mixed % np.uint64(n_shards)).astype(np.int64)
 
 
 class ShardedBurstStore(_StoreBase):
@@ -1561,14 +1447,18 @@ class ShardedBurstStore(_StoreBase):
         with self._shard_seconds.time():
             return fn(*args)
 
+    def _submit(self, fn, *args):
+        """Run ``fn(*args)``, timed, on the fan-out pool inside a copy of
+        the caller's context: pool threads start with an empty one, and
+        a shard's spans must stay children of the caller's span."""
+        return self._executor().submit(
+            contextvars.copy_context().run, self._timed, fn, *args
+        )
+
     # -- routing -------------------------------------------------------
     def shard_of(self, event_id: int) -> int:
         """The shard index owning ``event_id`` (Fibonacci-mixed hash)."""
         return ((int(event_id) * _FIB_MIX) & _U64_MASK) % self.n_shards
-
-    def _shards_of(self, ids: np.ndarray) -> np.ndarray:
-        mixed = ids.astype(np.uint64) * np.uint64(_FIB_MIX)
-        return (mixed % np.uint64(self.n_shards)).astype(np.int64)
 
     def _owner(self, event_id: int) -> BurstStore:
         return self.shards[self.shard_of(event_id)]
@@ -1582,7 +1472,7 @@ class ShardedBurstStore(_StoreBase):
         self._owner(event_id)._ingest(event_id, timestamp, count)
 
     def _inner_extend_batch(self, ids, ts, counts) -> None:
-        routes = self._shards_of(ids)
+        routes = shard_routes(ids, self.n_shards)
         for shard_index, order in _iter_groups(routes):
             self.shards[shard_index]._ingest_batch(
                 ids[order],
@@ -1604,7 +1494,7 @@ class ShardedBurstStore(_StoreBase):
         out = np.empty(ids.size, dtype=np.float64)
         if ids.size == 0:
             return out
-        groups = list(_iter_groups(self._shards_of(ids)))
+        groups = list(_iter_groups(shard_routes(ids, self.n_shards)))
         self._point_batches_total.inc()
         self._fanout_groups.observe(len(groups))
         with _trace_span(
@@ -1620,12 +1510,10 @@ class ShardedBurstStore(_StoreBase):
                     ids[order], times[order], tau,
                 )
                 return out
-            pool = self._executor()
             futures = [
                 (
                     order,
-                    pool.submit(
-                        self._timed,
+                    self._submit(
                         self.shards[shard_index]._point_batch,
                         ids[order],
                         times[order],
@@ -1668,15 +1556,11 @@ class ShardedBurstStore(_StoreBase):
                     )
                 ]
             else:
-                pool = self._executor()
-                shard_hits = list(
-                    pool.map(
-                        lambda shard: self._timed(
-                            shard._bursty_events, t, theta, tau
-                        ),
-                        self.shards,
-                    )
-                )
+                futures = [
+                    self._submit(shard._bursty_events, t, theta, tau)
+                    for shard in self.shards
+                ]
+                shard_hits = [future.result() for future in futures]
         hits = [
             hit
             for index, per_shard in enumerate(shard_hits)

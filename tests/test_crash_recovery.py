@@ -13,6 +13,7 @@ acknowledged prefix of the stream.
 from __future__ import annotations
 
 import glob
+import json
 import os
 import shutil
 import signal
@@ -30,13 +31,19 @@ from hypothesis import strategies as st
 import repro.core.durable as durable_mod
 import repro.core.serialize as serialize_mod
 from repro.core.durable import create_durable, recover
+from repro.core.errors import RecoveryError
 from repro.core.serialize import (
     atomic_write_bytes,
     load_store,
     save_store,
     write_store,
 )
-from repro.core.store import ExactStore, ShardedBurstStore, create_store
+from repro.core.store import (
+    ExactStore,
+    ShardedBurstStore,
+    create_store,
+    shard_routes,
+)
 
 UNIVERSE = 9
 TAU = 4.0
@@ -381,8 +388,7 @@ class TestSigkillTorture:
         recovered = recover(directory)
         assert isinstance(recovered, ShardedBurstStore)
         ids, ts = _stream(self.N, universe=self.UNIVERSE)
-        router = create_store("sharded", shards=3, backend="exact")
-        routes = router._shards_of(np.arange(self.UNIVERSE))
+        routes = shard_routes(np.arange(self.UNIVERSE), 3)
         # A kill mid-batch can land between per-shard sub-appends, so
         # the recovered state is a prefix of each shard's OWN
         # sub-stream, not one global prefix.  Verify each shard against
@@ -548,3 +554,100 @@ class TestCompactionCrashInjection:
         assert manifest["tombstones"] == []
         for name in doomed:
             assert not (crashed / name).exists()
+
+
+_MISSING = object()
+
+
+def _edit_manifest(directory, field, value) -> None:
+    path = os.path.join(directory, durable_mod.MANIFEST_NAME)
+    with open(path) as handle:
+        manifest = json.load(handle)
+    if value is _MISSING:
+        del manifest[field]
+    else:
+        manifest[field] = value
+    with open(path, "w") as handle:
+        json.dump(manifest, handle)
+
+
+def _listing(directory) -> list[str]:
+    return sorted(
+        os.path.relpath(os.path.join(root, name), directory)
+        for root, _, names in os.walk(directory)
+        for name in names
+    )
+
+
+class TestMalformedManifest:
+    """Recovery checks every manifest field it reads before it drains a
+    tombstone, sweeps a file or rewrites the manifest: a malformed field
+    raises a RecoveryError naming it and leaves the directory as it
+    was."""
+
+    @staticmethod
+    def _sealed_store(directory, shards=1):
+        ids, ts = _stream(20)
+        store = create_durable(
+            directory, backend="exact", shards=shards, seal_elements=5,
+            fsync="never",
+        )
+        store.extend_batch(ids, ts)
+        store.close()
+
+    def test_missing_segments_keeps_every_sealed_segment(self, tmp_path):
+        directory = tmp_path / "store"
+        self._sealed_store(directory)
+        _edit_manifest(directory, "segments", _MISSING)
+        before = _listing(directory)
+        assert len(glob.glob(str(directory / "segment-*.beds"))) == 4
+        with pytest.raises(RecoveryError, match="'segments'"):
+            recover(directory)
+        assert _listing(directory) == before
+        assert len(glob.glob(str(directory / "segment-*.beds"))) == 4
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("seal_elements", 0),
+            ("seal_elements", _MISSING),
+            ("seal_elements", "five"),
+            ("backend", _MISSING),
+            ("backend", 7),
+            ("wal_seq", _MISSING),
+            ("wal_seq", "one"),
+            ("child_cfg", {"no_such_knob": 1}),
+        ],
+        ids=[
+            "seal_elements-zero", "seal_elements-missing",
+            "seal_elements-not-int", "backend-missing", "backend-not-str",
+            "wal_seq-missing", "wal_seq-not-int", "child_cfg-refused",
+        ],
+    )
+    def test_malformed_store_field_is_named(self, tmp_path, field, value):
+        directory = tmp_path / "store"
+        self._sealed_store(directory)
+        _edit_manifest(directory, field, value)
+        before = _listing(directory)
+        with pytest.raises(RecoveryError, match=repr(field)):
+            recover(directory)
+        assert _listing(directory) == before
+
+    @pytest.mark.parametrize(
+        "edits",
+        [
+            {"shards": 0, "shard_dirs": []},
+            {"shards": _MISSING},
+            {"shards": "two"},
+        ],
+        ids=["shards-zero", "shards-missing", "shards-not-int"],
+    )
+    def test_malformed_shard_count_is_named(self, tmp_path, edits):
+        directory = tmp_path / "store"
+        self._sealed_store(directory, shards=2)
+        for field, value in edits.items():
+            _edit_manifest(directory, field, value)
+        before = _listing(directory)
+        with pytest.raises(RecoveryError, match="'shards'"):
+            recover(directory)
+        assert _listing(directory) == before

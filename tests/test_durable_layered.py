@@ -2,7 +2,7 @@
 
 A durable store with an ``exact`` child answers queries over its cached
 sealed view, each frozen pending-seal generation and an O(events)
-snapshot of the live memtable, without merging them.  Three locks on that:
+snapshot of the live memtable, without merging them.  Four locks on that:
 
 * a hypothesis differential — every query on the surface, in every
   lifecycle state (memtable only, sealed only, sealed + memtable,
@@ -14,7 +14,11 @@ snapshot of the live memtable, without merging them.  Three locks on that:
 * a deterministic guard against the O(history) read-after-write cliff:
   between two seals, write→query rounds never call ``ExactStore.merge``
   (nor serialize the memtable), and sketch children merge pending
-  generations into their base once, not once per read.
+  generations into their base once, not once per read;
+* the two store operations the read view is built from, on every
+  backend of the test matrix: a ``snapshot()`` answers unchanged after
+  its source ingests more, and ``stack(parts)`` over consecutive parts
+  answers like the left fold of ``merge``.
 """
 
 from __future__ import annotations
@@ -32,6 +36,9 @@ from hypothesis import strategies as st
 
 from repro.core.durable import DurableBurstStore, create_durable
 from repro.core.store import CMPBEStore, ExactStore, create_store
+
+from tests.backends import BACKEND_IDS, BACKEND_MATRIX
+from tests.backends import UNIVERSE as MATRIX_UNIVERSE
 
 UNIVERSE = 5
 STATES = ("memtable", "sealed", "sealed+memtable", "pending", "compacted")
@@ -414,3 +421,71 @@ def test_close_drops_the_read_view_caches_and_keeps_answers(
         store.close()
     assert (store._view, store._lower, store._sealed_view) == (None,) * 3
     assert answers() == before
+
+
+# ----------------------------------------------------------------------
+# snapshot / stack: the two operations the read view is built from
+# ----------------------------------------------------------------------
+def _matrix_stream(n=900):
+    """A fixed timestamp-ordered stream over the matrix universe, with
+    tied timestamps."""
+    rng = np.random.default_rng(25)
+    ids = rng.integers(0, MATRIX_UNIVERSE, n).astype(np.int64)
+    ts = np.sort(np.round(rng.uniform(0.0, 1_000.0, n) * 2.0) / 2.0)
+    return ids, ts
+
+
+def _cut(ts, at: int) -> int:
+    """The first index from ``at`` that does not split a timestamp tie."""
+    while ts[at] == ts[at - 1]:
+        at += 1
+    return at
+
+
+def _matrix_answers(store) -> tuple:
+    """One answer of every query type over a fixed panel (any backend)."""
+    panel = np.arange(MATRIX_UNIVERSE + 1)
+    return (
+        store.count,
+        store.point_query_batch(
+            panel, np.full(panel.size, 700.0), 60.0
+        ).tobytes(),
+        store.point_query(3, 400.0, 60.0),
+        store.bursty_event_query(700.0, 2.0, 60.0),
+        store.bursty_time_query(3, 2.0, 60.0),
+        store.peak_query(5, 100.0, 900.0, 60.0),
+    )
+
+
+@pytest.mark.parametrize("label, backend, cfg", BACKEND_MATRIX, ids=BACKEND_IDS)
+def test_snapshot_answers_unchanged_after_its_source_ingests(
+    label, backend, cfg
+):
+    ids, ts = _matrix_stream()
+    cut = _cut(ts, 500)
+    with create_store(backend, **cfg) as store:
+        store.extend_batch(ids[:cut], ts[:cut])
+        snapshot = store.snapshot()
+        saved = type(store).from_bytes(store.to_bytes())
+        before = _matrix_answers(snapshot)
+        assert before == _matrix_answers(saved)
+        store.extend_batch(ids[cut:], ts[cut:])
+        assert _matrix_answers(snapshot) == before
+
+
+@pytest.mark.parametrize("label, backend, cfg", BACKEND_MATRIX, ids=BACKEND_IDS)
+def test_stack_answers_like_the_merge_fold(label, backend, cfg):
+    ids, ts = _matrix_stream()
+    bounds = [0, _cut(ts, 300), _cut(ts, 600), ids.size]
+    parts = []
+    try:
+        for start, stop in zip(bounds, bounds[1:]):
+            part = create_store(backend, **cfg)
+            parts.append(part)
+            part.extend_batch(ids[start:stop], ts[start:stop])
+        folded = parts[0].merge(parts[1]).merge(parts[2])
+        stacked = type(parts[0]).stack(parts)
+        assert _matrix_answers(stacked) == _matrix_answers(folded)
+    finally:
+        for part in parts:
+            part.close()

@@ -27,11 +27,8 @@ import pytest
 
 from repro.core.durable import create_durable, recover
 from repro.core.errors import InvalidParameterError, StreamOrderError
-from repro.core.parallel_ingest import (
-    ParallelIngestCoordinator,
-    _shard_routes,
-)
-from repro.core.store import ExactStore, ShardedBurstStore
+from repro.core.parallel_ingest import ParallelIngestCoordinator
+from repro.core.store import ExactStore, ShardedBurstStore, shard_routes
 
 UNIVERSE = 13
 TAU = 4.0
@@ -157,7 +154,7 @@ class TestAckSemantics:
             by_shard = coordinator.acked_by_shard()
             assert sum(by_shard) == 600
             # The acknowledged split matches the routing exactly.
-            routes = _shard_routes(ids.astype(np.int64), 2)
+            routes = shard_routes(ids.astype(np.int64), 2)
             for shard in range(2):
                 assert by_shard[shard] == int((routes == shard).sum())
             busy = coordinator.writer_busy_seconds()
@@ -393,8 +390,8 @@ class TestSigkillTorture:
         recovered = recover(directory)
         assert isinstance(recovered, ShardedBurstStore)
         ids, ts = _stream(self.N)
-        routes = _shard_routes(ids.astype(np.int64), self.WRITERS)
-        event_routes = _shard_routes(
+        routes = shard_routes(ids.astype(np.int64), self.WRITERS)
+        event_routes = shard_routes(
             np.arange(UNIVERSE, dtype=np.int64), self.WRITERS
         )
         for index, shard in enumerate(recovered.shards):

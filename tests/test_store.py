@@ -19,6 +19,7 @@ from repro.core.store import (
     backend_keys,
     create_store,
     register_backend,
+    shard_routes,
 )
 
 from tests.backends import BACKEND_IDS, BACKEND_MATRIX, UNIVERSE
@@ -157,7 +158,7 @@ class TestShardedRouting:
     def test_vectorized_routing_matches_scalar(self):
         store = create_store("sharded", shards=7, backend="exact")
         ids = np.arange(500)
-        vectorized = store._shards_of(ids)
+        vectorized = shard_routes(ids, store.n_shards)
         assert vectorized.tolist() == [
             store.shard_of(i) for i in ids.tolist()
         ]

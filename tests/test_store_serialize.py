@@ -191,3 +191,51 @@ class TestV1Compatibility:
         # And once loaded, a legacy store saves forward as v2.
         upgraded = load_store(save_store(legacy))
         assert upgraded.count == store.count
+
+    @pytest.mark.parametrize("cell", ["pbe1", "pbe2"])
+    @pytest.mark.parametrize("kind", ["cmpbe", "direct", "index"])
+    def test_v1_blob_infers_the_builders_spec(self, kind, cell):
+        knobs = (
+            dict(eta=16, buffer_size=300)
+            if cell == "pbe1"
+            else dict(gamma=8.0, unit=2.0)
+        )
+        key, dump, cfg = {
+            "cmpbe": (
+                f"cm-pbe-{cell[-1]}",
+                dump_cmpbe,
+                dict(width=4, depth=3, universe_size=16),
+            ),
+            "direct": ("direct", dump_direct_map, dict(cell=cell)),
+            "index": (
+                "index",
+                dump_index,
+                dict(cell=cell, width=4, depth=3, universe_size=16),
+            ),
+        }[kind]
+        rng = np.random.default_rng(11)
+        store = create_store(key, **knobs, **cfg)
+        store.extend_batch(
+            rng.integers(0, 16, 120), np.sort(rng.uniform(0.0, 200.0, 120))
+        )
+        store.finalize()
+        legacy = load_store(dump(store.inner))
+        assert legacy.backend_key == store.backend_key
+        assert legacy.spec.to_dict() == store.spec.to_dict()
+
+    @pytest.mark.parametrize("codec", ["v1", "envelope"])
+    def test_loaded_index_grows_cells_of_its_spec(self, codec):
+        """Ids first seen after a load get cells of the stored spec at
+        every level, so the loaded index still merges with a later
+        part (new direct-level cells were once hard-wired PBE-1)."""
+        cfg = dict(universe_size=64, cell="pbe2", gamma=5.0, width=4, depth=2)
+        store = create_store("index", **cfg)
+        store.extend_batch(np.array([0, 1]), np.array([1.0, 2.0]))
+        blob = dump_index(store.inner) if codec == "v1" else save_store(store)
+        loaded = load_store(blob)
+        loaded.extend_batch(np.array([63, 62]), np.array([3.0, 4.0]))
+        later = create_store("index", **cfg)
+        later.extend_batch(np.array([63]), np.array([10.0]))
+        merged = loaded.merge(later)
+        assert merged.count == 5
+        assert load_store(save_store(merged)).count == 5

@@ -9,9 +9,11 @@ from __future__ import annotations
 import json
 import logging
 
+import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.core.durable import create_durable, recover
 from repro.core.errors import InvalidParameterError
 from repro.core.metrics import MetricsRegistry, global_registry
 from repro.core.tracing import (
@@ -399,3 +401,45 @@ class TestStitchedIngestTrace:
             assert by_id[applied["parent_id"]]["name"] == (
                 "coordinator.extend_batch"
             )
+
+
+class TestShardedTraceContext:
+    """Shard work runs on pool threads, which start with an empty
+    context; each task runs in a copy of the caller's, so a traced
+    sharded query or recovery stays one trace."""
+
+    def test_shard_spans_join_the_caller_trace(self, tmp_path):
+        tracer = Tracer()
+        set_tracer(tracer)
+        store = create_durable(
+            tmp_path / "store", backend="cm-pbe-1", shards=3,
+            universe_size=12, eta=20, width=4, depth=2, fsync="never",
+        )
+        try:
+            store.extend_batch(np.arange(120) % 12, np.arange(120.0))
+            with tracer.span("client.request"):
+                store.point_query_batch(
+                    np.arange(12), np.full(12, 100.0), 10.0
+                )
+                store.bursty_event_query(100.0, 1.0, 10.0)
+        finally:
+            store.close()
+        with tracer.span("client.recover"):
+            recover(tmp_path / "store").close()
+
+        spans = tracer.finished_spans()
+        by_id = {s["span_id"]: s for s in spans}
+        for root_name, child_prefix in (
+            ("client.request", "query."),
+            ("client.recover", "durable.recover"),
+        ):
+            (root,) = [s for s in spans if s["name"] == root_name]
+            children = [
+                s for s in spans if s["name"].startswith(child_prefix)
+            ]
+            assert len(children) >= 3
+            assert {s["trace_id"] for s in children} == {root["trace_id"]}
+        queries = [s for s in spans if s["name"].startswith("query.")]
+        assert len(queries) == 6  # 3 shards x (point batch, events)
+        for query in queries:
+            assert by_id[query["parent_id"]]["name"] == "sharded.fanout"
