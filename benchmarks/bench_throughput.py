@@ -246,13 +246,21 @@ BATCH_SPEEDUP_FLOORS = {"seal-fold": 2.0}
 SEAL_RECORDS = 1_000
 
 
+#: Repeats of the rows whose floor compares the batch path with the
+#: in-run oracle (at least ``--repeats``): both sides are best-of-N
+#: minima, and more interleaved repeats give each a steadier minimum.
+FLOOR_REPEATS = 15
+
+
 def _best_seconds_of(fns, repeats: int) -> list[float]:
-    """Best-of-N wall times of functions timed interleaved.
+    """Best-of-N CPU times of functions timed interleaved.
 
     Each repeat times every function once, rotating which goes first,
     so the bests come from the same machine phase: a slow phase of a
     shared runner slows all of them, not just the one that happened to
-    run in it.  One untimed warmup each absorbs cold caches.  The
+    run in it.  The clock is the process's CPU time, so time the
+    process spends descheduled on a shared host is not counted.  One
+    untimed warmup each absorbs cold caches.  The
     collector is paused around the timed region (and the warmups'
     garbage collected before it) so a cycle collection triggered by a
     *previous* layer's allocations cannot land inside a measurement.
@@ -266,9 +274,9 @@ def _best_seconds_of(fns, repeats: int) -> list[float]:
         for repeat in range(repeats):
             for step in range(len(fns)):
                 index = (repeat + step) % len(fns)
-                start = time.perf_counter()
+                start = time.process_time()
                 fns[index]()
-                best[index] = min(best[index], time.perf_counter() - start)
+                best[index] = min(best[index], time.process_time() - start)
     finally:
         gc.enable()
     return best
@@ -745,7 +753,8 @@ def run_ingest_comparison(
             )
         else:
             scalar_s, oracle_s, batch_s = _best_seconds_of(
-                [scalar_fn, oracle_fn, batch_fn], repeats
+                [scalar_fn, oracle_fn, batch_fn],
+                max(repeats, FLOOR_REPEATS),
             )
         rows.append(
             {

@@ -22,13 +22,22 @@ re-sorting them.  Counts ``F_e`` are integers, so per-table counts sum to
 exactly the counts of the merged lists: a stacked view answers every
 query bit-identically to the merged store.
 
+A store's own table holds append-only Python lists.  An immutable part
+(a decoded segment, a merge result) is *columnar*: each event's run is a
+zero-copy, read-only ``float64`` memoryview, into the segment payload
+(an ``mmap`` when the segment was opened lazily) or into the one column
+a merge concatenates.  Python's ``bisect`` reads such a view at list
+speed and ``np.asarray`` wraps it without a copy, so every reader below
+serves both kinds.  A columnar part sits under an empty own table, so a
+decoded or merged store still accepts appends after its horizon.
+
 Each table also carries a record log: its records in time order as a
 ``float64`` time column and an ``int32`` code column, where a code is
 the event's index in the table's first-seen key order.  A store that
-ingests appends to its log (the stream arrives in time order); a table
-filled directly (:meth:`ExactBurstStore.from_lists`: decoded segments,
-merge results) derives its log with one stable argsort by time on its
-first bursty-event query and keeps it.
+ingests appends to its log (the stream arrives in time order); a
+columnar table derives its log from its runs on its first bursty-event
+query — one stable argsort of the concatenated times, with each run's
+code repeated over it — and keeps it.
 
 A stacked table may also be *bounded*: a :meth:`snapshot
 <ExactBurstStore.snapshot>` shares the source's own (append-only) lists
@@ -42,7 +51,6 @@ the live table, and log readers stop at the bound's record count.
 from __future__ import annotations
 
 import bisect
-import math
 import mmap
 import threading
 from collections import defaultdict
@@ -69,17 +77,12 @@ __all__ = ["ExactBurstStore"]
 # window once and search it with numpy.
 _SMALL_GROUP = 8
 
-# Log columns of more than this many bytes get their own anonymous
-# mapping instead of a malloc block: a retired log (a replaced read view,
-# a grown buffer) then hands its pages back to the OS at once instead of
-# leaving a hole that the malloc heap keeps resident.  On the live-exact
-# benchmark that is about 15 MB of peak RSS.
+# Log and merge columns of more than this many bytes get their own
+# anonymous mapping instead of a malloc block: a retired log or merged
+# part (a replaced read view, a grown buffer) then hands its pages back
+# to the OS at once instead of leaving a hole that the malloc heap keeps
+# resident.  On the live-exact benchmark that is about 15 MB of peak RSS.
 _MAPPED_COLUMN_BYTES = 1 << 20
-
-# A derived log is sorted in time slices of about this many records,
-# with slice edges taken from every _SAMPLE_STRIDE-th time of each list.
-_SLICE_RECORDS = 1 << 16
-_SAMPLE_STRIDE = 64
 
 
 def _burstiness_in(
@@ -94,14 +97,18 @@ def _burstiness_in(
     )
 
 
-def _visible(times: list[float], n: int | None) -> list[float]:
-    """The part of a stacked list a store reads: the list itself when
+def _visible(times: Sequence[float], n: int | None) -> Sequence[float]:
+    """The part of a stacked run a store reads: the run itself when
     unbounded, a copy of its ``[0, n)`` prefix when bounded."""
     return times if n is None else times[:n]
 
 
 def _window_counts(
-    times: list[float], n: int | None, lo: float, hi: float, ts: np.ndarray
+    times: Sequence[float],
+    n: int | None,
+    lo: float,
+    hi: float,
+    ts: np.ndarray,
 ) -> np.ndarray:
     """``#{x in times[:n] : x <= t}`` for every ``t`` in ``ts``, all of
     which lie in ``[lo, hi]``: only the window ``(lo, hi]`` is converted
@@ -123,7 +130,7 @@ def _runs(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _column(size: int, dtype) -> np.ndarray:
-    """An uninitialised 1-d array for a log column."""
+    """An uninitialised 1-d array for a log or merge column."""
     dtype = np.dtype(dtype)
     if size * dtype.itemsize <= _MAPPED_COLUMN_BYTES:
         return np.empty(size, dtype=dtype)
@@ -152,53 +159,28 @@ class _RecordLog:
         self._key_array = np.empty(0, dtype=np.int64)
 
     @classmethod
-    def derived(cls, table: dict[int, list[float]]) -> "_RecordLog":
-        """The log of a table as it stands: its concatenated lists in
-        stable time order.
+    def derived(cls, table: dict) -> "_RecordLog":
+        """The log of a table as it stands: its runs in stable time
+        order.
 
-        The lists are sorted one time slice of about ``_SLICE_RECORDS``
-        records at a time (slice edges from a sample of every list), so
-        the sort's transients stay that small whatever the table's size.
-        Equal times never straddle two slices, so the result is the one
-        stable argsort of the whole concatenation would give.
+        The runs, concatenated in key order, are argsorted once by time,
+        and each run's code is repeated over its records; the large
+        columns are allocated with :func:`_column`.
         """
-        lists = list(table.values())
-        size = sum(map(len, lists))
+        runs = list(table.values())
+        lengths = np.fromiter(map(len, runs), np.int64, len(runs))
+        size = int(lengths.sum())
+        flat = _column(size, np.float64)
+        if runs:
+            np.concatenate(runs, out=flat)
+        order = np.argsort(flat, kind="stable")
         ts, codes = _column(size, np.float64), _column(size, np.int32)
-        sample = np.fromiter(
-            chain.from_iterable(times[::_SAMPLE_STRIDE] for times in lists),
-            np.float64,
+        np.take(flat, order, out=ts)
+        np.take(
+            np.repeat(np.arange(len(runs), dtype=np.int32), lengths),
+            order,
+            out=codes,
         )
-        sample.sort()
-        step = _SLICE_RECORDS // _SAMPLE_STRIDE
-        edges = [*sample[step - 1 :: step].tolist(), math.inf]
-        starts = [0] * len(lists)
-        filled = 0
-        for edge in edges:
-            stops = [
-                bisect.bisect_right(times, edge, start)
-                for times, start in zip(lists, starts)
-            ]
-            unsorted = np.fromiter(
-                chain.from_iterable(
-                    times[start:stop]
-                    for times, start, stop in zip(lists, starts, stops)
-                ),
-                np.float64,
-            )
-            order = np.argsort(unsorted, kind="stable")
-            end = filled + unsorted.size
-            np.take(unsorted, order, out=ts[filled:end])
-            lengths = np.array(
-                [stop - start for start, stop in zip(starts, stops)],
-                dtype=np.int64,
-            )
-            np.take(
-                np.repeat(np.arange(len(lists), dtype=np.int32), lengths),
-                order,
-                out=codes[filled:end],
-            )
-            filled, starts = end, stops
         return cls(ts, codes, list(table))
 
     def code(self, event_id: int) -> int:
@@ -259,13 +241,28 @@ class _RecordLog:
 class _Table(defaultdict):
     """A store's own table: per-event sorted lists, plus the record log.
 
-    The log is ``None`` until first needed, then derived from the lists
-    as they stand.  A table that ingests derives it (empty) before its
-    first append and appends to it from then on; a table filled directly
-    derives it on its first bursty-event query or snapshot.
+    The log is ``None`` until the first append or snapshot derives it
+    (empty), and is appended to from then on.
     """
 
     __slots__ = ("log",)
+
+
+class _Columns(dict):
+    """An immutable part's table: per-event sorted runs as read-only
+    ``float64`` memoryviews, plus the record log (``None`` until first
+    derived)."""
+
+    __slots__ = ("log",)
+
+
+def _interleaved(runs: list) -> bool:
+    """Whether sorted ``runs``, concatenated in order, are out of time
+    order: some non-empty run starts before an earlier one ends."""
+    runs = [run for run in runs if len(run)]
+    return any(
+        later[0] < earlier[-1] for earlier, later in zip(runs, runs[1:])
+    )
 
 
 class _Bound(dict):
@@ -279,7 +276,7 @@ class _Bound(dict):
 _DERIVE_LOCK = threading.Lock()
 
 
-def _log_of(table: _Table) -> _RecordLog:
+def _log_of(table: _Table | _Columns) -> _RecordLog:
     """The table's record log, derived and published on first use."""
     log = table.log
     if log is None:
@@ -288,6 +285,18 @@ def _log_of(table: _Table) -> _RecordLog:
             if log is None:
                 log = table.log = _RecordLog.derived(table)
     return log
+
+
+def _last_timestamp_of(parts: Sequence["ExactBurstStore"]) -> float | None:
+    """The latest last timestamp of ``parts`` (``None`` if all empty)."""
+    return max(
+        (
+            part._last_timestamp
+            for part in parts
+            if part._last_timestamp is not None
+        ),
+        default=None,
+    )
 
 
 class ExactBurstStore:
@@ -326,41 +335,72 @@ class ExactBurstStore:
         view._tables = (*(table for table, _ in stack), view._timestamps)
         view._bounds = (*(bound for _, bound in stack), None)
         view._count = sum(part._count for part in parts)
-        view._last_timestamp = max(
-            (
-                part._last_timestamp
-                for part in parts
-                if part._last_timestamp is not None
-            ),
-            default=None,
-        )
+        view._last_timestamp = _last_timestamp_of(parts)
         return view
 
     @classmethod
-    def from_lists(
+    def from_columns(
         cls,
-        lists: dict[int, list[float]],
+        runs: dict[int, memoryview],
         count: int,
         last_timestamp: float | None,
     ) -> "ExactBurstStore":
-        """A store whose own table is ``lists`` (each sorted), taken over
-        as is.  Its record log is derived on the first bursty-event
-        query, snapshot or append, so building one (a decoded segment, a
-        merge result) costs no sort."""
+        """A store over immutable per-event runs (sorted, read-only
+        ``float64`` memoryviews), taken over as is, under an empty own
+        table that accepts appends after ``last_timestamp``.  The runs'
+        record log is derived on the first bursty-event query, so
+        building one (a decoded segment, a merge result) costs no sort."""
         store = cls()
-        store._timestamps.update(lists)
+        if runs:
+            table = _Columns(runs)
+            table.log = None
+            store._tables = (table, store._timestamps)
+            store._bounds = (None, None)
         store._count = count
         store._last_timestamp = last_timestamp
         return store
+
+    @classmethod
+    def merged(cls, parts: Sequence["ExactBurstStore"]) -> "ExactBurstStore":
+        """One columnar store holding the union of ``parts``.
+
+        Every event's runs are concatenated, in part and stack order,
+        into one ``float64`` column (allocated with :func:`_column`), and
+        the store's runs are views into it.  Only an event whose runs
+        interleave in time is sorted, stably, so its equal times keep
+        part order: the result equals extending the lists in that order
+        and sorting each one.
+        """
+        runs: dict[int, list] = defaultdict(list)
+        for part in parts:
+            for event_id, times in part._items():
+                runs[event_id].append(times)
+        pieces = [run for event_runs in runs.values() for run in event_runs]
+        column = _column(sum(map(len, pieces)), np.float64)
+        if pieces:
+            np.concatenate(pieces, out=column)
+        view = memoryview(column).toreadonly()
+        columns: dict[int, memoryview] = {}
+        start = 0
+        for event_id, event_runs in runs.items():
+            stop = start + sum(map(len, event_runs))
+            if _interleaved(event_runs):
+                column[start:stop].sort(kind="stable")
+            columns[event_id] = view[start:stop]
+            start = stop
+        return cls.from_columns(
+            columns,
+            sum(part._count for part in parts),
+            _last_timestamp_of(parts),
+        )
 
     def snapshot(self) -> "ExactBurstStore":
         """An independent, writable copy in O(events).
 
         The copy shares every stacked table and bounds this store's own
-        table by its current list lengths and log length (a table filled
-        directly derives its log first).  Writers only append, so the
-        bounded prefixes never change and later writes to either store
-        stay invisible to the other.
+        table by its current list lengths and log length.  Writers only
+        append, so the bounded prefixes never change and later writes to
+        either store stay invisible to the other.
         """
         copy = ExactBurstStore()
         log = _log_of(self._timestamps)
@@ -454,9 +494,11 @@ class ExactBurstStore:
         self._last_timestamp = float(ts[-1])
 
     # ------------------------------------------------------------------
-    def _lists_of(self, event_id: int) -> list[tuple[list[float], int | None]]:
-        """The event's non-empty sorted lists, one per stacked table, each
-        with its bound (``None`` reads the whole list)."""
+    def _lists_of(
+        self, event_id: int
+    ) -> list[tuple[Sequence[float], int | None]]:
+        """The event's non-empty sorted runs, one per stacked table, each
+        with its bound (``None`` reads the whole run)."""
         return [
             (times, n)
             for table, bound in zip(self._tables, self._bounds)
@@ -464,11 +506,12 @@ class ExactBurstStore:
             and (n := None if bound is None else bound.get(event_id, 0)) != 0
         ]
 
-    def _items(self) -> Iterator[tuple[int, list[float]]]:
-        """``(event_id, sorted list)`` for every list of every stacked
-        table (an event appears once per table holding it).  Unbounded
-        lists are yielded as they are and must not be mutated; a bounded
-        table is walked through its bound's keys and yields copies."""
+    def _items(self) -> Iterator[tuple[int, Sequence[float]]]:
+        """``(event_id, sorted run)`` for every list or columnar run of
+        every stacked table (an event appears once per table holding
+        it).  Unbounded runs are yielded as they are and must not be
+        mutated; a bounded table is walked through its bound's keys and
+        yields copies."""
         for table, bound in zip(self._tables, self._bounds):
             if bound is None:
                 yield from table.items()

@@ -27,9 +27,10 @@ an explicit lifecycle, the shape Hokusai-style segment stores use:
   ``stack`` the left fold of its ``merge`` — the §III-A time-range
   merge contract.  The view is cached until the next state change.
 
-Crash recovery (``resume=True`` / :func:`recover`) loads the manifest's
-segments and replays the WAL tail written after the last seal; it is
-idempotent, and any torn trailing frame is discarded and truncated.
+Crash recovery (``resume=True`` / :func:`recover`) opens the manifest's
+segments and replays the WAL tail written after the last seal, each
+replayed WAL applied to the memtable as one batch; it is idempotent,
+and any torn trailing frame is discarded and truncated.
 Every manifest field it reads is checked first: a missing or malformed
 one raises :class:`~repro.core.errors.RecoveryError` naming the field,
 before any tombstone drain, stale-file sweep or manifest rewrite.
@@ -324,6 +325,26 @@ def _drain_tombstones(directory: str, names) -> None:
             raise RecoveryError(
                 f"cannot remove retired {path}: {exc}"
             ) from None
+
+
+def _concatenated(batches: list) -> tuple:
+    """The ``(ids, ts, counts)`` frames of one replayed log as one batch,
+    in log order.  ``counts`` is ``None`` when no frame carries counts;
+    otherwise a frame without them counts one per record."""
+    if len(batches) == 1:
+        return batches[0]
+    ids = np.concatenate([frame_ids for frame_ids, _, _ in batches])
+    ts = np.concatenate([frame_ts for _, frame_ts, _ in batches])
+    if all(counts is None for _, _, counts in batches):
+        return ids, ts, None
+    counts = np.concatenate(
+        [
+            np.ones(frame_ids.size, dtype=np.int64) if counts is None
+            else counts
+            for frame_ids, _, counts in batches
+        ]
+    )
+    return ids, ts, counts
 
 
 @dataclass
@@ -631,14 +652,15 @@ class DurableBurstStore(_StoreBase):
         last_replay = None
         for seq in live_wals:
             replay = replay_wal(self._wal_path(seq))
-            for ids, ts, counts in replay:
-                # Replayed frames are already durable in their WAL, so
-                # they are applied without re-logging and without
-                # sealing — a seal here would rotate logs out from
-                # under the frames not yet applied.  An oversized
+            if replay.batches:
+                # A replayed log is applied as one batch, without
+                # re-logging (its frames are already durable) and
+                # without sealing — a seal here would rotate logs out
+                # from under the frames not yet applied.  An oversized
                 # memtable seals on the next live append instead.
                 self._apply_batch(
-                    ids, ts, counts, log=False, allow_seal=False
+                    *_concatenated(replay.batches), log=False,
+                    allow_seal=False,
                 )
             replayed_seqs.append(seq)
             total_records += replay.records
@@ -858,7 +880,7 @@ class DurableBurstStore(_StoreBase):
             # the records sealed so far.
             last = float(ts[end - 1])
             if last > self._t_end:
-                self._t_end = last
+                self._t_end = last + 0.0  # a zero horizon is +0.0
             start = end
         if allow_seal and self._memtable_elements >= self.seal_elements:
             self._seal_locked()

@@ -36,8 +36,8 @@ import io
 import json
 import math
 import struct
+import sys
 import threading
-from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from typing import (
     Callable,
@@ -455,7 +455,10 @@ class _StoreBase:
         """Validated scalar ingest, unaccounted (what composites call)."""
         self._inner_update(event_id, timestamp, count)
         if timestamp > self._t_end:
-            self._t_end = float(timestamp)
+            # ``+ 0.0`` stores a zero horizon as +0.0, whichever signed
+            # zero arrived first, so the config bytes do not depend on
+            # how a stream ending 0.0, -0.0 was split into batches.
+            self._t_end = float(timestamp) + 0.0
 
     def extend(self, records: Iterable[tuple[int, float]]) -> None:
         """Ingest many ``(event_id, timestamp)`` pairs in stream order."""
@@ -482,7 +485,7 @@ class _StoreBase:
         self._inner_extend_batch(ids, ts, counts)
         last = float(ts[-1])
         if last > self._t_end:
-            self._t_end = last
+            self._t_end = last + 0.0  # a zero horizon is +0.0: see _ingest
 
     def append(self, event_id: int, timestamp: float, count: int = 1) -> None:
         """Alias of :meth:`update` — the durable-lifecycle spelling.
@@ -749,7 +752,7 @@ class ExactStore(_StoreBase):
         super().__init__()
         self.inner = _inner if _inner is not None else ExactBurstStore()
         if _inner is not None and _inner._last_timestamp is not None:
-            self._t_end = float(_inner._last_timestamp)
+            self._t_end = float(_inner._last_timestamp) + 0.0  # see _ingest
 
     # -- ingest --------------------------------------------------------
     def _inner_update(self, event_id, timestamp, count) -> None:
@@ -862,28 +865,12 @@ class ExactStore(_StoreBase):
     # -- merge & codec -------------------------------------------------
     def merge(self, other: "ExactStore") -> "ExactStore":
         """Merge with another exact store (time ranges may interleave —
-        exact storage has no per-part state to offset)."""
+        exact storage has no per-part state to offset): one columnar
+        part whose runs concatenate, sorting only the events whose runs
+        interleave (see :meth:`ExactBurstStore.merged`)."""
         if not isinstance(other, ExactStore):
             raise InvalidParameterError("can only merge exact with exact")
-        lists: dict[int, list[float]] = defaultdict(list)
-        for part in (self, other):
-            for event_id, times in part.inner._items():
-                lists[event_id].extend(times)
-        for times in lists.values():
-            times.sort()
-        last = max(
-            (
-                s.inner._last_timestamp
-                for s in (self, other)
-                if s.inner._last_timestamp is not None
-            ),
-            default=None,
-        )
-        merged = ExactStore(
-            ExactBurstStore.from_lists(
-                lists, self.inner.count + other.inner.count, last
-            )
-        )
+        merged = ExactStore(ExactBurstStore.merged([self.inner, other.inner]))
         merged._t_end = max(self._t_end, other._t_end)
         return merged
 
@@ -901,13 +888,22 @@ class ExactStore(_StoreBase):
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "ExactStore":
+        """Decode a payload in O(events): each event's run becomes a
+        read-only ``float64`` view into the payload (into the segment's
+        mapping when opened lazily), not a copied list."""
+        if sys.byteorder != "little":
+            raise SerializationError(
+                "exact-store runs are little-endian float64 read in "
+                "place; this host is big-endian"
+            )
         config, payload = _unpack_config(data)
         header = struct.Struct("<QQ")
         if len(payload) < header.size:
             raise SerializationError("truncated exact-store payload")
         count, n_events = header.unpack_from(payload)
         offset = header.size
-        lists: dict[int, list[float]] = {}
+        view = memoryview(payload).toreadonly()
+        runs: dict[int, memoryview] = {}
         stored = 0
         for _ in range(n_events):
             if len(payload) < offset + 16:
@@ -917,9 +913,7 @@ class ExactStore(_StoreBase):
             end = offset + 8 * n_times
             if len(payload) < end:
                 raise SerializationError("truncated exact-store payload")
-            times = np.frombuffer(payload, dtype="<f8", count=n_times,
-                                  offset=offset)
-            lists[int(event_id)] = times.tolist()
+            runs[int(event_id)] = view[offset:end].cast("d")
             stored += n_times
             offset = end
         if offset != len(payload):
@@ -927,12 +921,12 @@ class ExactStore(_StoreBase):
                 f"{len(payload) - offset} trailing bytes after the last "
                 "exact-store event"
             )
-        if stored != count or len(lists) != n_events:
+        if stored != count or len(runs) != n_events:
             raise SerializationError(
                 f"exact-store header says {count} records of {n_events} "
-                f"events; the payload holds {stored} of {len(lists)}"
+                f"events; the payload holds {stored} of {len(runs)}"
             )
-        store = cls(ExactBurstStore.from_lists(lists, int(count), None))
+        store = cls(ExactBurstStore.from_columns(runs, int(count), None))
         store._restore_config(config)
         if store._t_end != float("-inf"):
             store.inner._last_timestamp = store._t_end
@@ -1099,9 +1093,15 @@ def _merged_level(
     cells_b: list,
 ) -> CMPBE | DirectPBEMap:
     """Merge two level sketches from their folded ``cells()``: a CM-PBE
-    grid cell by cell (same dimensions and seed), a direct map over the
-    union of ids."""
+    grid cell by cell (same dimensions, combiner and seed), a direct map
+    over the union of ids."""
     if isinstance(a, CMPBE) and isinstance(b, CMPBE):
+        if (a.width, a.depth, a.combiner, a.seed) != (
+            b.width, b.depth, b.combiner, b.seed,
+        ):
+            raise InvalidParameterError(
+                "grid dimensions/seed differ; cannot merge"
+            )
         merged_cells = iter(
             [_merge_cells(x, y) for x, y in zip(cells_a, cells_b)]
         )
@@ -1191,15 +1191,6 @@ class CMPBEStore(_SketchStore):
                 "backend)"
             )
         return _scan_hits(self, np.arange(self.universe_size), t, theta, tau)
-
-    def _check_merge(self, other: "CMPBEStore") -> None:
-        a, b = self.inner, other.inner
-        if (a.width, a.depth, a.combiner, a.seed) != (
-            b.width, b.depth, b.combiner, b.seed,
-        ):
-            raise InvalidParameterError(
-                "grid dimensions/seed differ; cannot merge"
-            )
 
     def _config(self) -> dict:
         config = super()._config()

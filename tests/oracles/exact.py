@@ -12,9 +12,11 @@ replaced, kept as the answers it must match byte for byte:
   and stacked list, summed in a dict in first-seen order, then a stable
   sort by falling burstiness;
 * :func:`copied_snapshot` — the O(memtable) snapshot that copied the
-  store's own per-event lists instead of bounding them.
+  store's own per-event lists instead of bounding them;
+* :func:`list_merged` — the merge that extended every event's lists in
+  part order and sorted each one, before merges concatenated columns.
 
-All four read a store's stacked lists through their bounds, in stack
+All five read a store's stacked lists through their bounds, in stack
 order, exactly as the replaced code read its (unbounded) lists.
 """
 
@@ -129,14 +131,37 @@ def bursty_events(
 def copied_snapshot(store: ExactBurstStore) -> ExactBurstStore:
     """A snapshot that copies the own table's lists (stacked tables and
     their bounds are shared, as before)."""
-    copy = ExactBurstStore.from_lists(
-        {
-            event_id: times.copy()
-            for event_id, times in store._timestamps.items()
-        },
-        store._count,
-        store._last_timestamp,
+    copy = ExactBurstStore()
+    copy._timestamps.update(
+        (event_id, times.copy())
+        for event_id, times in store._timestamps.items()
     )
+    copy._count = store._count
+    copy._last_timestamp = store._last_timestamp
     copy._tables = (*store._tables[:-1], copy._timestamps)
     copy._bounds = (*store._bounds[:-1], None)
     return copy
+
+
+def list_merged(stores: list[ExactBurstStore]) -> ExactBurstStore:
+    """The merge of ``stores`` as Python lists: every event's runs
+    extended in store and stack order, then each list sorted (stably,
+    so equal times keep that order)."""
+    lists: dict[int, list[float]] = defaultdict(list)
+    for store in stores:
+        for event_id, times in store._items():
+            lists[event_id].extend(times)
+    merged = ExactBurstStore()
+    merged._timestamps.update(
+        (event_id, sorted(times)) for event_id, times in lists.items()
+    )
+    merged._count = sum(store._count for store in stores)
+    merged._last_timestamp = max(
+        (
+            store._last_timestamp
+            for store in stores
+            if store._last_timestamp is not None
+        ),
+        default=None,
+    )
+    return merged

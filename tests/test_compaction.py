@@ -2,7 +2,8 @@
 
 Covers the tiering policy in isolation, end-to-end merge-down identity
 (answers bit-identical before/after compaction, across every backend
-with a lazy merge fast path), ``store.compact()`` racing background
+with a lazy merge fast path, and from views taken before the swap once
+its inputs are unlinked), ``store.compact()`` racing background
 seals and refusing on closed or failed stores, offline ``rebalance``
 round-trips, and the named errors that point users at
 ``repro rebalance`` when shard counts disagree.
@@ -11,6 +12,7 @@ round-trips, and the named errors that point users at
 from __future__ import annotations
 
 import math
+import mmap
 
 import numpy as np
 import pytest
@@ -184,6 +186,32 @@ class TestCompactionIdentity:
             store.seal()
             store.compact(fanin=4, min_segments=2)
             assert_matrix_identical(store, _oracle(ids, ts))
+
+    def test_views_taken_before_a_swap_answer_after_the_unlinks(
+        self, tmp_path
+    ):
+        # Exact segments are read in place from their mappings, which
+        # outlive the unlinked files of a compaction's inputs.
+        ids, ts = _stream(200)
+        directory = tmp_path / "store"
+        store = create_durable(directory, seal_elements=50, fsync="never")
+        with store:
+            store.extend_batch(ids, ts)
+            store.seal()
+            inputs = [directory / name for name in store._segment_names]
+            assert len(inputs) == 4  # one merge of fan-in 4 takes all
+            segments = list(store._segments)
+            run = next(iter(segments[0].inner._tables[0].values()))
+            assert isinstance(run.obj, mmap.mmap)  # a view, not a copy
+            view = store._read_view()
+            stacked = type(segments[0]).stack(segments)
+            assert store.compact(fanin=4, min_segments=2) >= 1
+            assert not any(path.exists() for path in inputs)
+            oracle = _oracle(ids, ts)
+            for old in (view, stacked):
+                assert_matrix_identical(old, oracle)
+                assert old.to_bytes() == oracle.to_bytes()
+            assert_matrix_identical(store, oracle)
 
     def test_compact_requires_directory(self):
         store = DurableBurstStore(None, seal_elements=10)

@@ -5,7 +5,9 @@ same bar: after ``recover()``, the store must answer the full query
 matrix bit-identically to an :class:`ExactStore` oracle fed the
 acknowledged prefix of the stream.
 
-* property tests truncating the WAL at arbitrary byte offsets,
+* property tests truncating the WAL at arbitrary byte offsets, and a
+  check that replaying each WAL as one batch leaves the memtable that
+  frame-by-frame replay left,
 * fault injection that raises mid-seal and mid-manifest-update,
 * a subprocess SIGKILL torture test (single store and 3 shards).
 """
@@ -44,6 +46,7 @@ from repro.core.store import (
     create_store,
     shard_routes,
 )
+from repro.core.wal import replay_wal
 
 UNIVERSE = 9
 TAU = 4.0
@@ -154,6 +157,52 @@ class TestTornWalProperty:
             final = recover(crashed)
             assert_matrix_identical(final, _oracle(ids, ts))
             final.close()
+
+
+class TestOneBatchPerWal:
+    """Recovery applies each replayed WAL as one batch; the memtable it
+    leaves must be byte-identical to applying the frames one by one."""
+
+    @pytest.mark.parametrize("backend", ["exact", "cm-pbe-1"])
+    @pytest.mark.parametrize("cut", [0, 5])
+    def test_one_batch_equals_frame_by_frame(self, tmp_path, backend, cut):
+        rng = np.random.default_rng(23)
+        n = 600
+        ids = rng.integers(0, UNIVERSE, n)
+        ts = np.sort(rng.integers(0, 300, n)).astype(np.float64)
+        counts = rng.integers(1, 4, n)
+        cfg = (
+            {}
+            if backend == "exact"
+            else dict(width=4, depth=2, eta=8, buffer_size=32)
+        )
+        live, crashed = tmp_path / "live", tmp_path / "crashed"
+        store = create_durable(
+            live, backend=backend, seal_elements=10**6, fsync="never", **cfg
+        )
+        # One frame per call: with counts, without, a single record.
+        edges = [0, 50, 130, 131, 260, 400, n]
+        for k, (lo, hi) in enumerate(zip(edges, edges[1:])):
+            store.extend_batch(
+                ids[lo:hi], ts[lo:hi], counts[lo:hi] if k % 2 else None
+            )
+        shutil.copytree(live, crashed)
+        store.close()
+        wal_path = _active_wal(crashed)
+        with open(wal_path, "r+b") as handle:
+            handle.truncate(os.path.getsize(wal_path) - cut)
+        replay = replay_wal(wal_path)
+        assert replay.torn == (cut > 0)
+        assert replay.frames == len(edges) - 1 - (cut > 0)
+        per_frame = create_store(backend, **cfg)
+        for frame in replay:
+            per_frame._ingest_batch(*frame)
+        recovered = recover(crashed)
+        try:
+            assert recovered.count == per_frame.count
+            assert save_store(recovered._memtable) == save_store(per_frame)
+        finally:
+            recovered.close()
 
 
 class _InjectedCrash(RuntimeError):

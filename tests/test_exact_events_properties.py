@@ -9,8 +9,9 @@ the tables' values sum by event id.  These tests pin, at zero tolerance
 per-event scan kept in :mod:`tests.oracles.exact`:
 
 * over plain, stacked, bounded-snapshot, snapshot-of-snapshot,
-  ``merge``-derived and ``from_bytes``-derived parts, and stores that
-  append after their log was derived;
+  ``merge``-derived and ``from_bytes``-derived parts, columnar parts
+  read in place by ``load_store`` and merged into one column, and stores
+  that append after their log was derived;
 * with ``theta <= 0`` (every seen event listed, zeros included), ids
   below zero and at or above ``2**31``, multi-mention records, query
   times that put records exactly at ``t - tau`` and ``t - 2 tau``, and
@@ -19,8 +20,8 @@ per-event scan kept in :mod:`tests.oracles.exact`:
   stack) and, through :class:`ExactStore`, in the canonical order;
 * while a writer thread appends to a snapshot's source and grows the
   log buffer under it, the snapshot keeps answering its own prefix;
-* a derived log, sorted one time slice at a time, equals one stable
-  argsort of the table's concatenated lists, whatever the slice size;
+* a columnar part's derived log equals one stable argsort of the
+  table's concatenated runs;
 * log columns in their own anonymous mappings (large logs) answer like
   heap-allocated ones.
 """
@@ -30,7 +31,6 @@ from __future__ import annotations
 import sys
 import threading
 from itertools import chain
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -39,6 +39,7 @@ from hypothesis import strategies as st
 
 from repro.baselines import exact
 from repro.baselines.exact import ExactBurstStore
+from repro.core.serialize import load_store, save_store
 from repro.core.store import ExactStore, _canonical_hits
 from tests.oracles import exact as oracle
 
@@ -56,6 +57,7 @@ LAYOUTS = [
     "merged",
     "merged+appended",
     "decoded",
+    "columnar",
 ]
 PROPERTIES = settings(
     max_examples=60,
@@ -168,6 +170,14 @@ def view_of(layout: str, ids, ts, counts, fractions) -> ExactStore:
                 ids[half:], ts[half:], _counts(counts, half, None)
             )
         return head
+    if layout == "columnar":
+        # Parts read in place from their save_store bytes, all but the
+        # last merged into one column, the last stacked on top of it.
+        loaded = [load_store(save_store(part), lazy=True) for part in parts]
+        merged = loaded[0]
+        for part in loaded[1:-1]:
+            merged = merged.merge(part)
+        return ExactStore.stack([merged, loaded[-1]])
     assert layout == "decoded"
     decoded = [ExactStore.from_bytes(part.to_bytes()) for part in parts]
     # A snapshot of a decoded part, whose source then appends.
@@ -378,7 +388,9 @@ def test_log_growth_keeps_the_prefix(count):
         )
 
 
-@pytest.mark.parametrize("layout", ["plain", "scalar", "merged", "decoded"])
+@pytest.mark.parametrize(
+    "layout", ["plain", "scalar", "merged", "decoded", "columnar"]
+)
 def test_mapped_columns_answer_like_heap_columns(monkeypatch, layout):
     rng = np.random.default_rng(5)
     ids = rng.choice(np.asarray(IDS), 3_000)
@@ -399,48 +411,39 @@ def test_mapped_columns_answer_like_heap_columns(monkeypatch, layout):
 @PROPERTIES
 @given(
     stream=record_streams(min_size=2, max_size=150),
-    layout=st.sampled_from(["merged", "decoded"]),
+    layout=st.sampled_from(["merged", "decoded", "columnar"]),
     fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
-    slice_records=st.sampled_from([2, 3, 8, 40, 1 << 16]),
-    stride=st.sampled_from([1, 2]),
     tau=st.sampled_from(TAUS),
 )
-def test_sliced_derivation_equals_one_stable_argsort(
-    stream, layout, fractions, slice_records, stride, tau
-):
+def test_derived_log_equals_one_stable_argsort(stream, layout, fractions, tau):
     ids, ts, counts = stream
-    with (
-        mock.patch.object(exact, "_SLICE_RECORDS", slice_records),
-        mock.patch.object(exact, "_SAMPLE_STRIDE", stride),
-    ):
-        store = view_of(layout, ids, ts, counts, fractions)
-        for table in store.inner._tables:
-            if not table or table.log is not None:
-                continue
-            lists = list(table.values())
-            flat = np.fromiter(chain.from_iterable(lists), np.float64)
-            order = np.argsort(flat, kind="stable")
-            owner = np.repeat(np.arange(len(lists)), [len(x) for x in lists])
-            log = exact._log_of(table)
-            assert log.ts[: log.n].tobytes() == flat[order].tobytes()
-            assert log.codes[: log.n].tolist() == owner[order].tolist()
-            assert log.keys == list(table)
-        for t in query_times(ts, tau):
-            assert bits(store.inner.bursty_events(t, 0.0, tau)) == bits(
-                oracle.bursty_events(store.inner, t, 0.0, tau)
-            )
+    store = view_of(layout, ids, ts, counts, fractions)
+    for table in store.inner._tables:
+        if not table or table.log is not None:
+            continue
+        lists = list(table.values())
+        flat = np.fromiter(chain.from_iterable(lists), np.float64)
+        order = np.argsort(flat, kind="stable")
+        owner = np.repeat(np.arange(len(lists)), [len(x) for x in lists])
+        log = exact._log_of(table)
+        assert log.ts[: log.n].tobytes() == flat[order].tobytes()
+        assert log.codes[: log.n].tolist() == owner[order].tolist()
+        assert log.keys == list(table)
+    for t in query_times(ts, tau):
+        assert bits(store.inner.bursty_events(t, 0.0, tau)) == bits(
+            oracle.bursty_events(store.inner, t, 0.0, tau)
+        )
 
 
-def test_sliced_derivation_keeps_tie_order_in_large_slices(monkeypatch):
-    # Tie-heavy: 20,000 records on 300 distinct times, so every slice
-    # holds long runs of equal times from many events.
-    monkeypatch.setattr(exact, "_SLICE_RECORDS", 2_048)
-    monkeypatch.setattr(exact, "_SAMPLE_STRIDE", 16)
+def test_derived_log_keeps_tie_order():
+    # Tie-heavy: 20,000 records on 300 distinct times, so the argsort
+    # meets long runs of equal times from many events.
     rng = np.random.default_rng(17)
     ts = np.sort(rng.integers(0, 300, 20_000)).astype(np.float64)
     ids = rng.choice(np.asarray(IDS), ts.size)
     store = _fed(ids, ts).merge(ExactStore())
-    table = store.inner._timestamps
+    table, own = store.inner._tables
+    assert not own
     lists = list(table.values())
     flat = np.fromiter(chain.from_iterable(lists), np.float64)
     order = np.argsort(flat, kind="stable")

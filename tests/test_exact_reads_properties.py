@@ -21,7 +21,12 @@ These tests pin, at zero tolerance (float bit patterns, ``0.0`` and
 * ``export_records``, ``to_bytes`` and ``merge`` of a bounded snapshot
   equal those of the copied snapshot it replaced;
 * a reader querying older snapshots while a writer thread appends gets
-  the answers of each snapshot's prefix.
+  the answers of each snapshot's prefix;
+* columnar parts (runs read in place by ``load_store``, merges that
+  concatenate one column) answer like the other layouts; merging
+  consecutive parts of any split equals one store fed everything,
+  ``save_store`` bytes included, and merging interleaved parts equals
+  the list merge it replaced; a loaded store accepts appends.
 """
 
 from __future__ import annotations
@@ -32,10 +37,12 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import exact
+from repro.core.errors import StreamOrderError
+from repro.core.serialize import load_store, save_store
 from repro.core.store import ExactStore
 from tests.oracles import exact as oracle
 
@@ -87,16 +94,29 @@ def _fed(ids, ts) -> ExactStore:
     return store
 
 
+def _columnar(parts: list[ExactStore]) -> ExactStore:
+    """``parts`` read in place from their ``save_store`` bytes, all but
+    the last merged into one column and the last stacked on top."""
+    loaded = [load_store(save_store(part), lazy=True) for part in parts]
+    merged = loaded[0]
+    for part in loaded[1:-1]:
+        merged = merged.merge(part)
+    return ExactStore.stack([merged, loaded[-1]])
+
+
 def view_of(layout: str, ids, ts, cuts) -> ExactStore:
     """A read view over the whole stream: one table (``plain``), a stack
-    of immutable parts (``stacked``), or parts under a bounded snapshot
-    of a store that kept appending (``bounded``)."""
+    of immutable parts (``stacked``), parts under a bounded snapshot
+    of a store that kept appending (``bounded``), or decoded and merged
+    columnar parts (``columnar``)."""
     if layout == "plain":
         return _fed(ids, ts)
     edges = [0, *sorted(int(c * len(ids)) for c in cuts), len(ids)]
     parts = [
         _fed(ids[lo:hi], ts[lo:hi]) for lo, hi in zip(edges, edges[1:])
     ]
+    if layout == "columnar":
+        return _columnar(parts)
     if layout == "bounded":
         live = parts.pop()
         parts.append(live.snapshot())
@@ -119,7 +139,7 @@ def live_store(ids, ts, layered: bool) -> ExactStore:
     return live
 
 
-layouts = st.sampled_from(["plain", "stacked", "bounded"])
+layouts = st.sampled_from(["plain", "stacked", "bounded", "columnar"])
 cut_lists = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3)
 
 
@@ -341,6 +361,12 @@ def test_bounded_snapshot_dumps_and_merges_like_a_copied_one(
     cuts=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
     tau=st.sampled_from(TAUS),
 )
+# The horizon of a stream ending 0.0, -0.0 must not depend on the split.
+@example(
+    stream=(np.zeros(4, dtype=np.int64), np.array([0.0, 0.0, 0.0, -0.0])),
+    cuts=[0.0, 1.0, 0.5],
+    tau=0.5,
+)
 def test_snapshot_of_a_snapshot_reads_through_stack(stream, cuts, tau):
     ids, ts = stream
     a, b, c = sorted(int(x * ids.size) for x in cuts)
@@ -418,3 +444,86 @@ def test_readers_of_old_snapshots_race_a_writer():
     finally:
         sys.setswitchinterval(interval)
     assert not failures
+
+
+# ----------------------------------------------------------------------
+# Columnar parts: decoded views and concatenating merges
+# ----------------------------------------------------------------------
+def _loaded(store: ExactStore, lazy: bool) -> ExactStore:
+    return load_store(save_store(store), lazy=lazy)
+
+
+@PROPERTIES
+@given(
+    stream=record_streams(),
+    cuts=cut_lists,
+    decoded=st.booleans(),
+    tau=st.sampled_from(TAUS),
+)
+def test_merging_consecutive_parts_equals_one_store(
+    stream, cuts, decoded, tau
+):
+    ids, ts = stream
+    edges = [0, *sorted(int(c * len(ids)) for c in cuts), len(ids)]
+    parts = [
+        _fed(ids[lo:hi], ts[lo:hi]) for lo, hi in zip(edges, edges[1:])
+    ]
+    if decoded:
+        parts = [_loaded(part, lazy=True) for part in parts]
+    merged = parts[0]
+    for part in parts[1:]:
+        merged = merged.merge(part)
+    whole = _fed(ids, ts)
+    times = panel(ts, tau)
+    assert surface(merged, tau, 1.0, times) == surface(whole, tau, 1.0, times)
+    assert save_store(merged) == save_store(whole)
+
+
+@PROPERTIES
+@given(
+    stream=record_streams(),
+    seed=st.integers(0, 2**32 - 1),
+    decoded=st.booleans(),
+    tau=st.sampled_from(TAUS),
+)
+def test_merging_interleaved_parts_sorts_like_the_lists(
+    stream, seed, decoded, tau
+):
+    ids, ts = stream
+    owner = np.random.default_rng(seed).integers(0, 3, ids.size)
+    parts = [_fed(ids[owner == k], ts[owner == k]) for k in range(3)]
+    if decoded:
+        parts = [_loaded(part, lazy=False) for part in parts]
+    merged = parts[0].merge(parts[1]).merge(parts[2])
+    reference = ExactStore(oracle.list_merged([part.inner for part in parts]))
+    reference._t_end = max(part._t_end for part in parts)
+    times = panel(ts, tau)
+    got = surface(merged, tau, 1.0, times)
+    assert got == surface(reference, tau, 1.0, times)
+    assert save_store(merged) == save_store(reference)
+    if not np.signbit(ts).any():
+        # Equal times are then bit-equal, so part order and stream order
+        # give the same lists: the merge equals one store fed everything.
+        assert got == surface(_fed(ids, ts), tau, 1.0, times)
+        assert save_store(merged) == save_store(_fed(ids, ts))
+
+
+@PROPERTIES
+@given(
+    stream=record_streams(min_size=2),
+    split=st.floats(0.0, 1.0),
+    lazy=st.booleans(),
+    tau=st.sampled_from(TAUS),
+)
+def test_a_loaded_store_accepts_appends(stream, split, lazy, tau):
+    ids, ts = stream
+    cut = max(1, int(split * ids.size))
+    loaded = _loaded(_fed(ids[:cut], ts[:cut]), lazy)
+    with pytest.raises(StreamOrderError):
+        loaded.update(0, float(ts[cut - 1]) - 1.0)
+    if cut < ids.size:
+        loaded.extend_batch(ids[cut:], ts[cut:])
+    times = panel(ts, tau)
+    assert surface(loaded, tau, 1.0, times) == surface(
+        _fed(ids, ts), tau, 1.0, times
+    )

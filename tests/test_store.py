@@ -289,6 +289,30 @@ class TestMerge:
         with pytest.raises(InvalidParameterError):
             a.merge(b)
 
+    @pytest.mark.parametrize(
+        "geometry_b",
+        [
+            dict(width=8, depth=3, seed=5),  # merged silently, seed 0 kept
+            dict(width=4, depth=3, seed=0),  # a bare StopIteration
+        ],
+        ids=["seed", "width"],
+    )
+    def test_index_merge_refuses_other_level_geometry(self, geometry_b):
+        rng = np.random.default_rng(0)
+        ids = rng.integers(0, 64, 300)
+
+        def index(lo, **geometry):
+            store = create_store("index", universe_size=64, **geometry)
+            store.extend_batch(ids, np.sort(rng.uniform(lo, lo + 100, 300)))
+            return store
+
+        a = index(0.0, width=8, depth=3, seed=0)
+        b = index(200.0, **geometry_b)
+        with pytest.raises(
+            InvalidParameterError, match="grid dimensions/seed differ"
+        ):
+            a.merge(b)
+
 
 class TestAnalyzerFacade:
     def test_analyzer_wraps_prebuilt_store(self):
