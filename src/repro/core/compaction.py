@@ -11,14 +11,14 @@ Hokusai-style stores use to keep unbounded streams bounded:
   bucketed into factor-of-four byte-size tiers (:func:`size_tier`);
   the plan picks the leftmost maximal run of *adjacent* same-tier
   segments on the smallest tier, capped at ``fanin`` inputs.  Only
-  adjacent segments may merge: the read path folds segments left to
-  right over consecutive disjoint time ranges, and store merges are
-  associative, so replacing an adjacent run with its merge preserves
-  every fold result bit-for-bit.
+  adjacent segments may merge, in time order.  Regrouping merges keeps
+  exact and PBE-1 answers bit for bit (integer offsets); PBE-2 answers
+  may move by rounding (8.5e-14 at most in ``tests/test_merge_contract``
+  measurements, which pin a 1e-12 bound).
 * :func:`merge_pass` — one merge: it merges the planned run through
-  :func:`~repro.core.parallel.merge_stores` (which dispatches to the
-  lazy zero-copy ``merge_pbe1``/``merge_pbe2`` fast paths for PBE
-  children), writes the merged segment atomically under a name
+  :func:`~repro.core.parallel.merge_stores` in one n-part call (which
+  reaches the lazy zero-copy ``merge_pbe1``/``merge_pbe2`` fast paths
+  for PBE children), writes the merged segment atomically under a name
   reserved from the store, then commits one atomic manifest swap
   through the store's segment commit — the same one every seal uses:
   new segment in, inputs out, inputs listed in the manifest's

@@ -24,8 +24,10 @@ an explicit lifecycle, the shape Hokusai-style segment stores use:
   append-only memtable lists up to their current lengths, so a read
   after a write costs O(events), not O(memtable) or O(history).  A
   sketch child's ``snapshot`` is its codec round trip and its
-  ``stack`` the left fold of its ``merge`` — the §III-A time-range
-  merge contract.  The view is cached until the next state change.
+  ``stack`` one n-part merge (:func:`~repro.core.parallel.merge_stores`)
+  — the §III-A time-range merge contract.  The committed segments are
+  merged into one sealed view the same way, once per change of the
+  segment list.  The view is cached until the next state change.
 
 Crash recovery (``resume=True`` / :func:`recover`) opens the manifest's
 segments and replays the WAL tail written after the last seal, each
@@ -141,6 +143,7 @@ from repro.core.errors import (
     UnknownBackendError,
 )
 from repro.core.metrics import global_registry
+from repro.core.parallel import merge_stores
 from repro.core.serialize import atomic_write_bytes, open_store, save_store
 from repro.core.store import (
     ShardedBurstStore,
@@ -472,14 +475,13 @@ class DurableBurstStore(_StoreBase):
         self._closed = False
         # Read-view caches, invalidated only by _invalidate_views_locked:
         # the full view (valid while _view_version == _version), the
-        # immutable parts under the memtable, and the incremental fold
-        # of the (append-only) segment list.
+        # immutable parts under the memtable, and the merge of the
+        # segment list.
         self._version = 0
         self._view = None
         self._view_version = -1
         self._lower: list | None = None
         self._sealed_view = None
-        self._sealed_folded = 0
         # Inputs of a committed compaction swap whose files are not yet
         # deleted; persisted in the manifest so recovery drains them.
         self._tombstones: list[str] = []
@@ -702,7 +704,7 @@ class DurableBurstStore(_StoreBase):
         self._cleanup_stale_wals()
         with self._span("manifest.commit"):
             self._write_manifest()
-        self._invalidate_views_locked(spliced=True)
+        self._invalidate_views_locked(segments=True)
         self._recoveries_total.inc()
         self._segment_gauge.set(len(self._segments))
         sp.set_attribute("replayed_records", total_records)
@@ -916,7 +918,7 @@ class DurableBurstStore(_StoreBase):
                 self._memtable_elements = 0
             self._seals_total.inc()
             self._segment_gauge.set(len(self._segments))
-            self._invalidate_views_locked()
+            self._invalidate_views_locked(segments=True)
             return
         try:
             if self.background_seal:
@@ -1091,7 +1093,7 @@ class DurableBurstStore(_StoreBase):
             self._reserved.discard(name)
             self._pending = pending
             self._tombstones = tombstones
-            self._invalidate_views_locked(spliced=bool(replaces))
+            self._invalidate_views_locked(segments=True)
             self._segment_gauge.set(len(self._segments))
             self._update_seal_gauges_locked()
             inputs = [os.path.join(self.directory, n) for n in replaces]
@@ -1231,24 +1233,23 @@ class DurableBurstStore(_StoreBase):
                     job.old_wal.close()
             # A closed store that is still referenced must not pin a
             # merged copy of its history; a later read rebuilds it.
-            self._invalidate_views_locked(spliced=True)
+            self._invalidate_views_locked(segments=True)
             self._view = None
 
     # -- read path -----------------------------------------------------
     def _invalidate_views_locked(
-        self, *, parts: bool = True, spliced: bool = False
+        self, *, parts: bool = True, segments: bool = False
     ) -> None:
         """Invalidate the read-view caches after a state change.
 
         The one place they are invalidated (store lock held).  An
         append or ``finalize`` changes only the memtable
         (``parts=False``): the next read takes a new memtable part over
-        the cached lower parts.  A freeze or a seal commit changes the
-        pending or segment list, so the lower parts go too; the
-        incremental sealed fold stays valid because a seal only appends
-        a segment.  A compaction swap splices the segment list and
-        recovery rebuilds it (``spliced=True``): the sealed fold
-        restarts from scratch.
+        the cached lower parts.  A freeze changes only the pending list,
+        so the lower parts go but the merged sealed view stays.  A seal
+        commit, a compaction swap or a recovery changes the segment list
+        (``segments=True``): the sealed view goes too, and the next read
+        merges the new list in one call.
 
         A stale view is only *marked* stale here: the reader that
         replaces it releases it, so the write path never pays for
@@ -1257,25 +1258,23 @@ class DurableBurstStore(_StoreBase):
         self._version += 1
         if parts:
             self._lower = None
-        if spliced:
+        if segments:
             self._sealed_view = None
-            self._sealed_folded = 0
 
-    def _fold_sealed_locked(self):
-        if self._sealed_folded != len(self._segments):
-            view = self._sealed_view
-            for segment in self._segments[self._sealed_folded :]:
-                view = segment if view is None else view.merge(segment)
-            self._sealed_view = view
-            self._sealed_folded = len(self._segments)
+    def _sealed_view_locked(self):
+        """The committed segments as one store (``None`` if there are
+        none): their n-part merge, cached until the segment list
+        changes; a single segment is its own view."""
+        if self._sealed_view is None and self._segments:
+            self._sealed_view = merge_stores(self._segments)
         return self._sealed_view
 
     def _lower_parts_locked(self) -> list:
         """The immutable parts under the memtable as at most one store,
-        cached until the segment or pending list changes: the folded
+        cached until the segment or pending list changes: the merged
         sealed view and the frozen pending generations, stacked."""
         if self._lower is None:
-            parts = [self._fold_sealed_locked()]
+            parts = [self._sealed_view_locked()]
             parts.extend(job.store for job in self._pending)
             parts = [part for part in parts if part is not None]
             if len(parts) > 1:
@@ -1395,38 +1394,34 @@ class DurableBurstStore(_StoreBase):
             )
 
     # -- merge & codec -------------------------------------------------
-    def merge(self, other: "DurableBurstStore") -> "DurableBurstStore":
-        """Merge two durable stores over consecutive time ranges.
-
-        The result is ephemeral: its segment list is the concatenation
-        of both parts' sealed segments plus snapshots of their live
-        memtables (parts stay usable and un-aliased afterwards).
-        """
-        if not isinstance(other, DurableBurstStore):
+    @classmethod
+    def _merged(cls, parts: list["DurableBurstStore"]) -> "DurableBurstStore":
+        """Durable stores over consecutive time ranges as one ephemeral
+        store whose segments are every part's sealed segments and a
+        snapshot of its live memtable, in order (the parts stay usable
+        and un-aliased afterwards).  Every part must have the first's
+        child backend and child configuration."""
+        first = parts[0]
+        child = (first.child_backend, first.child_cfg)
+        if any((p.child_backend, p.child_cfg) != child for p in parts):
             raise InvalidParameterError(
-                "can only merge durable with durable"
+                "child backends or configurations differ; cannot merge"
             )
-        if self.child_backend != other.child_backend:
-            raise InvalidParameterError(
-                "child backends differ; cannot merge"
-            )
-        parts = []
-        for store in (self, other):
+        segments = []
+        for store in parts:
             with store._lock:
-                parts.extend(store._parts_locked())
+                segments.extend(store._parts_locked())
                 memtable = store._memtable_part_locked()
                 if memtable is not None:
-                    parts.append(memtable)
-        merged = DurableBurstStore(
+                    segments.append(memtable)
+        return cls(
             None,
-            backend=self.child_backend,
-            seal_elements=self.seal_elements,
-            fsync=self.fsync_policy,
-            _segments=parts,
-            **self.child_cfg,
+            backend=first.child_backend,
+            seal_elements=first.seal_elements,
+            fsync=first.fsync_policy,
+            _segments=segments,
+            **first.child_cfg,
         )
-        merged._t_end = max(self._t_end, other._t_end)
-        return merged
 
     def _config(self) -> dict:
         config = super()._config()

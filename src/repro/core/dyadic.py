@@ -98,6 +98,23 @@ class BurstyEventIndex:
                 )
         self._point_queries_issued = 0
 
+    @classmethod
+    def from_levels(
+        cls, universe_size: int, levels: list[CMPBE | DirectPBEMap]
+    ) -> "BurstyEventIndex":
+        """An index over already-built level sketches, leaf level first
+        (as a decoder or a merge produces them): no cell is built."""
+        index = cls.__new__(cls)
+        index.universe_size = universe_size
+        index.decomposition = DyadicDecomposition(universe_size)
+        if len(levels) != index.n_levels:
+            raise InvalidParameterError(
+                "level count mismatch (corrupt payload?)"
+            )
+        index._levels = list(levels)
+        index._point_queries_issued = 0
+        return index
+
     # ------------------------------------------------------------------
     @classmethod
     def with_pbe1(

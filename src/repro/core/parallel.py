@@ -8,6 +8,11 @@ cumulative counts), and the parts merged by offsetting each part's counts
 by everything that came before it.  This module implements that merge for
 both sketches plus a chunked builder that can fan the chunks out to a
 process pool.
+
+Every merge takes n parts in one call and copies each part once; for
+whole stores :func:`merge_stores` hands them to the backend's one merge
+hook.  It saves the same bytes as merging two at a time from the left:
+the same integer offsets, and the same previous end for PBE-2's clip.
 """
 
 from __future__ import annotations
@@ -145,27 +150,24 @@ def _build_pbe2_chunk(args: tuple[np.ndarray, float, float]) -> PBE2:
     return sketch
 
 
-def _chunks(timestamps: Sequence[float], n_chunks: int) -> list[np.ndarray]:
-    """Split into ~equal numpy chunks, never splitting a run of equal
-    timestamps (a straddled timestamp would make the parts overlap).
-
-    Chunks are contiguous float64 arrays, which ship to pool workers as
-    compact buffers instead of per-element Python tuples.
-    """
+def _chunk_bounds(timestamps, n_chunks: int) -> list[tuple[int, int]]:
+    """``(start, stop)`` bounds of ~equal time-contiguous chunks of the
+    sorted ``timestamps``, never splitting a run of equal timestamps (a
+    straddled timestamp would make the parts overlap).  Builders copy
+    each chunk to one contiguous float64 array, a compact pool job."""
     if n_chunks <= 0:
         raise InvalidParameterError("n_chunks must be > 0")
-    ts = np.ascontiguousarray(timestamps, dtype=np.float64)
-    size = max(1, ts.size // n_chunks)
-    out = []
+    total = len(timestamps)
+    size = max(1, total // n_chunks)
+    bounds = []
     start = 0
-    total = ts.size
     while start < total:
         end = min(start + size, total)
-        while end < total and ts[end] == ts[end - 1]:
+        while end < total and timestamps[end] == timestamps[end - 1]:
             end += 1
-        out.append(ts[start:end].copy())
+        bounds.append((start, end))
         start = end
-    return out
+    return bounds
 
 
 def build_pbe1_chunked(
@@ -180,8 +182,11 @@ def build_pbe1_chunked(
     With ``n_workers > 1`` the chunks are built in a process pool —
     the paper's suggested throughput optimization.
     """
-    chunks = _chunks(timestamps, n_chunks)
-    jobs = [(chunk, eta, buffer_size) for chunk in chunks]
+    ts = np.ascontiguousarray(timestamps, dtype=np.float64)
+    jobs = [
+        (ts[start:stop].copy(), eta, buffer_size)
+        for start, stop in _chunk_bounds(ts, n_chunks)
+    ]
     if n_workers > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             parts = list(pool.map(_build_pbe1_chunk, jobs))
@@ -198,8 +203,11 @@ def build_pbe2_chunked(
     n_workers: int = 1,
 ) -> PBE2:
     """Build a PBE-2 by summarizing time chunks independently and merging."""
-    chunks = _chunks(timestamps, n_chunks)
-    jobs = [(chunk, gamma, unit) for chunk in chunks]
+    ts = np.ascontiguousarray(timestamps, dtype=np.float64)
+    jobs = [
+        (ts[start:stop].copy(), gamma, unit)
+        for start, stop in _chunk_bounds(ts, n_chunks)
+    ]
     if n_workers > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             parts = list(pool.map(_build_pbe2_chunk, jobs))
@@ -212,43 +220,26 @@ def build_pbe2_chunked(
 # Whole-store parallel construction through the backend registry
 # ----------------------------------------------------------------------
 def merge_stores(parts: Sequence) -> "object":
-    """Fold time-range parts of any mergeable backend into one store.
+    """Merge time-range parts of one backend into one store.
 
-    Parts must be in time order, each having summarized its own chunk;
-    they fold left through :meth:`~repro.core.store.BurstStore.merge`.
+    Parts must be in time order, each having summarized its own chunk,
+    and all of one backend class; the class's ``_merged`` hook merges
+    every part in one call (the §III-A merge: each part's counts are
+    offset by the total of every earlier part).  A single part is
+    returned as it is.  The merged store's horizon is the latest part's.
     """
     if not parts:
         raise InvalidParameterError("need at least one part")
-    merged = parts[0]
-    for part in parts[1:]:
-        merged = merged.merge(part)
-    return merged
-
-
-def _record_chunks(
-    event_ids: np.ndarray, timestamps: np.ndarray, n_chunks: int
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Split a record batch into time-contiguous chunks, never splitting
-    a run of equal timestamps (a straddled timestamp would overlap)."""
-    if n_chunks <= 0:
-        raise InvalidParameterError("n_chunks must be > 0")
-    ids = np.ascontiguousarray(event_ids)
-    ts = np.ascontiguousarray(timestamps, dtype=np.float64)
-    if ids.shape != ts.shape:
+    cls = type(parts[0])
+    if any(type(part) is not cls for part in parts):
         raise InvalidParameterError(
-            "event_ids and timestamps must have equal length"
+            f"cannot merge parts of another class with {cls.__name__}"
         )
-    size = max(1, ts.size // n_chunks)
-    out = []
-    start = 0
-    total = ts.size
-    while start < total:
-        end = min(start + size, total)
-        while end < total and ts[end] == ts[end - 1]:
-            end += 1
-        out.append((ids[start:end].copy(), ts[start:end].copy()))
-        start = end
-    return out
+    if len(parts) == 1:
+        return parts[0]
+    merged = cls._merged(list(parts))
+    merged._t_end = max(part._t_end for part in parts)
+    return merged
 
 
 def _build_store_chunk(
@@ -289,9 +280,13 @@ def build_store_chunked(
 
     ids = np.asarray(event_ids)
     ts = np.asarray(timestamps, dtype=np.float64)
+    if ids.shape != ts.shape:
+        raise InvalidParameterError(
+            "event_ids and timestamps must have equal length"
+        )
     jobs = [
-        (backend, cfg, chunk_ids, chunk_ts)
-        for chunk_ids, chunk_ts in _record_chunks(ids, ts, n_chunks)
+        (backend, cfg, ids[start:stop].copy(), ts[start:stop].copy())
+        for start, stop in _chunk_bounds(ts, n_chunks)
     ]
     if n_workers > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:

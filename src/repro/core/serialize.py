@@ -738,13 +738,6 @@ def load_index(data: bytes):
     magic, universe_size, n_levels = header.unpack_from(data)
     if magic != _INDEX_MAGIC:
         raise InvalidParameterError("not a BurstyEventIndex payload")
-    index = BurstyEventIndex.with_pbe1(
-        int(universe_size), eta=2, width=1, depth=1
-    )
-    if index.n_levels != n_levels:
-        raise InvalidParameterError(
-            "level count mismatch (corrupt payload?)"
-        )
     offset = header.size
     levels = []
     for _ in range(n_levels):
@@ -758,8 +751,7 @@ def load_index(data: bytes):
             levels.append(load_direct_map(payload))
         else:
             raise InvalidParameterError("unknown index level kind")
-    index._levels = levels
-    return index
+    return BurstyEventIndex.from_levels(int(universe_size), levels)
 
 
 # ----------------------------------------------------------------------

@@ -122,8 +122,9 @@ class BurstStore(Protocol):
     timestamp)`` mentions and answers the paper's three historical
     queries.  ``merge`` combines two stores built over *consecutive,
     disjoint* time ranges of the same stream (the §III-A parallel-build
-    contract); ``to_bytes``/``from_bytes`` are the payload codec that the
-    envelope in :mod:`repro.core.serialize` wraps.
+    contract; :func:`~repro.core.parallel.merge_stores` takes any number
+    of such parts); ``to_bytes``/``from_bytes`` are the payload codec
+    that the envelope in :mod:`repro.core.serialize` wraps.
     """
 
     backend_key: str
@@ -313,20 +314,14 @@ def _cell_elements(cell) -> int:
     return 0
 
 
-def _merge_cells(a, b):
-    """Merge two time-disjoint cells of the same PBE kind."""
-    if isinstance(a, PBE1) and isinstance(b, PBE1):
-        return merge_pbe1([a, b])
-    if isinstance(a, PBE2) and isinstance(b, PBE2):
-        return merge_pbe2([a, b])
+def _merged_cell(cells: Sequence):
+    """Time-disjoint cells of one PBE kind merged in time order; a lone
+    cell is copied, so a merged store never shares a part's state."""
+    if all(isinstance(cell, PBE1) for cell in cells):
+        return merge_pbe1(cells)
+    if all(isinstance(cell, PBE2) for cell in cells):
+        return merge_pbe2(cells)
     raise InvalidParameterError("cannot merge cells of different PBE kinds")
-
-
-def _copy_cell(cell):
-    """An independent copy of a cell (single-part merge copies state)."""
-    if isinstance(cell, PBE1):
-        return merge_pbe1([cell])
-    return merge_pbe2([cell])
 
 
 def _pack_config(config: dict, payload: bytes) -> bytes:
@@ -716,9 +711,20 @@ class _StoreBase:
     @classmethod
     def stack(cls, parts: Sequence["_StoreBase"]) -> "_StoreBase":
         """One store answering over immutable parts built on consecutive
-        time ranges, oldest first: the left fold of :meth:`merge`
+        time ranges, oldest first: their n-part merge
         (:func:`~repro.core.parallel.merge_stores`)."""
         return merge_stores(parts)
+
+    def merge(self, other: "_StoreBase") -> "_StoreBase":
+        """This store then ``other`` as one new store."""
+        return merge_stores([self, other])
+
+    @classmethod
+    def _merged(cls, parts: list["_StoreBase"]) -> "_StoreBase":
+        """The backend's one merge: 2+ checked parts of this class, in
+        time order, as one new store sharing no mutable state with them
+        (only :func:`~repro.core.parallel.merge_stores` calls it)."""
+        raise NotImplementedError
 
     # Subclass hooks ---------------------------------------------------
     def _inner_update(self, event_id, timestamp, count) -> None:
@@ -863,16 +869,13 @@ class ExactStore(_StoreBase):
         return view
 
     # -- merge & codec -------------------------------------------------
-    def merge(self, other: "ExactStore") -> "ExactStore":
-        """Merge with another exact store (time ranges may interleave —
-        exact storage has no per-part state to offset): one columnar
-        part whose runs concatenate, sorting only the events whose runs
-        interleave (see :meth:`ExactBurstStore.merged`)."""
-        if not isinstance(other, ExactStore):
-            raise InvalidParameterError("can only merge exact with exact")
-        merged = ExactStore(ExactBurstStore.merged([self.inner, other.inner]))
-        merged._t_end = max(self._t_end, other._t_end)
-        return merged
+    @classmethod
+    def _merged(cls, parts: list["ExactStore"]) -> "ExactStore":
+        """One columnar part whose runs concatenate, sorting only the
+        events whose runs interleave (time ranges may interleave — exact
+        storage has no per-part state to offset; see
+        :meth:`ExactBurstStore.merged`)."""
+        return cls(ExactBurstStore.merged([part.inner for part in parts]))
 
     def to_bytes(self) -> bytes:
         out = io.BytesIO()
@@ -945,12 +948,9 @@ class _SketchStore(_StoreBase):
     bursty-time queries from the leaf level, and merges level by level
     under the §III-A time-range merge.  A subclass supplies its
     constructor, ``_bursty_events``, its extra merge check, how to
-    rebuild ``inner`` from merged levels, and its codec pair
+    wrap merged levels as ``inner``, and its codec pair
     (``_dump``/``_load``).
     """
-
-    #: What the refused-merge message calls this backend.
-    _kind: str
 
     def __init__(self, spec: _CellSpec, inner) -> None:
         super().__init__()
@@ -1040,35 +1040,34 @@ class _SketchStore(_StoreBase):
         """Backend-specific merge preconditions beyond the cell spec."""
 
     def _inner_from_levels(self, levels: list):
-        """``inner`` rebuilt around merged level sketches."""
+        """``inner`` around merged level sketches (no cells built)."""
         (level,) = levels
         return level
 
-    def merge(self, other: "_SketchStore") -> "_SketchStore":
-        """Level-wise merge of two sketches built over consecutive,
-        disjoint time ranges.
+    @classmethod
+    def _merged(cls, parts: list["_SketchStore"]) -> "_SketchStore":
+        """Level-wise merge of sketches built over consecutive, disjoint
+        time ranges.
 
-        The live cells of both operands are folded on scratch copies in
-        one batched call first, so merging never mutates a live sketch.
+        The live cells of every part are folded on scratch copies in one
+        batched call first, so merging never mutates a live sketch.
         """
-        if not isinstance(other, type(self)):
-            raise InvalidParameterError(
-                f"can only merge {self._kind} with {self._kind}"
-            )
-        if not self.spec.matches(other.spec):
-            raise InvalidParameterError("cell specs differ; cannot merge")
-        self._check_merge(other)
-        pairs = list(zip(self._levels(), other._levels()))
-        folded = iter(folded_sketch_cells([s for pair in pairs for s in pair]))
-        levels = [
-            _merged_level(a, b, next(folded), next(folded))
-            for a, b in pairs
-        ]
-        merged = self._adopt(
-            self._inner_from_levels(levels), self.spec, self._config()
+        first = parts[0]
+        for part in parts[1:]:
+            if not first.spec.matches(part.spec):
+                raise InvalidParameterError("cell specs differ; cannot merge")
+            first._check_merge(part)
+        per_level = list(zip(*(part._levels() for part in parts)))
+        folded = iter(
+            folded_sketch_cells([s for levels in per_level for s in levels])
         )
-        merged._t_end = max(self._t_end, other._t_end)
-        return merged
+        levels = [
+            _merged_level(levels, [next(folded) for _ in levels])
+            for levels in per_level
+        ]
+        return cls._adopt(
+            first._inner_from_levels(levels), first.spec, first._config()
+        )
 
     def _config(self) -> dict:
         config = super()._config()
@@ -1087,48 +1086,41 @@ class _SketchStore(_StoreBase):
 
 
 def _merged_level(
-    a: CMPBE | DirectPBEMap,
-    b: CMPBE | DirectPBEMap,
-    cells_a: list,
-    cells_b: list,
+    levels: list[CMPBE | DirectPBEMap], cells: list[list]
 ) -> CMPBE | DirectPBEMap:
-    """Merge two level sketches from their folded ``cells()``: a CM-PBE
-    grid cell by cell (same dimensions, combiner and seed), a direct map
-    over the union of ids."""
-    if isinstance(a, CMPBE) and isinstance(b, CMPBE):
-        if (a.width, a.depth, a.combiner, a.seed) != (
-            b.width, b.depth, b.combiner, b.seed,
-        ):
+    """Merge one level sketch per part from their folded ``cells()``: a
+    CM-PBE grid cell by cell (every part with the same dimensions,
+    combiner and seed), a direct map over the union of ids."""
+    first = levels[0]
+    if all(isinstance(level, CMPBE) for level in levels):
+        geometry = {
+            (level.width, level.depth, level.combiner, level.seed)
+            for level in levels
+        }
+        if len(geometry) > 1:
             raise InvalidParameterError(
                 "grid dimensions/seed differ; cannot merge"
             )
-        merged_cells = iter(
-            [_merge_cells(x, y) for x, y in zip(cells_a, cells_b)]
-        )
-        level = CMPBE(
+        merged_cells = iter([_merged_cell(column) for column in zip(*cells)])
+        merged = CMPBE(
             cell_factory=lambda: next(merged_cells),
-            width=a.width,
-            depth=a.depth,
-            combiner=a.combiner,
-            seed=a.seed,
+            width=first.width,
+            depth=first.depth,
+            combiner=first.combiner,
+            seed=first.seed,
         )
-    elif isinstance(a, DirectPBEMap) and isinstance(b, DirectPBEMap):
-        by_id_a = dict(zip(a._cells, cells_a))
-        by_id_b = dict(zip(b._cells, cells_b))
-        level = DirectPBEMap(a._cell_factory)
-        for event_id in sorted(set(by_id_a) | set(by_id_b)):
-            cell_a = by_id_a.get(event_id)
-            cell_b = by_id_b.get(event_id)
-            if cell_a is not None and cell_b is not None:
-                level._cells[event_id] = _merge_cells(cell_a, cell_b)
-            else:
-                level._cells[event_id] = _copy_cell(
-                    cell_a if cell_a is not None else cell_b
-                )
+    elif all(isinstance(level, DirectPBEMap) for level in levels):
+        by_id: dict[int, list] = {}
+        for level, level_cells in zip(levels, cells):
+            for event_id, cell in zip(level._cells, level_cells):
+                by_id.setdefault(event_id, []).append(cell)
+        merged = DirectPBEMap(first._cell_factory)
+        for event_id in sorted(by_id):
+            merged._cells[event_id] = _merged_cell(by_id[event_id])
     else:
         raise InvalidParameterError("level layouts differ; cannot merge")
-    level._count = a.count + b.count
-    return level
+    merged._count = sum(level.count for level in levels)
+    return merged
 
 
 # ----------------------------------------------------------------------
@@ -1141,7 +1133,6 @@ class CMPBEStore(_SketchStore):
     configured); use the ``index`` backend for the pruned §V descent.
     """
 
-    _kind = "CM-PBE"
     _dump = staticmethod(dump_cmpbe)
     _load = staticmethod(load_cmpbe)
 
@@ -1216,7 +1207,6 @@ class DirectMapStore(_SketchStore):
     """
 
     backend_key = "direct"
-    _kind = "direct map"
     _dump = staticmethod(dump_direct_map)
     _load = staticmethod(load_direct_map)
 
@@ -1255,7 +1245,6 @@ class DyadicIndexStore(_SketchStore):
     """
 
     backend_key = "index"
-    _kind = "index"
     _dump = staticmethod(dump_index)
     _load = staticmethod(load_index)
 
@@ -1313,17 +1302,7 @@ class DyadicIndexStore(_SketchStore):
             raise InvalidParameterError("universe sizes differ; cannot merge")
 
     def _inner_from_levels(self, levels: list) -> BurstyEventIndex:
-        leaf = self._leaf
-        inner = BurstyEventIndex(
-            self.universe_size,
-            cell_factory=self.spec.factory(),
-            width=getattr(leaf, "width", 1),
-            depth=getattr(leaf, "depth", 1),
-            combiner=getattr(leaf, "combiner", "median"),
-            seed=getattr(leaf, "seed", 0),
-        )
-        inner._levels = levels
-        return inner
+        return BurstyEventIndex.from_levels(self.universe_size, levels)
 
 
 # ----------------------------------------------------------------------
@@ -1349,8 +1328,8 @@ class ShardedBurstStore(_StoreBase):
     routed to the owning shard; bursty-event queries fan out to every
     shard and keep only hits the shard owns (a child summarizing the
     whole universe reports nothing for ids routed elsewhere beyond hash
-    noise, which the ownership filter removes).  ``merge`` combines two
-    sharded stores shard-by-shard, so parallel time-range builds compose
+    noise, which the ownership filter removes).  A merge combines
+    sharded stores shard by shard, so parallel time-range builds compose
     with id-space partitioning.
     """
 
@@ -1611,30 +1590,24 @@ class ShardedBurstStore(_StoreBase):
         return sum(shard.size_in_bytes() for shard in self.shards)
 
     # -- merge & codec -------------------------------------------------
-    def merge(self, other: "ShardedBurstStore") -> "ShardedBurstStore":
-        """Shard-wise merge (same shard count and child config required)."""
-        if not isinstance(other, ShardedBurstStore):
-            raise InvalidParameterError(
-                "can only merge sharded with sharded"
-            )
-        if (
-            self.n_shards != other.n_shards
-            or self.child_backend != other.child_backend
-        ):
-            raise InvalidParameterError(
-                "shard layouts differ; cannot merge"
-            )
+    @classmethod
+    def _merged(cls, parts: list["ShardedBurstStore"]) -> "ShardedBurstStore":
+        """Shard-wise merge (same shard count and child backend
+        required): shard ``i`` of the result merges shard ``i`` of every
+        part."""
+        first = parts[0]
+        if len({(part.n_shards, part.child_backend) for part in parts}) > 1:
+            raise InvalidParameterError("shard layouts differ; cannot merge")
         children = [
-            a.merge(b) for a, b in zip(self.shards, other.shards)
+            merge_stores(list(shards))
+            for shards in zip(*(part.shards for part in parts))
         ]
-        merged = ShardedBurstStore(
-            shards=self.n_shards,
-            backend=self.child_backend,
+        return cls(
+            shards=first.n_shards,
+            backend=first.child_backend,
             _children=children,
-            **self.child_cfg,
+            **first.child_cfg,
         )
-        merged._t_end = max(self._t_end, other._t_end)
-        return merged
 
     def _config(self) -> dict:
         config = super()._config()

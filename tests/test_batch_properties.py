@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.cmpbe import CMPBE, DirectPBEMap
-from repro.core.parallel import _chunks, merge_pbe1
+from repro.core.parallel import _chunk_bounds, merge_pbe1
 from repro.core.pbe1 import PBE1
 from repro.core.pbe2 import PBE2
 from repro.sketch.countmin import CountMinSketch
@@ -464,7 +464,7 @@ def test_chunked_parts_match_scalar_parts(batch, n_chunks):
     ts, _ = batch
     if not ts:
         return
-    chunks = _chunks(ts, n_chunks)
+    chunks = [np.asarray(ts[a:b]) for a, b in _chunk_bounds(ts, n_chunks)]
     batch_parts, scalar_parts = [], []
     for chunk in chunks:
         bp = PBE1(eta=3, buffer_size=6)
@@ -491,7 +491,7 @@ def test_merged_kept_corners_are_exact(batch, n_chunks):
     ts, _ = batch
     if not ts:
         return
-    chunks = _chunks(ts, n_chunks)
+    chunks = [np.asarray(ts[a:b]) for a, b in _chunk_bounds(ts, n_chunks)]
     parts = []
     for chunk in chunks:
         part = PBE1(eta=3, buffer_size=6)

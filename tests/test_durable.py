@@ -605,6 +605,20 @@ class TestSerializationAndComposition:
         with pytest.raises(InvalidParameterError, match="differ"):
             a.merge(b)
 
+    def test_merge_rejects_another_child_config(self):
+        # Both children are cm-pbe-1, but their grids hash differently:
+        # the merge used to succeed and every later query raised.
+        a = create_store(
+            "durable", backend="cm-pbe-1", width=8, seed=0, universe_size=16
+        )
+        b = create_store(
+            "durable", backend="cm-pbe-1", width=4, seed=5, universe_size=16
+        )
+        a.append(1, 1.0)
+        b.append(1, 5.0)
+        with pytest.raises(InvalidParameterError, match="configurations"):
+            a.merge(b)
+
     def test_durable_store_accounts_its_lifecycle(self, tmp_path):
         with create_durable(tmp_path / "s", seal_elements=4) as store:
             store.append(1, 0.0)

@@ -12,17 +12,19 @@ snapshot of the live memtable, without merging them.  Four locks on that:
 * snapshot purity — appending after taking a view leaves that view's
   answers unchanged;
 * a deterministic guard against the O(history) read-after-write cliff:
-  between two seals, write→query rounds never call ``ExactStore.merge``
-  (nor serialize the memtable), and sketch children merge pending
-  generations into their base once, not once per read;
+  between two seals, write→query rounds never call the exact merge
+  hook ``ExactStore._merged`` (nor serialize the memtable), and sketch
+  children merge pending generations into their base once, not once
+  per read;
 * the two store operations the read view is built from, on every
   backend of the test matrix: a ``snapshot()`` answers unchanged after
   its source ingests more, and ``stack(parts)`` over consecutive parts
-  answers like the left fold of ``merge``.
+  answers like nested two-part ``merge`` calls.
 """
 
 from __future__ import annotations
 
+import inspect
 import os
 import tempfile
 import threading
@@ -267,13 +269,16 @@ class TestLayeredReadDifferential:
 
 
 def _count_calls(monkeypatch, cls, name):
+    """Record each call of the method or classmethod ``cls.<name>``."""
     calls = []
     original = getattr(cls, name)
 
-    def counting(self, *args, **kwargs):
+    def counting(*args, **kwargs):
         calls.append(name)
-        return original(self, *args, **kwargs)
+        return original(*args, **kwargs)
 
+    if isinstance(inspect.getattr_static(cls, name), classmethod):
+        counting = staticmethod(counting)  # ``original`` is bound to cls
     monkeypatch.setattr(cls, name, counting)
     return calls
 
@@ -315,7 +320,7 @@ class TestNoReadAfterWriteCliff:
                 _ask_all(store, 0, 2_499.0)  # folds the sealed segments once
                 parts = (store.n_segments, store.seal_queue_depth)
                 assert parts == ((0, 2) if background else (2, 0))
-                merges = _count_calls(monkeypatch, ExactStore, "merge")
+                merges = _count_calls(monkeypatch, ExactStore, "_merged")
                 codecs = _count_calls(monkeypatch, ExactStore, "to_bytes")
                 for i in range(40):
                     start = 2_500 + 10 * i
@@ -351,7 +356,7 @@ class TestNoReadAfterWriteCliff:
                 store.extend_batch(ids[:350], ts[:350])
                 assert store.seal_queue_depth == 3
                 store.point_query(0, 349.0, 5.0)  # folds the base once
-                merges = _count_calls(monkeypatch, CMPBEStore, "merge")
+                merges = _count_calls(monkeypatch, CMPBEStore, "_merged")
                 rounds = 9
                 for i in range(rounds):
                     start = 350 + 5 * i

@@ -7,14 +7,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.cmpbe import CMPBE
 from repro.core.errors import (
     InvalidParameterError,
     StreamOrderError,
     UnknownBackendError,
 )
 from repro.core.parallel import build_store_chunked, merge_stores
+from repro.core.pbe1 import PBE1
 from repro.core.store import (
     BurstStore,
+    DyadicIndexStore,
     ShardedBurstStore,
     backend_keys,
     create_store,
@@ -312,6 +315,52 @@ class TestMerge:
             InvalidParameterError, match="grid dimensions/seed differ"
         ):
             a.merge(b)
+
+    def test_index_merge_and_load_build_only_the_returned_cells(
+        self, monkeypatch
+    ):
+        """No throwaway index: a two-part merge and a load construct
+        exactly the CM-PBE levels and PBE-1 cells of the index they
+        return (both once built a whole extra index first)."""
+        rng = np.random.default_rng(1)
+
+        def part(lo):
+            store = create_store(
+                "index", universe_size=64, width=8, depth=3, eta=20
+            )
+            store.extend_batch(
+                rng.integers(0, 64, 300),
+                np.sort(rng.uniform(lo, lo + 100, 300)),
+            )
+            store.finalize()  # no live buffer: a merge copies no cell
+            return store
+
+        a, b = part(0.0), part(200.0)
+        built = {"CMPBE": 0, "PBE1": 0}
+        for cls in (CMPBE, PBE1):
+            original = cls.__init__
+
+            def counting(self, *args, _name=cls.__name__, _init=original,
+                         **kwargs):
+                built[_name] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+
+        def cells_of(store):
+            levels = store._levels()
+            return {
+                "CMPBE": sum(isinstance(lvl, CMPBE) for lvl in levels),
+                "PBE1": sum(len(lvl.cells()) for lvl in levels),
+            }
+
+        merged = a.merge(b)
+        assert built == cells_of(merged)
+        payload = merged.to_bytes()
+        built.update(CMPBE=0, PBE1=0)
+        loaded = DyadicIndexStore.from_bytes(payload)
+        assert built == cells_of(loaded)
+        assert loaded.to_bytes() == payload
 
 
 class TestAnalyzerFacade:
