@@ -46,15 +46,43 @@ count at snapshot time, so it reads only the prefix that can never
 change.  Every reader honours the bound: bisects stop at ``n``,
 whole-list readers slice ``[:n]`` and iterate the bound's keys, never
 the live table, and log readers stop at the bound's record count.
+
+Every stacked table has a *span* ``(first, last)``, the times of the
+earliest and latest record it shows.  A columnar table computes it once,
+from its runs' ends, when :meth:`~ExactBurstStore.from_columns` builds
+it; a bounded table's comes from its log prefix (``ts[0]`` and
+``ts[n_records - 1]``) when :meth:`~ExactBurstStore.snapshot` bounds it;
+a store's own, writable table reads its live log; a table without
+records has none and is never read.  Readers skip a table whose span
+cannot change their answer, with no approximation, since every count is
+an integer:
+
+* ``b_e(t)`` gets exactly 0 from a table with ``last <= t - 2 tau``
+  (all three bisects return the run's length ``n``: ``n - 2n + n``) or
+  with ``first > t`` (all three return 0);
+* ``F_e`` over query times in ``[lo, hi]`` gets the whole run length,
+  without a search, from a table with ``last <= lo``, and 0 from one
+  with ``first > hi``;
+* the occurrences in ``[lo, hi]`` (a peak query's knots) get nothing
+  from a table with ``last < lo`` or ``first > hi``.
+
+So a query near ``t`` reads the one or two time-ordered parts its
+window ``(t - 2 tau, t]`` meets, whatever the number of parts stacked;
+only a bursty-time query, which walks one event's whole history, reads
+every table.  A bursty-event query derives no log for a table its
+window misses; its hits still rank ties in first-seen order across the
+whole stack.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 import mmap
 import threading
 from collections import defaultdict
 from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -83,6 +111,16 @@ _SMALL_GROUP = 8
 # to the OS at once instead of leaving a hole that the malloc heap keeps
 # resident.  On the live-exact benchmark that is about 15 MB of peak RSS.
 _MAPPED_COLUMN_BYTES = 1 << 20
+
+# Mapped columns that are filled in full are populated when mapped, not
+# faulted in one page at a time as they are written (0 where the
+# platform has no MAP_POPULATE).
+_POPULATE = getattr(mmap, "MAP_POPULATE", 0)
+
+# Spans ``(first, last)``: one every reader visits (a table filled
+# without a log), and one none visits (a table without records).
+_ALWAYS = (-math.inf, math.inf)
+_NEVER = (math.inf, -math.inf)
 
 
 def _burstiness_in(
@@ -129,12 +167,19 @@ def _runs(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return order, grouped, np.concatenate(([0], edges, [ids.size]))
 
 
-def _column(size: int, dtype) -> np.ndarray:
-    """An uninitialised 1-d array for a log or merge column."""
+def _column(size: int, dtype, *, populate: bool = True) -> np.ndarray:
+    """An uninitialised 1-d array for a log or merge column; a mapped one
+    is prefaulted unless the caller leaves part of it unwritten
+    (``populate=False``)."""
     dtype = np.dtype(dtype)
-    if size * dtype.itemsize <= _MAPPED_COLUMN_BYTES:
+    nbytes = size * dtype.itemsize
+    if nbytes <= _MAPPED_COLUMN_BYTES:
         return np.empty(size, dtype=dtype)
-    return np.frombuffer(mmap.mmap(-1, size * dtype.itemsize), dtype=dtype)
+    if populate and _POPULATE:
+        mapping = mmap.mmap(-1, nbytes, flags=mmap.MAP_SHARED | _POPULATE)
+    else:
+        mapping = mmap.mmap(-1, nbytes)
+    return np.frombuffer(mapping, dtype=dtype)
 
 
 class _RecordLog:
@@ -195,9 +240,9 @@ class _RecordLog:
         # By a quarter, not by doubling, to bound the unused tail.
         size = max(size, self.ts.size + self.ts.size // 4, 256)
         n = self.n
-        ts = _column(size, np.float64)
+        ts = _column(size, np.float64, populate=False)
         ts[:n] = self.ts[:n]
-        codes = _column(size, np.int32)
+        codes = _column(size, np.int32, populate=False)
         codes[:n] = self.codes[:n]
         self.ts, self.codes = ts, codes  # copy first, then publish
 
@@ -247,13 +292,51 @@ class _Table(defaultdict):
 
     __slots__ = ("log",)
 
+    @property
+    def span(self) -> tuple[float, float]:
+        """The times of the first and last record now in the table, read
+        from its live log (writers only append, in time order); a table
+        holding records but no log is never skipped."""
+        log = self.log
+        n = 0 if log is None else log.n
+        if n == 0:
+            return _ALWAYS if self else _NEVER
+        return float(log.ts[0]), float(log.ts[n - 1])
+
 
 class _Columns(dict):
     """An immutable part's table: per-event sorted runs as read-only
     ``float64`` memoryviews, plus the record log (``None`` until first
-    derived)."""
+    derived or handed over), its span, computed once from the runs'
+    ends, and an id → key-position index (``None`` until first used)."""
 
-    __slots__ = ("log",)
+    __slots__ = ("log", "span", "index")
+
+    def __init__(self, runs: dict[int, memoryview]) -> None:
+        super().__init__(runs)
+        self.log = None
+        self.index = None
+        try:
+            self.span = (
+                min(map(itemgetter(0), self.values())),
+                max(map(itemgetter(-1), self.values())),
+            )
+        except IndexError:  # an empty run: read the others' ends
+            runs = [run for run in self.values() if len(run)]
+            self.span = (
+                (min(run[0] for run in runs), max(run[-1] for run in runs))
+                if runs
+                else _NEVER
+            )
+
+    def key_index(self) -> dict[int, int]:
+        """Each event id's position in the table's key order."""
+        index = self.index
+        if index is None:
+            index = self.index = {
+                event_id: position for position, event_id in enumerate(self)
+            }
+        return index
 
 
 def _interleaved(runs: list) -> bool:
@@ -267,9 +350,10 @@ def _interleaved(runs: list) -> bool:
 
 class _Bound(dict):
     """A shared table's bound: per-event list lengths, plus the log's
-    record and key counts, all taken at snapshot time."""
+    record and key counts and the span of its record prefix, all taken
+    at snapshot time."""
 
-    __slots__ = ("n_records", "n_keys")
+    __slots__ = ("n_records", "n_keys", "span")
 
 
 # Serializes first derivations, so a part derives its log at most once.
@@ -285,6 +369,35 @@ def _log_of(table: _Table | _Columns) -> _RecordLog:
             if log is None:
                 log = table.log = _RecordLog.derived(table)
     return log
+
+
+def _run(table, bound: _Bound | None, event_id: int):
+    """The event's sorted run in one stacked table and the length to read
+    (``None``: all of it); the run is empty or ``None`` if the table
+    shows no record of the event."""
+    if bound is None:
+        return table.get(event_id), None
+    n = bound.get(event_id, 0)
+    return (table[event_id] if n else None), n
+
+
+def _key_index(table, bound: _Bound | None) -> tuple[dict[int, int], int]:
+    """A table's id → first-seen position map and the number of keys it
+    shows (a bound's key count at snapshot time)."""
+    log = table.log
+    if log is not None:
+        return log.code_of, len(log.keys) if bound is None else bound.n_keys
+    if isinstance(table, _Columns):
+        return table.key_index(), len(table)
+    return {event_id: i for i, event_id in enumerate(table)}, len(table)
+
+
+def _key_array(table, bound: _Bound | None) -> np.ndarray:
+    """The ids a table shows, in first-seen order, as int64."""
+    log = table.log
+    if log is None:
+        return np.fromiter(table, np.int64, len(table))
+    return log.key_array(len(log.keys) if bound is None else bound.n_keys)
 
 
 def _last_timestamp_of(parts: Sequence["ExactBurstStore"]) -> float | None:
@@ -353,7 +466,6 @@ class ExactBurstStore:
         store = cls()
         if runs:
             table = _Columns(runs)
-            table.log = None
             store._tables = (table, store._timestamps)
             store._bounds = (None, None)
         store._count = count
@@ -412,7 +524,10 @@ class ExactBurstStore:
             }
         )
         own.n_records, own.n_keys = log.n, len(log.keys)
-        shared = ((self._timestamps, own),) if own else ()
+        shared = ()
+        if own:
+            own.span = float(log.ts[0]), float(log.ts[own.n_records - 1])
+            shared = ((self._timestamps, own),)
         copy._tables = (
             *self._tables[:-1],
             *(table for table, _ in shared),
@@ -426,6 +541,41 @@ class ExactBurstStore:
         copy._last_timestamp = self._last_timestamp
         copy._count = self._count
         return copy
+
+    def _adopt_log(self, source: "ExactBurstStore") -> None:
+        """Take over the record log of ``source``, the one-table store
+        this decoded part was saved from, so the part never derives one.
+
+        The source's log holds the same records in stream order; its
+        codes are remapped from first-seen order to this part's key
+        order (one ``np.take`` over a permutation).  Equal times may
+        then sit in another order than in a derived log, which no query
+        can tell: window edges never split a run of equal times.  Does
+        nothing unless this part is a fresh, log-less columnar table
+        holding exactly the source's records.
+        """
+        log = source._timestamps.log
+        if (
+            len(source._tables) != 1
+            or log is None
+            or len(self._tables) != 2
+            or self._timestamps
+            or not isinstance(table := self._tables[0], _Columns)
+            or table.log is not None
+            or log.n != self._count
+            or len(log.keys) != len(table)
+        ):
+            return
+        n = log.n
+        adopted = _RecordLog(log.ts[:n], _column(n, np.int32), list(table))
+        position = adopted.code_of
+        permutation = np.fromiter(
+            (position[event_id] for event_id in log.keys),
+            np.int32,
+            len(log.keys),
+        )
+        np.take(permutation, log.codes[:n], out=adopted.codes)
+        table.log = adopted  # filled first, then published
 
     @classmethod
     def from_stream(
@@ -527,48 +677,87 @@ class ExactBurstStore:
         )
         return sorted(set().union(*keys))
 
+    def _spanned(self) -> list[tuple]:
+        """``(table, bound, first, last)`` for every stacked table, with
+        the span its bound recorded or the table holds (see the module
+        docstring): the input of every skip test."""
+        return [
+            (table, bound, *(table.span if bound is None else bound.span))
+            for table, bound in zip(self._tables, self._bounds)
+        ]
+
     def cumulative_frequency(self, event_id: int, t: float) -> int:
-        """Exact ``F_e(t)``."""
+        """Exact ``F_e(t)``: a table whose records all lie at or before
+        ``t`` counts its run's length, one past ``t`` is skipped."""
         require_finite_time(t)
-        return sum(
-            bisect.bisect_right(times, t, 0, n)
-            for times, n in self._lists_of(int(event_id))
-        )
+        event_id = int(event_id)
+        total = 0
+        for table, bound, first, last in self._spanned():
+            if first > t:
+                continue
+            times, n = _run(table, bound, event_id)
+            if not times:
+                continue
+            if last <= t:
+                total += len(times) if n is None else n
+            else:
+                total += bisect.bisect_right(times, t, 0, n)
+        return total
 
     def cumulative_frequency_many(self, event_id: int, ts) -> np.ndarray:
         """Vectorized :meth:`cumulative_frequency` over query times.
 
         Each stacked list is bisected to the queried window
         ``(min ts, max ts]``; only that slice is searched, so the cost
-        does not grow with the event's history outside the window.
+        does not grow with the event's history outside the window.  A
+        table whose span ends by ``min ts`` counts its whole run; one
+        starting after ``max ts`` is skipped.
         """
         ts = require_finite_time(np.asarray(ts, dtype=np.float64))
         counts = np.zeros(ts.shape, dtype=np.int64)
         if ts.size == 0:
             return counts.astype(np.float64)
         lo, hi = float(ts.min()), float(ts.max())
-        for times, n in self._lists_of(int(event_id)):
-            counts += _window_counts(times, n, lo, hi, ts)
+        event_id = int(event_id)
+        for table, bound, first, last in self._spanned():
+            if first > hi:
+                continue
+            times, n = _run(table, bound, event_id)
+            if not times:
+                continue
+            if last <= lo:
+                counts += len(times) if n is None else n
+            else:
+                counts += _window_counts(times, n, lo, hi, ts)
         return counts.astype(np.float64)
 
     def burstiness(self, event_id: int, t: float, tau: float) -> int:
-        """Exact ``b_e(t)``."""
+        """Exact ``b_e(t)``, over the tables whose span meets
+        ``(t - 2 tau, t]`` (every other one adds exactly 0)."""
         require_tau(tau)
         require_finite_time(t)
-        return sum(
-            _burstiness_in(times, n, t, tau)
-            for times, n in self._lists_of(int(event_id))
-        )
+        event_id = int(event_id)
+        early = t - 2 * tau  # as _burstiness_in computes it
+        total = 0
+        for table, bound, first, last in self._spanned():
+            if last <= early or first > t:
+                continue
+            times, n = _run(table, bound, event_id)
+            if times:
+                total += _burstiness_in(times, n, t, tau)
+        return total
 
     def burstiness_many(self, event_ids, ts, tau: float) -> np.ndarray:
         """Vectorized :meth:`burstiness` over ``(event_id, t)`` pairs.
 
-        One stable argsort groups the pairs by event.  A group of at
-        most ``_SMALL_GROUP`` pairs runs three bisects per pair and list;
-        a larger one converts only each list's window
-        ``(min t - 2 tau, max t]`` and searches it once per lag.  Counts
-        are exact integers, so the float64 result is bit-identical to the
-        scalar path either way.
+        One stable argsort groups the pairs by event.  Pairs of groups of
+        at most ``_SMALL_GROUP`` pairs are read table by table: one mask
+        picks the pairs whose window ``(t - 2 tau, t]`` meets the
+        table's span, and only those run three bisects on their event's
+        list.  A larger group converts only the window ``(min t - 2 tau,
+        max t]`` of each list whose span meets it and searches it once
+        per lag.  Counts are exact integers, so the float64 result is
+        bit-identical to the scalar path either way.
         """
         require_tau(tau)
         ids, times = _validated_query_batch(event_ids, ts)
@@ -576,30 +765,43 @@ class ExactBurstStore:
         if ids.size == 0:
             return counts.astype(np.float64)
         order, grouped, edges = _runs(ids)
+        sizes = np.diff(edges)
+        spanned = self._spanned()
+        rows = order[np.repeat(sizes <= _SMALL_GROUP, sizes)]
+        if rows.size:
+            queried = times[rows]
+            early = queried - 2 * tau  # as _burstiness_in computes it
+            for table, bound, first, last in spanned:
+                meets = np.flatnonzero((first <= queried) & (early < last))
+                if meets.size == 0:
+                    continue
+                values = []
+                for event_id, t in zip(
+                    ids[rows[meets]].tolist(), queried[meets].tolist()
+                ):
+                    stored, n = _run(table, bound, event_id)
+                    values.append(
+                        _burstiness_in(stored, n, t, tau) if stored else 0
+                    )
+                counts[rows[meets]] += values
         bounds = edges.tolist()
         for start, stop in zip(bounds, bounds[1:]):
-            lists = self._lists_of(int(grouped[start]))
-            if not lists:
+            if stop - start <= _SMALL_GROUP:
                 continue
+            event_id = int(grouped[start])
             rows = order[start:stop]
             queried = times[rows]
-            if stop - start <= _SMALL_GROUP:
-                counts[rows] = [
-                    sum(
-                        _burstiness_in(stored, n, t, tau)
-                        for stored, n in lists
-                    )
-                    for t in queried.tolist()
-                ]
-                continue
             lags = np.concatenate(
                 (queried, queried - tau, queried - 2 * tau)
             )
             lo, hi = float(lags.min()), float(queried.max())
-            found = sum(
-                _window_counts(stored, n, lo, hi, lags)
-                for stored, n in lists
-            )
+            found = np.zeros(lags.size, dtype=np.int64)
+            for table, bound, first, last in spanned:
+                if last <= lo or first > hi:
+                    continue
+                stored, n = _run(table, bound, event_id)
+                if stored:
+                    found += _window_counts(stored, n, lo, hi, lags)
             size = rows.size
             counts[rows] = (
                 found[:size] - 2 * found[size : 2 * size] + found[2 * size :]
@@ -619,27 +821,27 @@ class ExactBurstStore:
         where ``t``, ``t - tau`` or ``t - 2 tau`` crosses an occurrence,
         so evaluating at those breakpoints suffices.  The breakpoints
         ``<= end`` come from one ``np.unique``, their burstiness from
-        one ``searchsorted`` per stacked list over all three lags; an
-        interval still open at the last breakpoint closes at ``end``
-        (``(end, end)`` when it opens there).
+        one ``searchsorted`` over all three lags in the event's runs,
+        concatenated once into a fresh array (sorted only if the runs
+        interleave); an interval still open at the last breakpoint
+        closes at ``end`` (``(end, end)`` when it opens there).
         """
         require_tau(tau)
         if t_end is not None:
             require_finite_time(t_end)
-        lists = [
-            np.asarray(_visible(times, n), dtype=np.float64)
-            for times, n in self._lists_of(int(event_id))
-        ]
-        if not lists:
+        runs = [_visible(times, n) for times, n in self._lists_of(int(event_id))]
+        if not runs:
             return []
         end = (
             t_end
             if t_end is not None
-            else max(float(stored[-1]) for stored in lists) + 2 * tau
+            else max(float(run[-1]) for run in runs) + 2 * tau
         )
-        stored = np.concatenate(lists)
-        # Record-major (t, t + tau, t + 2 tau) order: of two equal
-        # breakpoints 0.0 and -0.0, the first one in this order is kept.
+        stored = np.concatenate(
+            [np.asarray(run, dtype=np.float64) for run in runs]
+        )
+        # Record-major (t, t + tau, t + 2 tau) order in stack order: of
+        # two equal breakpoints 0.0 and -0.0, the first one is kept.
         shifted = np.column_stack(
             (stored, stored + tau, stored + 2 * tau)
         ).ravel()
@@ -653,9 +855,9 @@ class ExactBurstStore:
         lags = np.concatenate(
             (candidates, candidates - tau, candidates - 2 * tau)
         )
-        found = sum(
-            np.searchsorted(arr, lags, side="right") for arr in lists
-        )
+        if _interleaved(runs):
+            stored = np.sort(stored)
+        found = np.searchsorted(stored, lags, side="right")
         size = candidates.size
         values = found[:size] - 2 * found[size : 2 * size] + found[2 * size :]
         hot = values >= theta
@@ -673,19 +875,32 @@ class ExactBurstStore:
     ) -> list[BurstyEvent]:
         """Exact bursty event query over all seen events.
 
-        Per stacked table, ``b`` of every event is two ``bincount``
-        calls over the log windows ``(t - tau, t]`` and ``(t - 2 tau,
-        t - tau]``, found by three ``searchsorted`` calls.  The tables'
-        values sum by event id, in first-seen order across the stack;
-        hits (``b >= theta``, so every seen event when ``theta <= 0``)
-        are ordered by falling ``b``, ties in first-seen order.
+        Per stacked table whose span meets ``(t - 2 tau, t]``, ``b`` of
+        every event is two ``bincount`` calls over the log windows
+        ``(t - tau, t]`` and ``(t - 2 tau, t - tau]``, found by three
+        ``searchsorted`` calls; a table the window misses is not read
+        (nor its log derived).  The tables' values sum by event id.
+        Hits (``b >= theta``, so every seen event when ``theta <= 0``)
+        are ordered by falling ``b``, ties in first-seen order across
+        the whole stack: with ``theta <= 0`` the missed tables' ids join
+        with value 0, otherwise only the hits are ranked, by the first
+        table holding each and its position there.
         """
         require_tau(tau)
         require_finite_time(t)
-        lags = np.array([t - 2 * tau, t - tau, t])
-        ids, values = [], []
-        for table, bound in zip(self._tables, self._bounds):
-            if not table:  # a view's empty own table
+        early = t - 2 * tau
+        lags = np.array([early, t - tau, t])
+        every = theta <= 0
+        ids, values, missed = [], [], False
+        for table, bound, first, last in self._spanned():
+            if not (table if bound is None else bound):
+                continue
+            if last <= early or first > t:
+                missed = True
+                if every:
+                    keys = _key_array(table, bound)
+                    ids.append(keys)
+                    values.append(np.zeros(keys.size, dtype=np.int64))
                 continue
             log = _log_of(table)
             if bound is None:
@@ -696,20 +911,41 @@ class ExactBurstStore:
             ids.append(log.key_array(n_keys))
         if not ids:
             return []
-        seen, first, inverse = np.unique(
-            np.concatenate(ids), return_index=True, return_inverse=True
-        )
-        value = np.bincount(
-            inverse, weights=np.concatenate(values), minlength=seen.size
-        )
-        order = np.argsort(first)  # first-seen order across the stack
-        seen, value = seen[order], value[order]
+        if len(ids) == 1:  # one table's keys are unique, in first-seen order
+            seen, value = ids[0], values[0]
+        else:
+            seen, first_at, inverse = np.unique(
+                np.concatenate(ids), return_index=True, return_inverse=True
+            )
+            value = np.bincount(
+                inverse, weights=np.concatenate(values), minlength=seen.size
+            )
+            order = np.argsort(first_at)  # first-seen order among them
+            seen, value = seen[order], value[order]
         hot = np.flatnonzero(value >= theta)
+        if missed and not every and hot.size > 1:
+            rank = self._first_seen(seen[hot].tolist())
+            hot = hot[sorted(range(hot.size), key=rank.__getitem__)]
         hot = hot[np.argsort(-value[hot], kind="stable")]
         return [
             BurstyEvent(event_id, float(b))
             for event_id, b in zip(seen[hot].tolist(), value[hot].tolist())
         ]
+
+    def _first_seen(self, event_ids: list[int]) -> list[tuple[int, int]]:
+        """Each id's first-seen rank across the whole stack: the index of
+        the first table showing it and its key position there."""
+        rank: dict[int, tuple[int, int]] = {}
+        for i, (table, bound) in enumerate(zip(self._tables, self._bounds)):
+            index, n_keys = _key_index(table, bound)
+            for event_id in event_ids:
+                if event_id not in rank:
+                    position = index.get(event_id)
+                    if position is not None and position < n_keys:
+                        rank[event_id] = (i, position)
+            if len(rank) == len(event_ids):
+                break
+        return [rank[event_id] for event_id in event_ids]
 
     # ------------------------------------------------------------------
     @property
@@ -730,11 +966,18 @@ class ExactBurstStore:
         self, event_id: int, lo: float, hi: float
     ) -> list[float]:
         """The event's occurrences with ``lo <= t <= hi`` (unordered
-        across stacked tables)."""
+        across stacked tables), from the tables whose span meets
+        ``[lo, hi]``."""
+        event_id = int(event_id)
         out: list[float] = []
-        for times, n in self._lists_of(int(event_id)):
-            start = bisect.bisect_left(times, lo, 0, n)
-            out.extend(times[start : bisect.bisect_right(times, hi, start, n)])
+        for table, bound, first, last in self._spanned():
+            if last < lo or first > hi:
+                continue
+            times, n = _run(table, bound, event_id)
+            if times:
+                start = bisect.bisect_left(times, lo, 0, n)
+                stop = bisect.bisect_right(times, hi, start, n)
+                out.extend(times[start:stop])
         return out
 
     def size_in_bytes(self) -> int:

@@ -18,16 +18,22 @@ an explicit lifecycle, the shape Hokusai-style segment stores use:
   the child store for two operations only and never which kind it is:
   ``snapshot()`` turns the live memtable into an immutable part and
   ``stack(parts)`` joins immutable parts into one queryable view.  An
-  exact child stacks without merging (each query runs per part and
-  sums integer counts, see :meth:`ExactStore.stack
-  <repro.core.store.ExactStore.stack>`), and its snapshot shares the
-  append-only memtable lists up to their current lengths, so a read
-  after a write costs O(events), not O(memtable) or O(history).  A
-  sketch child's ``snapshot`` is its codec round trip and its
-  ``stack`` one n-part merge (:func:`~repro.core.parallel.merge_stores`)
-  — the §III-A time-range merge contract.  The committed segments are
-  merged into one sealed view the same way, once per change of the
-  segment list.  The view is cached until the next state change.
+  exact child stacks without merging (each query reads only the parts
+  whose time span can change its answer and sums integer counts, see
+  :meth:`ExactStore.stack <repro.core.store.ExactStore.stack>`), and
+  its snapshot shares the append-only memtable lists up to their
+  current lengths, so a read after a write costs O(events), not
+  O(memtable) or O(history).  A sketch child's ``snapshot`` is its
+  codec round trip and its ``stack`` one n-part merge
+  (:func:`~repro.core.parallel.merge_stores`) — the §III-A time-range
+  merge contract.  The committed segments become one sealed view
+  through the same ``stack``, once per change of the segment list: for
+  an exact child an O(segments) stack that copies no record, so no
+  seal, compaction swap or recovery makes the next read O(history);
+  for a sketch child still their merge.  A seal hands the frozen
+  memtable's read state to the segment it opens (an exact child's
+  record log), so the segment never rebuilds it.  The view is cached
+  until the next state change.
 
 Crash recovery (``resume=True`` / :func:`recover`) opens the manifest's
 segments and replays the WAL tail written after the last seal, each
@@ -143,7 +149,6 @@ from repro.core.errors import (
     UnknownBackendError,
 )
 from repro.core.metrics import global_registry
-from repro.core.parallel import merge_stores
 from repro.core.serialize import atomic_write_bytes, open_store, save_store
 from repro.core.store import (
     ShardedBurstStore,
@@ -475,8 +480,8 @@ class DurableBurstStore(_StoreBase):
         self._closed = False
         # Read-view caches, invalidated only by _invalidate_views_locked:
         # the full view (valid while _view_version == _version), the
-        # immutable parts under the memtable, and the merge of the
-        # segment list.
+        # immutable parts under the memtable, and the sealed view (the
+        # child's stack of the segment list).
         self._version = 0
         self._view = None
         self._view_version = -1
@@ -1047,6 +1052,7 @@ class DurableBurstStore(_StoreBase):
                     fsync=self.fsync_policy != "never",
                 )
                 segment = open_store(path, lazy=True)
+                segment._adopt_read_state(job.store)
             if job.old_wal is not None:
                 job.old_wal.close()
             with self._span(
@@ -1231,8 +1237,9 @@ class DurableBurstStore(_StoreBase):
             for job in self._pending:  # left behind by a failed seal
                 if job.old_wal is not None:
                     job.old_wal.close()
-            # A closed store that is still referenced must not pin a
-            # merged copy of its history; a later read rebuilds it.
+            # A closed store that is still referenced must not pin its
+            # read views (a sketch child's merged copy of its history);
+            # a later read rebuilds them.
             self._invalidate_views_locked(segments=True)
             self._view = None
 
@@ -1246,10 +1253,11 @@ class DurableBurstStore(_StoreBase):
         append or ``finalize`` changes only the memtable
         (``parts=False``): the next read takes a new memtable part over
         the cached lower parts.  A freeze changes only the pending list,
-        so the lower parts go but the merged sealed view stays.  A seal
-        commit, a compaction swap or a recovery changes the segment list
+        so the lower parts go but the sealed view stays.  A seal commit,
+        a compaction swap or a recovery changes the segment list
         (``segments=True``): the sealed view goes too, and the next read
-        merges the new list in one call.
+        stacks the new list in one call (O(segments) for an exact child,
+        a merge for a sketch child).
 
         A stale view is only *marked* stale here: the reader that
         replaces it releases it, so the write path never pays for
@@ -1263,16 +1271,23 @@ class DurableBurstStore(_StoreBase):
 
     def _sealed_view_locked(self):
         """The committed segments as one store (``None`` if there are
-        none): their n-part merge, cached until the segment list
-        changes; a single segment is its own view."""
+        none): the child's ``stack`` of them, cached until the segment
+        list changes; a single segment is its own view.  An exact
+        child's stack is O(segments) and copies nothing; a sketch
+        child's is still their n-part merge."""
         if self._sealed_view is None and self._segments:
-            self._sealed_view = merge_stores(self._segments)
+            segments = self._segments
+            self._sealed_view = (
+                segments[0]
+                if len(segments) == 1
+                else type(self._empty).stack(segments)
+            )
         return self._sealed_view
 
     def _lower_parts_locked(self) -> list:
         """The immutable parts under the memtable as at most one store,
-        cached until the segment or pending list changes: the merged
-        sealed view and the frozen pending generations, stacked."""
+        cached until the segment or pending list changes: the sealed
+        view and the frozen pending generations, stacked."""
         if self._lower is None:
             parts = [self._sealed_view_locked()]
             parts.extend(job.store for job in self._pending)

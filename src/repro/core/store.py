@@ -715,6 +715,11 @@ class _StoreBase:
         (:func:`~repro.core.parallel.merge_stores`)."""
         return merge_stores(parts)
 
+    def _adopt_read_state(self, source: "_StoreBase") -> None:
+        """Take over what ``source``, the store this part's bytes were
+        saved from, already built for reading them (a seal calls it on
+        the segment it opens).  Nothing to take by default."""
+
     def merge(self, other: "_StoreBase") -> "_StoreBase":
         """This store then ``other`` as one new store."""
         return merge_stores([self, other])
@@ -858,15 +863,22 @@ class ExactStore(_StoreBase):
     def stack(cls, parts: Sequence["ExactStore"]) -> "ExactStore":
         """Answer over the union of immutable ``parts`` without merging.
 
-        O(parts) to build; each query runs per part and sums the
-        integer counts, so every answer is bit-identical to the store
-        :meth:`merge` would build from the same parts.
+        O(parts) to build; each query runs on the parts whose time span
+        can change its answer and sums the integer counts, so every
+        answer is bit-identical to the store :meth:`merge` would build
+        from the same parts.
         """
         if not parts or not all(isinstance(p, ExactStore) for p in parts):
             raise InvalidParameterError("can only stack exact stores")
         view = cls(ExactBurstStore.stacked([part.inner for part in parts]))
         view._t_end = max(part._t_end for part in parts)
         return view
+
+    def _adopt_read_state(self, source: "ExactStore") -> None:
+        """Take over the record log ``source`` appended while ingesting,
+        so an events query never derives this part's log (see
+        :meth:`ExactBurstStore._adopt_log`)."""
+        self.inner._adopt_log(source.inner)
 
     # -- merge & codec -------------------------------------------------
     @classmethod

@@ -1,21 +1,27 @@
 """Layered durable reads: the exact read view is a stack of immutable parts.
 
 A durable store with an ``exact`` child answers queries over its cached
-sealed view, each frozen pending-seal generation and an O(events)
-snapshot of the live memtable, without merging them.  Four locks on that:
+sealed view (a stack of the segments), each frozen pending-seal
+generation and an O(events) snapshot of the live memtable, without
+merging them.  The locks on that:
 
 * a hypothesis differential — every query on the surface, in every
   lifecycle state (memtable only, sealed only, sealed + memtable,
   pending background generations + memtable, right after ``compact()``),
   answers bit-for-bit like an in-memory :class:`ExactStore` oracle fed
   the same prefix;
+* the same differential after any drawn schedule of writes, seals,
+  compactions and one ``recover()``;
 * snapshot purity — appending after taking a view leaves that view's
   answers unchanged;
-* a deterministic guard against the O(history) read-after-write cliff:
-  between two seals, write→query rounds never call the exact merge
-  hook ``ExactStore._merged`` (nor serialize the memtable), and sketch
-  children merge pending generations into their base once, not once
-  per read;
+* deterministic guards against the O(history) read cliffs: between two
+  seals, write→query rounds never call the exact merge hook
+  ``ExactStore._merged`` (nor serialize the memtable); no read merges
+  after a seal, a compaction swap or a recovery either (only the
+  compaction's own merge calls the hook); a seal hands the frozen
+  memtable's record log to the new segment, so an events query over it
+  derives none; and sketch children merge pending generations into
+  their base once, not once per read;
 * the two store operations the read view is built from, on every
   backend of the test matrix: a ``snapshot()`` answers unchanged after
   its source ingests more, and ``stack(parts)`` over consecutive parts
@@ -36,7 +42,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.durable import DurableBurstStore, create_durable
+from repro.baselines import exact
+from repro.core.durable import DurableBurstStore, create_durable, recover
 from repro.core.store import CMPBEStore, ExactStore, create_store
 
 from tests.backends import BACKEND_IDS, BACKEND_MATRIX
@@ -268,6 +275,69 @@ class TestLayeredReadDifferential:
             store.close()
 
 
+STEPS = ("write", "write", "seal", "compact")
+
+
+class TestLifecycleScheduleDifferential:
+    @settings(
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        stream=streams(min_size=40, max_size=160),
+        steps=st.lists(st.sampled_from(STEPS), min_size=1, max_size=14),
+        recover_at=st.integers(min_value=0, max_value=14),
+        seal=st.integers(min_value=3, max_value=25),
+        tau=st.sampled_from([0.5, 1.0, 2.5, 4.0]),
+        theta=st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+    )
+    def test_any_schedule_answers_like_the_exact_oracle(
+        self, stream, steps, recover_at, seal, tau, theta
+    ):
+        ids, ts, counts = stream
+        times = panel_times(ts, tau, extra=ts[:: max(1, ids.size // 6)])
+        writes = max(1, steps.count("write"))
+        size = -(-ids.size // writes)
+        steps = [*steps[:recover_at], "recover", *steps[recover_at:]]
+        written = 0
+        with tempfile.TemporaryDirectory() as root:
+            path = os.path.join(root, "s")
+            store = create_durable(
+                path, backend="exact", seal_elements=seal, fsync="never"
+            )
+            try:
+                for step in steps:
+                    if step == "write" and written < ids.size:
+                        stop = min(ids.size, written + size)
+                        store.extend_batch(
+                            ids[written:stop],
+                            ts[written:stop],
+                            _slice(counts, written, stop),
+                        )
+                        written = stop
+                    elif step == "seal":
+                        store.seal()
+                    elif step == "compact":
+                        store.compact(fanin=2, min_segments=2)
+                    elif step == "recover":
+                        store.close()
+                        store = recover(path, fsync="never")
+                expected = surface(
+                    _oracle(
+                        ids[:written],
+                        ts[:written],
+                        _slice(counts, 0, written),
+                    ),
+                    tau,
+                    theta,
+                    times,
+                )
+                assert surface(store, tau, theta, times) == expected
+            finally:
+                store.close()
+
+
 def _count_calls(monkeypatch, cls, name):
     """Record each call of the method or classmethod ``cls.<name>``."""
     calls = []
@@ -334,6 +404,80 @@ class TestNoReadAfterWriteCliff:
             finally:
                 gate.set()
                 store.close()
+
+    def test_reads_never_merge_after_seal_compaction_or_recovery(
+        self, tmp_path, monkeypatch
+    ):
+        ids = np.arange(5_000, dtype=np.int64) % UNIVERSE
+        ts = np.arange(5_000, dtype=np.float64)
+        reading = threading.local()
+        read_view = DurableBurstStore._read_view
+        merged = inspect.getattr_static(ExactStore, "_merged").__func__
+        merges = []
+
+        def counted_read_view(self):
+            depth = getattr(reading, "depth", 0)
+            reading.depth = depth + 1
+            try:
+                return read_view(self)
+            finally:
+                reading.depth = depth
+
+        def counted_merged(cls, parts):
+            if getattr(reading, "depth", 0):  # not compaction's own merge
+                merges.append(len(parts))
+            return merged(cls, parts)
+
+        monkeypatch.setattr(DurableBurstStore, "_read_view", counted_read_view)
+        monkeypatch.setattr(ExactStore, "_merged", classmethod(counted_merged))
+        compactions = _count_calls(monkeypatch, ExactStore, "_merged")
+        path = tmp_path / "s"
+        store = create_durable(
+            path, backend="exact", seal_elements=1_000, fsync="never"
+        )
+        try:
+            store.extend_batch(ids[:2_500], ts[:2_500])  # two seals
+            assert store.n_segments == 2
+            _ask_all(store, 0, 2_499.0)
+            store.extend_batch(ids[2_500:3_000], ts[2_500:3_000])  # a seal
+            assert store.n_segments == 3
+            _ask_all(store, 1, 2_999.0)
+            assert store.compact(fanin=2, min_segments=2) >= 1  # a swap
+            assert compactions and 2 <= store.n_segments < 3
+            _ask_all(store, 2, 2_999.0)
+            store.extend_batch(ids[3_000:3_300], ts[3_000:3_300])
+        finally:
+            store.close()
+        store = recover(path, fsync="never")
+        try:
+            assert store.n_segments >= 2 and store.count == 3_300
+            _ask_all(store, 3, 3_299.0)  # the first query after recovery
+        finally:
+            store.close()
+        assert merges == []
+
+    def test_a_seal_hands_its_log_to_the_new_segment(
+        self, tmp_path, monkeypatch
+    ):
+        rng = np.random.default_rng(8)
+        ids = rng.integers(-3, 2 * UNIVERSE, 1_500)
+        ts = np.sort(rng.integers(0, 600, 1_500)).astype(np.float64)
+        store = create_durable(
+            tmp_path / "s", backend="exact", seal_elements=1_000, fsync="never"
+        )
+        oracle = _oracle(ids, ts, None)
+        try:
+            store.extend_batch(ids, ts)
+            assert store.n_segments == 1 and store._memtable_elements == 500
+            derived = _count_calls(monkeypatch, exact._RecordLog, "derived")
+            for t in (ts[0], ts[500], ts[999], ts[1_200], ts[-1] + 3.0):
+                for theta in (0.0, 2.0):
+                    assert store.bursty_event_query(
+                        t, theta, 5.0
+                    ) == oracle.bursty_event_query(t, theta, 5.0)
+            assert derived == []
+        finally:
+            store.close()
 
     def test_sketch_pending_generations_fold_once(
         self, tmp_path, monkeypatch

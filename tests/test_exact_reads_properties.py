@@ -42,6 +42,7 @@ from hypothesis import strategies as st
 
 from repro.baselines import exact
 from repro.core.errors import StreamOrderError
+from repro.core.queries import max_burstiness
 from repro.core.serialize import load_store, save_store
 from repro.core.store import ExactStore
 from tests.oracles import exact as oracle
@@ -527,3 +528,143 @@ def test_a_loaded_store_accepts_appends(stream, split, lazy, tau):
     assert surface(loaded, tau, 1.0, times) == surface(
         _fed(ids, ts), tau, 1.0, times
     )
+
+
+# ----------------------------------------------------------------------
+# Span pruning: a stack skips only tables that cannot change an answer
+# ----------------------------------------------------------------------
+def _part(kind: str, ids, ts) -> ExactStore:
+    """One stackable part holding ``(ids, ts)``: a plain store, a bounded
+    snapshot of a store that then keeps appending, or a columnar part
+    read in place from its ``save_store`` bytes."""
+    store = _fed(ids, ts)
+    if kind == "bounded":
+        view = store.snapshot()
+        later = float(ts.max()) + 1.0 if len(ts) else 0.0
+        store.extend_batch(np.arange(UNIVERSE + 2), np.full(UNIVERSE + 2, later))
+        return view
+    if kind == "columnar":
+        return _loaded(store, lazy=True)
+    return store
+
+
+def edge_times(pieces, tau: float) -> list[float]:
+    """Query times on every part's span edges: ``t == first``,
+    ``t == last``, ``t - tau == last``, ``t - 2 tau == last``, their
+    ``first`` twins, and both signed zeros."""
+    out = {0.0}
+    for _, ts in pieces:
+        if len(ts):
+            first, last = float(ts.min()), float(ts.max())
+            out |= {
+                first, last, last + tau, last + 2 * tau,
+                first + tau, first + 2 * tau, first - tau,
+            }
+    return sorted(out) + [-0.0]
+
+
+@PROPERTIES
+@given(
+    stream=record_streams(min_size=2),
+    overlapping=st.booleans(),
+    n_parts=st.integers(2, 4),
+    kinds=st.lists(
+        st.sampled_from(["plain", "bounded", "columnar"]),
+        min_size=4,
+        max_size=4,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    tau=st.sampled_from(TAUS),
+)
+def test_span_pruning_answers_like_the_merge(
+    stream, overlapping, n_parts, kinds, seed, tau
+):
+    ids, ts = stream
+    rng = np.random.default_rng(seed)
+    if overlapping:  # every record goes to a random part
+        owner = rng.integers(0, n_parts, ids.size)
+        pieces = [(ids[owner == k], ts[owner == k]) for k in range(n_parts)]
+    else:  # time-disjoint but for ties: consecutive slices
+        cuts = np.sort(rng.integers(0, ids.size + 1, n_parts - 1)).tolist()
+        edges = [0, *cuts, ids.size]
+        pieces = [(ids[a:b], ts[a:b]) for a, b in zip(edges, edges[1:])]
+    parts = [_part(kind, *piece) for kind, piece in zip(kinds, pieces)]
+    stacked = ExactStore.stack(parts)
+    merged = ExactStore(exact.ExactBurstStore.merged([p.inner for p in parts]))
+    merged._t_end = stacked._t_end
+    inner, whole = stacked.inner, merged.inner
+    times = edge_times(pieces, tau)
+    events = list(range(UNIVERSE + 1))
+
+    # Point batches: per edge time, every event in a group of one pair
+    # and of one pair past the group-size cut (so the large group's
+    # window is exactly (t - 2 tau, t]); then mixed groups of random
+    # edge times on both sides of the cut.
+    batches = [
+        (np.repeat(events, size), np.full(size * len(events), t))
+        for t in times
+        for size in (1, exact._SMALL_GROUP + 1)
+    ]
+    sizes = [1, exact._SMALL_GROUP, exact._SMALL_GROUP + 1, 3 * exact._SMALL_GROUP]
+    batches.append(
+        (
+            np.repeat(np.arange(len(sizes)) % (UNIVERSE + 1), sizes),
+            rng.choice(times, sum(sizes)),
+        )
+    )
+    for q_ids, q_ts in batches:
+        got = inner.burstiness_many(q_ids, q_ts, tau)
+        assert got.tobytes() == whole.burstiness_many(q_ids, q_ts, tau).tobytes()
+        scalar = [
+            inner.burstiness(int(e), float(t), tau) for e, t in zip(q_ids, q_ts)
+        ]
+        assert got.tobytes() == np.asarray(scalar, dtype=np.float64).tobytes()
+
+    for t in times:
+        for theta in (-1.0, 0.0, 1.0, 2.0):  # raw inner order, zeros included
+            expected = bits(whole.bursty_events(t, theta, tau))
+            assert bits(inner.bursty_events(t, theta, tau)) == expected
+            assert bits(oracle.bursty_events(inner, t, theta, tau)) == expected
+    for event in events:
+        assert (
+            inner.cumulative_frequency_many(event, times).tobytes()
+            == whole.cumulative_frequency_many(event, times).tobytes()
+        )
+        assert [inner.cumulative_frequency(event, t) for t in times] == [
+            whole.cumulative_frequency(event, t) for t in times
+        ]
+        for lo, hi in zip(times, times[1:]):
+            assert bits(sorted(inner.timestamps_between(event, lo, hi))) == bits(
+                sorted(whole.timestamps_between(event, lo, hi))
+            )
+            if lo < hi:
+                # The knots in stack order, unpruned: which of two equal
+                # signed zeros the peak reports follows their order.
+                knots = [
+                    x
+                    for times in oracle.stacked_lists(inner, event)
+                    for x in times
+                    if lo - 2 * tau <= x <= hi
+                ]
+                assert bits(stacked.peak_query(event, lo, hi, tau)) == bits(
+                    max_burstiness(merged.curve(event), knots, tau, lo, hi)
+                )
+        # Not pruned: the event's runs are searched as one array, sorted
+        # when overlapping parts interleave them.  The walk reads the
+        # same runs in stack order, so it picks the same signed zeros.
+        assert bits(inner.bursty_times(event, 1.0, tau)) == bits(
+            oracle.bursty_times(inner, event, 1.0, tau)
+        )
+
+
+def test_hits_of_a_pruned_window_keep_first_seen_order_across_the_stack():
+    # Event 3 is first seen in the older part, which the window
+    # (98, 100] misses; the newer part shows 1 before 3.
+    older = _loaded(_fed(np.array([3]), np.array([0.0])), lazy=True)
+    newer = ExactStore()
+    newer.update(1, 100.0)
+    newer.update(3, 100.0)
+    view = ExactStore.stack([older, newer.snapshot()])
+    hits = view.inner.bursty_events(100.0, 1.0, 1.0)
+    assert [(h.event_id, h.burstiness) for h in hits] == [(3, 1.0), (1, 1.0)]
+    assert bits(hits) == bits(oracle.bursty_events(view.inner, 100.0, 1.0, 1.0))
