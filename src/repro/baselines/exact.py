@@ -33,19 +33,24 @@ decoded or merged store still accepts appends after its horizon.
 
 Each table also carries a record log: its records in time order as a
 ``float64`` time column and an ``int32`` code column, where a code is
-the event's index in the table's first-seen key order.  A store that
-ingests appends to its log (the stream arrives in time order); a
-columnar table derives its log from its runs on its first bursty-event
-query — one stable argsort of the concatenated times, with each run's
-code repeated over it — and keeps it.
+the event's index in the table's first-seen key order, plus an
+``int64`` count per code (the length of that event's list).  A store
+that ingests appends to its log (the stream arrives in time order) and
+adds each batch's per-event sizes to the counts; a columnar table
+derives its log from its runs on its first bursty-event query — one
+stable argsort of the concatenated times, with each run's code repeated
+over it — and keeps it.
 
 A stacked table may also be *bounded*: a :meth:`snapshot
 <ExactBurstStore.snapshot>` shares the source's own (append-only) lists
-and log and records each list's length, the log's length and its key
-count at snapshot time, so it reads only the prefix that can never
-change.  Every reader honours the bound: bisects stop at ``n``,
-whole-list readers slice ``[:n]`` and iterate the bound's keys, never
-the live table, and log readers stop at the bound's record count.
+and log and records the log's length, its key count and a copy of its
+per-code counts at snapshot time, so it reads only the prefix that can
+never change.  Taking one copies O(events) integers in one block and
+never walks the table.  Every reader honours the bound: an event's
+length is its count if its code is below the key count and 0 otherwise,
+bisects stop at that length, whole-list readers slice ``[:n]`` and
+iterate the bound's keys, never the live table, and log readers stop at
+the bound's record count.
 
 Every stacked table has a *span* ``(first, last)``, the times of the
 earliest and latest record it shows.  A columnar table computes it once,
@@ -185,22 +190,32 @@ def _column(size: int, dtype, *, populate: bool = True) -> np.ndarray:
 class _RecordLog:
     """One table's records in time order: ``ts`` (float64) and ``codes``
     (int32), where a code indexes ``keys``, the table's event ids in
-    first-seen order.
+    first-seen order, and ``lengths`` (int64), the record count of each
+    code, which is the length of that event's list.
 
-    Only ``[0, n)`` holds records.  Writers append past ``n`` and grow a
-    full buffer by copying it into a larger one before publishing it, so
-    a reader that took ``n`` earlier finds that prefix intact in
-    whichever buffer it reads.
+    Only ``[0, n)`` holds records, and only ``lengths[:len(keys)]``
+    counts.  Writers append past ``n`` and grow a full buffer by copying
+    it into a larger one before publishing it, so a reader that took
+    ``n`` earlier finds that prefix intact in whichever buffer it reads.
     """
 
-    __slots__ = ("ts", "codes", "n", "keys", "code_of", "_key_array")
+    __slots__ = (
+        "ts", "codes", "n", "keys", "code_of", "lengths", "_key_array"
+    )
 
-    def __init__(self, ts: np.ndarray, codes: np.ndarray, keys: list[int]):
+    def __init__(
+        self,
+        ts: np.ndarray,
+        codes: np.ndarray,
+        keys: list[int],
+        lengths: np.ndarray,
+    ):
         self.ts = ts
         self.codes = codes
         self.n = ts.size
         self.keys = keys
         self.code_of = {event_id: code for code, event_id in enumerate(keys)}
+        self.lengths = lengths
         self._key_array = np.empty(0, dtype=np.int64)
 
     @classmethod
@@ -226,13 +241,19 @@ class _RecordLog:
             order,
             out=codes,
         )
-        return cls(ts, codes, list(table))
+        return cls(ts, codes, list(table), lengths)
 
     def code(self, event_id: int) -> int:
-        """The event's code, assigning the next one on first sight."""
+        """The event's code, assigning the next one (count 0) on first
+        sight."""
         code = self.code_of.get(event_id)
         if code is None:
-            code = self.code_of[event_id] = len(self.keys)
+            code = len(self.keys)
+            if code == self.lengths.size:
+                lengths = np.zeros(max(2 * code, 64), dtype=np.int64)
+                lengths[:code] = self.lengths
+                self.lengths = lengths  # copy first, then publish
+            self.code_of[event_id] = code
             self.keys.append(event_id)
         return code
 
@@ -348,12 +369,43 @@ def _interleaved(runs: list) -> bool:
     )
 
 
-class _Bound(dict):
-    """A shared table's bound: per-event list lengths, plus the log's
-    record and key counts and the span of its record prefix, all taken
-    at snapshot time."""
+class _Bound:
+    """A shared table's bound, taken from its record log at snapshot
+    time: the log's record and key counts, a copy of its per-code record
+    counts and the span of its record prefix.  The log's ``keys`` and
+    ``code_of`` are shared (writers only add keys past ``n_keys``).
 
-    __slots__ = ("n_records", "n_keys", "span")
+    It reads like a dict of the list lengths it shows: :meth:`get` is an
+    event's length (0 for an event first seen later), :meth:`items`
+    yields ``(event_id, length)`` of every event it shows in first-seen
+    order, and it is true when it shows a record.
+    """
+
+    __slots__ = ("keys", "code_of", "lengths", "n_records", "n_keys", "span")
+
+    def __init__(self, log: _RecordLog) -> None:
+        n, n_keys = log.n, len(log.keys)
+        self.keys, self.code_of = log.keys, log.code_of
+        self.n_records, self.n_keys = n, n_keys
+        self.lengths = log.lengths[:n_keys].copy()
+        self.span = (float(log.ts[0]), float(log.ts[n - 1])) if n else _NEVER
+
+    def __bool__(self) -> bool:
+        return self.n_records > 0
+
+    def get(self, event_id: int) -> int:
+        code = self.code_of.get(event_id)
+        if code is None or code >= self.n_keys:
+            return 0
+        return int(self.lengths[code])
+
+    def items(self) -> Iterator[tuple[int, int]]:
+        for n, event_id in zip(self.lengths.tolist(), self.keys):
+            if n:
+                yield event_id, n
+
+    def __iter__(self) -> Iterator[int]:
+        return (event_id for event_id, _ in self.items())
 
 
 # Serializes first derivations, so a part derives its log at most once.
@@ -377,7 +429,7 @@ def _run(table, bound: _Bound | None, event_id: int):
     shows no record of the event."""
     if bound is None:
         return table.get(event_id), None
-    n = bound.get(event_id, 0)
+    n = bound.get(event_id)
     return (table[event_id] if n else None), n
 
 
@@ -507,27 +559,17 @@ class ExactBurstStore:
         )
 
     def snapshot(self) -> "ExactBurstStore":
-        """An independent, writable copy in O(events).
+        """An independent, writable copy that never walks the own table.
 
         The copy shares every stacked table and bounds this store's own
-        table by its current list lengths and log length.  Writers only
-        append, so the bounded prefixes never change and later writes to
-        either store stay invisible to the other.
+        table by its record log (see :class:`_Bound`): one copy of the
+        per-code counts, no per-event work.  Writers only append, so the
+        bounded prefixes never change and later writes to either store
+        stay invisible to the other.
         """
         copy = ExactBurstStore()
-        log = _log_of(self._timestamps)
-        own = _Bound(
-            {
-                event_id: len(times)
-                for event_id, times in self._timestamps.items()
-                if times
-            }
-        )
-        own.n_records, own.n_keys = log.n, len(log.keys)
-        shared = ()
-        if own:
-            own.span = float(log.ts[0]), float(log.ts[own.n_records - 1])
-            shared = ((self._timestamps, own),)
+        own = _Bound(_log_of(self._timestamps))
+        shared = ((self._timestamps, own),) if own else ()
         copy._tables = (
             *self._tables[:-1],
             *(table for table, _ in shared),
@@ -566,15 +608,19 @@ class ExactBurstStore:
             or len(log.keys) != len(table)
         ):
             return
-        n = log.n
-        adopted = _RecordLog(log.ts[:n], _column(n, np.int32), list(table))
+        n, n_keys = log.n, len(log.keys)
+        adopted = _RecordLog(
+            log.ts[:n],
+            _column(n, np.int32),
+            list(table),
+            np.empty(n_keys, dtype=np.int64),
+        )
         position = adopted.code_of
         permutation = np.fromiter(
-            (position[event_id] for event_id in log.keys),
-            np.int32,
-            len(log.keys),
+            (position[event_id] for event_id in log.keys), np.int32, n_keys
         )
         np.take(permutation, log.codes[:n], out=adopted.codes)
+        adopted.lengths[permutation] = log.lengths[:n_keys]
         table.log = adopted  # filled first, then published
 
     @classmethod
@@ -606,6 +652,7 @@ class ExactBurstStore:
         code = log.code(event_id)
         for _ in range(count):
             log.append(timestamp, code)
+        log.lengths[code] += count
         self._count += count
 
     def _append_batch(
@@ -613,7 +660,8 @@ class ExactBurstStore:
     ) -> None:
         """Append a validated, non-decreasing record batch (``ids``
         int64): each event's list grows by one slice of the batch sorted
-        by event, the log by the batch in stream order."""
+        by event, the log by the batch in stream order, and each event's
+        count in the log by its slice's length."""
         first = float(ts[0])
         if self._last_timestamp is not None and first < self._last_timestamp:
             raise StreamOrderError(
@@ -624,15 +672,19 @@ class ExactBurstStore:
         event_ids = grouped[edges[:-1]].tolist()
         group_codes = [log.code_of.get(event_id) for event_id in event_ids]
         if None in group_codes:  # first sight: codes in table insertion order
-            group_codes = [log.code(event_id) for event_id in event_ids]
+            group_codes = [
+                log.code(event_id) if code is None else code
+                for event_id, code in zip(event_ids, group_codes)
+            ]
+        group_codes = np.asarray(group_codes, dtype=np.intp)
+        sizes = np.diff(edges)
         codes = np.empty(ids.size, dtype=np.int32)
-        codes[order] = np.repeat(
-            np.asarray(group_codes, dtype=np.int32), np.diff(edges)
-        )
+        codes[order] = np.repeat(group_codes, sizes)
         grouped_ts = ts[order]
         if counts is not None:
             grouped_ts = np.repeat(grouped_ts, counts[order])
             edges = np.concatenate(([0], np.cumsum(counts[order])))[edges]
+            sizes = np.diff(edges)
             ts, codes = np.repeat(ts, counts), np.repeat(codes, counts)
         times = grouped_ts.tolist()
         bounds = edges.tolist()
@@ -640,6 +692,7 @@ class ExactBurstStore:
         for event_id, start, stop in zip(event_ids, bounds, bounds[1:]):
             table[event_id].extend(times[start:stop])
         log.extend(ts, codes)
+        log.lengths[group_codes] += sizes  # one code per group
         self._count += int(ts.size)
         self._last_timestamp = float(ts[-1])
 
@@ -653,7 +706,7 @@ class ExactBurstStore:
             (times, n)
             for table, bound in zip(self._tables, self._bounds)
             if (times := table.get(event_id))
-            and (n := None if bound is None else bound.get(event_id, 0)) != 0
+            and (n := None if bound is None else bound.get(event_id)) != 0
         ]
 
     def _items(self) -> Iterator[tuple[int, Sequence[float]]]:

@@ -22,8 +22,9 @@ an explicit lifecycle, the shape Hokusai-style segment stores use:
   whose time span can change its answer and sums integer counts, see
   :meth:`ExactStore.stack <repro.core.store.ExactStore.stack>`), and
   its snapshot shares the append-only memtable lists up to their
-  current lengths, so a read after a write costs O(events), not
-  O(memtable) or O(history).  A sketch child's ``snapshot`` is its
+  current lengths, copying only the record log's per-event count
+  column, so a read after a write walks neither the memtable nor the
+  history.  A sketch child's ``snapshot`` is its
   codec round trip and its ``stack`` one n-part merge
   (:func:`~repro.core.parallel.merge_stores`) — the §III-A time-range
   merge contract.  The committed segments become one sealed view
@@ -1299,8 +1300,9 @@ class DurableBurstStore(_StoreBase):
 
     def _memtable_part_locked(self):
         """The live memtable as an immutable part (``None`` if empty):
-        the child's own :meth:`snapshot` — O(events) for an exact child,
-        whose memtable only appends under this lock."""
+        the child's own :meth:`snapshot` — for an exact child one copy
+        of its log's per-event counts and no walk of its table, since
+        its memtable only appends under this lock."""
         if self._memtable_elements == 0:
             return None
         return self._memtable.snapshot()
@@ -1311,7 +1313,9 @@ class DurableBurstStore(_StoreBase):
         The lower part (sealed view + frozen pending generations) is
         cached until a seal, freeze or compaction; a non-empty memtable
         adds one snapshot part per write, and the child's ``stack``
-        joins the two (O(events) per new view for exact children).
+        joins the two (for an exact child, one block copy of the
+        memtable's per-event counts per new view and no walk of its
+        events or records).
         A reader sees either the pre-seal view (generation still
         pending) or the post-seal view (file-backed segment) — never a
         torn mix, because the pending→segment swap is one locked commit

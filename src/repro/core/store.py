@@ -851,10 +851,10 @@ class ExactStore(_StoreBase):
 
     # -- snapshots & stacks --------------------------------------------
     def snapshot(self) -> "ExactStore":
-        """An independent copy for readers in O(events): it shares the
-        append-only per-event lists and record log, bounded by their
-        current lengths, and every stacked table (see
-        :meth:`ExactBurstStore.snapshot`)."""
+        """An independent copy for readers that never walks the table:
+        it shares the append-only per-event lists and record log,
+        bounded by the log's length and a copy of its per-event counts,
+        and every stacked table (see :meth:`ExactBurstStore.snapshot`)."""
         copy = ExactStore(self.inner.snapshot())
         copy._t_end = self._t_end
         return copy
@@ -864,9 +864,13 @@ class ExactStore(_StoreBase):
         """Answer over the union of immutable ``parts`` without merging.
 
         O(parts) to build; each query runs on the parts whose time span
-        can change its answer and sums the integer counts, so every
-        answer is bit-identical to the store :meth:`merge` would build
-        from the same parts.
+        can change its answer and sums the integer counts.  For parts
+        on consecutive time ranges, oldest first (the durable store's
+        only use), every answer is bit-identical to the store
+        :meth:`merge` would build from the same parts.  Parts that
+        interleave in time get the same counts, but a zero bound of a
+        bursty-time interval or a peak time may carry the other sign
+        than the merge's where signed-zero ties meet.
         """
         if not parts or not all(isinstance(p, ExactStore) for p in parts):
             raise InvalidParameterError("can only stack exact stores")

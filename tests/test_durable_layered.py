@@ -2,8 +2,8 @@
 
 A durable store with an ``exact`` child answers queries over its cached
 sealed view (a stack of the segments), each frozen pending-seal
-generation and an O(events) snapshot of the live memtable, without
-merging them.  The locks on that:
+generation and a snapshot of the live memtable that copies only its
+record log's per-event counts, without merging them.  The locks on that:
 
 * a hypothesis differential — every query on the surface, in every
   lifecycle state (memtable only, sealed only, sealed + memtable,
@@ -16,7 +16,8 @@ merging them.  The locks on that:
   answers unchanged;
 * deterministic guards against the O(history) read cliffs: between two
   seals, write→query rounds never call the exact merge hook
-  ``ExactStore._merged`` (nor serialize the memtable); no read merges
+  ``ExactStore._merged`` (nor serialize the memtable) and never iterate
+  the memtable's table, even with thousands of events; no read merges
   after a seal, a compaction swap or a recovery either (only the
   compaction's own merge calls the hook); a seal hands the frozen
   memtable's record log to the new segment, so an events query over it
@@ -455,6 +456,43 @@ class TestNoReadAfterWriteCliff:
         finally:
             store.close()
         assert merges == []
+
+    def test_memtable_snapshots_never_walk_the_table(
+        self, tmp_path, monkeypatch
+    ):
+        # Thousands of memtable events: each read view's snapshot bounds
+        # the memtable by its log's per-code counts, so no write→query
+        # round iterates the memtable's own table.
+        n_events = 4_000
+        ids = np.arange(3 * n_events, dtype=np.int64) % n_events
+        ts = np.arange(ids.size, dtype=np.float64)
+        store = create_durable(
+            tmp_path / "s", backend="exact", seal_elements=10**6, fsync="never"
+        )
+        try:
+            store.extend_batch(ids[: 2 * n_events], ts[: 2 * n_events])
+            table = store._memtable.inner._timestamps
+            assert len(table) == n_events and store.n_segments == 0
+            walks = []
+            for name in ("__iter__", "items", "keys", "values"):
+                original = getattr(exact._Table, name)
+
+                def counting(self, *args, _name=name, _original=original):
+                    if self is table:
+                        walks.append(_name)
+                    return _original(self, *args)
+
+                monkeypatch.setattr(exact._Table, name, counting)
+            for i in range(20):
+                start = 2 * n_events + 50 * i
+                store.extend_batch(
+                    ids[start : start + 50], ts[start : start + 50]
+                )
+                _ask_all(store, i, float(ts[start + 49]))
+            assert store._memtable.inner._timestamps is table
+            assert walks == []
+        finally:
+            store.close()
 
     def test_a_seal_hands_its_log_to_the_new_segment(
         self, tmp_path, monkeypatch
