@@ -24,14 +24,15 @@ an explicit lifecycle, the shape Hokusai-style segment stores use:
   its snapshot shares the append-only memtable lists up to their
   current lengths, copying only the record log's per-event count
   column, so a read after a write walks neither the memtable nor the
-  history.  A sketch child's ``snapshot`` is its
-  codec round trip and its ``stack`` one n-part merge
-  (:func:`~repro.core.parallel.merge_stores`) — the §III-A time-range
-  merge contract.  The committed segments become one sealed view
-  through the same ``stack``, once per change of the segment list: for
-  an exact child an O(segments) stack that copies no record, so no
-  seal, compaction swap or recovery makes the next read O(history);
-  for a sketch child still their merge.  A seal hands the frozen
+  history.  A sketch child's ``snapshot`` copies its cells with every
+  PBE-1 buffer read as it stands (no DP runs), and its ``stack`` is
+  one n-part merge (:func:`~repro.core.parallel.merge_stores`) — the
+  §III-A time-range merge contract, which folds nothing here because
+  no part left has a buffer.  The committed segments become one sealed
+  view through the same ``stack``, once per change of the segment
+  list: for an exact child an O(segments) stack that copies no record,
+  so no seal, compaction swap or recovery makes the next read
+  O(history); for a sketch child still their merge.  A seal hands the frozen
   memtable's read state to the segment it opens (an exact child's
   record log), so the segment never rebuilds it.  The view is cached
   until the next state change.
@@ -105,14 +106,17 @@ that module for the crash-window analysis.  Shard counts are changed
 offline with :func:`repro.core.compaction.rebalance` (CLI: ``repro
 rebalance``).
 
-Note on sketch-backed memtables: a snapshot folds the child's buffered
-state on a scratch copy (the codec round trip), and a seal folds it in
-place (``finalize``); both compress every partial PBE-1 buffer in one batched
-sweep.  Buffered corners are exact, so a fold trades fidelity for space:
-approximation guarantees are unaffected, but a sealed segment's corner
-layout, and so its answers, can differ from a build that never sealed
-there.  Exact children are unaffected and are what the bit-identity
-differential uses.
+Note on sketch-backed memtables: a read snapshot copies the child's
+buffered corners as they stand, so a live read answers like the
+memtable itself; a seal folds them in place (``finalize``), compressing
+every partial PBE-1 buffer in one batched sweep.  Buffered corners are
+exact, so a fold trades fidelity for space: approximation guarantees
+are unaffected, but a sealed segment's corner layout, and so its
+answers, can differ from a build that never sealed there.  A durable
+PBE-1 store answers like an in-memory store fed the same records with
+``finalize()`` at each seal point, except that a seal splitting a
+timestamp tie starts the tied records in a new corner.  Exact children
+are unaffected and are what the exact-oracle differentials use.
 """
 
 from __future__ import annotations
@@ -1275,7 +1279,8 @@ class DurableBurstStore(_StoreBase):
         none): the child's ``stack`` of them, cached until the segment
         list changes; a single segment is its own view.  An exact
         child's stack is O(segments) and copies nothing; a sketch
-        child's is still their n-part merge."""
+        child's is still their n-part merge (of finalized segments, so
+        it folds nothing)."""
         if self._sealed_view is None and self._segments:
             segments = self._segments
             self._sealed_view = (
@@ -1299,10 +1304,13 @@ class DurableBurstStore(_StoreBase):
         return self._lower
 
     def _memtable_part_locked(self):
-        """The live memtable as an immutable part (``None`` if empty):
-        the child's own :meth:`snapshot` — for an exact child one copy
-        of its log's per-event counts and no walk of its table, since
-        its memtable only appends under this lock."""
+        """The live memtable as an immutable read part (``None`` if
+        empty): the child's own :meth:`snapshot`, which answers like the
+        memtable does now.  For an exact child it is one copy of its
+        log's per-event counts and no walk of its table, since its
+        memtable only appends under this lock; for a sketch child it is
+        a copy of its cells with every PBE-1 buffer read as it stands,
+        so no read runs the DP.  A seal, not a read, folds."""
         if self._memtable_elements == 0:
             return None
         return self._memtable.snapshot()
@@ -1315,7 +1323,8 @@ class DurableBurstStore(_StoreBase):
         adds one snapshot part per write, and the child's ``stack``
         joins the two (for an exact child, one block copy of the
         memtable's per-event counts per new view and no walk of its
-        events or records).
+        events or records; for a sketch child, a merge of the lower
+        part with the memtable's unfolded cells, which runs no DP).
         A reader sees either the pre-seal view (generation still
         pending) or the post-seal view (file-backed segment) — never a
         torn mix, because the pending→segment swap is one locked commit
@@ -1416,10 +1425,11 @@ class DurableBurstStore(_StoreBase):
     @classmethod
     def _merged(cls, parts: list["DurableBurstStore"]) -> "DurableBurstStore":
         """Durable stores over consecutive time ranges as one ephemeral
-        store whose segments are every part's sealed segments and a
-        snapshot of its live memtable, in order (the parts stay usable
-        and un-aliased afterwards).  Every part must have the first's
-        child backend and child configuration."""
+        store whose segments are every part's sealed segments and its
+        live memtable as a seal would write it (the codec round trip,
+        which folds a sketch's buffers on scratch copies), in order.
+        The parts stay usable and un-aliased afterwards.  Every part
+        must have the first's child backend and child configuration."""
         first = parts[0]
         child = (first.child_backend, first.child_cfg)
         if any((p.child_backend, p.child_cfg) != child for p in parts):
@@ -1430,9 +1440,11 @@ class DurableBurstStore(_StoreBase):
         for store in parts:
             with store._lock:
                 segments.extend(store._parts_locked())
-                memtable = store._memtable_part_locked()
-                if memtable is not None:
-                    segments.append(memtable)
+                if store._memtable_elements:
+                    memtable = store._memtable
+                    segments.append(
+                        type(memtable).from_bytes(memtable.to_bytes())
+                    )
         return cls(
             None,
             backend=first.child_backend,

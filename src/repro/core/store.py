@@ -77,6 +77,7 @@ from repro.core.metrics import (
 )
 from repro.core.parallel import merge_pbe1, merge_pbe2, merge_stores
 from repro.core.serialize import (
+    _finalized_pbe2,
     dump_cmpbe,
     dump_direct_map,
     dump_index,
@@ -322,6 +323,22 @@ def _merged_cell(cells: Sequence):
     if all(isinstance(cell, PBE2) for cell in cells):
         return merge_pbe2(cells)
     raise InvalidParameterError("cannot merge cells of different PBE kinds")
+
+
+def _cell_as_read(cells: Sequence):
+    """A lone cell copied as a read sees it, with no DP run: a PBE-1's
+    kept corners followed by its buffered ones (buffered corners are the
+    exact staircase, §III-A) and an empty buffer, with the cell's own
+    count and construction error; a PBE-2 finalized on a scratch copy."""
+    (cell,) = cells
+    if isinstance(cell, PBE1):
+        copy = PBE1(eta=cell.eta, buffer_size=cell.buffer_size)
+        copy._kept_xs = cell._kept_xs + cell._buffer_xs
+        copy._kept_ys = cell._kept_ys + cell._buffer_ys
+        copy._count = cell._count
+        copy._construction_error = cell._construction_error
+        return copy
+    return _finalized_pbe2(cell)
 
 
 def _pack_config(config: dict, payload: bytes) -> bytes:
@@ -704,8 +721,10 @@ class _StoreBase:
 
     # -- immutable parts (the durable read path) ----------------------
     def snapshot(self) -> "_StoreBase":
-        """An immutable copy for readers: the codec round trip, which
-        folds a sketch's buffered state on scratch copies."""
+        """An immutable copy for readers: by default the codec round
+        trip, the state a seal would write.  The exact and sketch
+        backends override it with copies that answer like the store
+        does now and fold nothing."""
         return type(self).from_bytes(self.to_bytes())
 
     @classmethod
@@ -1051,6 +1070,23 @@ class _SketchStore(_StoreBase):
     def size_in_bytes(self) -> int:
         return self.inner.size_in_bytes()
 
+    # -- snapshots -----------------------------------------------------
+    def snapshot(self) -> "_SketchStore":
+        """An immutable copy for readers that runs no PBE-1 DP: every
+        level sketch over copies of its cells as they stand (see
+        :func:`_cell_as_read`), so it answers bit for bit like this
+        store does now.  Its cells have no buffer, so a ``stack`` over
+        it folds nothing either; only a seal, a compaction and
+        ``to_bytes`` fold.  PBE-2 cells are finalized copies, as the
+        codec round trip makes them."""
+        levels = [
+            _merged_level([level], [level.cells()], _cell_as_read)
+            for level in self._levels()
+        ]
+        return self._adopt(
+            self._inner_from_levels(levels), self.spec, self._config()
+        )
+
     # -- merge & codec -------------------------------------------------
     def _check_merge(self, other: "_SketchStore") -> None:
         """Backend-specific merge preconditions beyond the cell spec."""
@@ -1102,11 +1138,15 @@ class _SketchStore(_StoreBase):
 
 
 def _merged_level(
-    levels: list[CMPBE | DirectPBEMap], cells: list[list]
+    levels: list[CMPBE | DirectPBEMap],
+    cells: list[list],
+    merge_cells: Callable[[Sequence], PBE1 | PBE2] = _merged_cell,
 ) -> CMPBE | DirectPBEMap:
     """Merge one level sketch per part from their folded ``cells()``: a
     CM-PBE grid cell by cell (every part with the same dimensions,
-    combiner and seed), a direct map over the union of ids."""
+    combiner and seed), a direct map over the union of ids.
+    ``merge_cells`` joins one cell per part (a snapshot passes one part
+    and :func:`_cell_as_read`)."""
     first = levels[0]
     if all(isinstance(level, CMPBE) for level in levels):
         geometry = {
@@ -1117,7 +1157,7 @@ def _merged_level(
             raise InvalidParameterError(
                 "grid dimensions/seed differ; cannot merge"
             )
-        merged_cells = iter([_merged_cell(column) for column in zip(*cells)])
+        merged_cells = iter([merge_cells(column) for column in zip(*cells)])
         merged = CMPBE(
             cell_factory=lambda: next(merged_cells),
             width=first.width,
@@ -1132,7 +1172,7 @@ def _merged_level(
                 by_id.setdefault(event_id, []).append(cell)
         merged = DirectPBEMap(first._cell_factory)
         for event_id in sorted(by_id):
-            merged._cells[event_id] = _merged_cell(by_id[event_id])
+            merged._cells[event_id] = merge_cells(by_id[event_id])
     else:
         raise InvalidParameterError("level layouts differ; cannot merge")
     merged._count = sum(level.count for level in levels)

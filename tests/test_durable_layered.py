@@ -26,7 +26,14 @@ record log's per-event counts, without merging them.  The locks on that:
 * the two store operations the read view is built from, on every
   backend of the test matrix: a ``snapshot()`` answers unchanged after
   its source ingests more, and ``stack(parts)`` over consecutive parts
-  answers like nested two-part ``merge`` calls.
+  answers like nested two-part ``merge`` calls;
+* sketch children read their memtable's PBE-1 buffers as they stand:
+  a hypothesis differential pins durable ``cm-pbe-1`` and ``index``
+  stores, over any write split, seal and compaction schedule and one
+  ``recover()``, to in-memory stores finalized at each seal point;
+  write→query rounds and the first query after a recovery call the DP
+  (``approximate_staircases``) 0 times; and a durable merge still
+  saves each memtable folded, as a seal writes it.
 """
 
 from __future__ import annotations
@@ -44,7 +51,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import exact
+from repro.core import pbe1
 from repro.core.durable import DurableBurstStore, create_durable, recover
+from repro.core.parallel import merge_stores
+from repro.core.serialize import save_store
 from repro.core.store import CMPBEStore, ExactStore, create_store
 
 from tests.backends import BACKEND_IDS, BACKEND_MATRIX
@@ -100,8 +110,10 @@ def _oracle(ids, ts, counts):
     return oracle
 
 
-def surface(store, tau: float, theta: float, times) -> dict:
-    """Every exact-query answer over a fixed panel, as comparable values."""
+def surface(store, tau: float, theta: float, times, records=True) -> dict:
+    """Every query answer over a fixed panel, as comparable values
+    (``records=False`` leaves out ``export_records``, which only record-
+    retaining backends answer)."""
     times = [float(t) for t in times]
     out = {}
     for event in range(UNIVERSE + 1):  # the last id is never ingested
@@ -132,13 +144,14 @@ def surface(store, tau: float, theta: float, times) -> dict:
     for t in times:
         out["events", t] = store.bursty_event_query(t, theta, tau)
         out["events0", t] = store.bursty_event_query(t, 0.0, tau)
-    rec_ids, rec_ts = store.export_records()
-    out["export"] = (
-        rec_ids.dtype.str,
-        rec_ids.tobytes(),
-        rec_ts.dtype.str,
-        rec_ts.tobytes(),
-    )
+    if records:
+        rec_ids, rec_ts = store.export_records()
+        out["export"] = (
+            rec_ids.dtype.str,
+            rec_ids.tobytes(),
+            rec_ts.dtype.str,
+            rec_ts.tobytes(),
+        )
     out["count"] = store.count
     return out
 
@@ -653,9 +666,14 @@ def test_snapshot_answers_unchanged_after_its_source_ingests(
     with create_store(backend, **cfg) as store:
         store.extend_batch(ids[:cut], ts[:cut])
         snapshot = store.snapshot()
-        saved = type(store).from_bytes(store.to_bytes())
         before = _matrix_answers(snapshot)
-        assert before == _matrix_answers(saved)
+        if getattr(getattr(store, "spec", None), "kind", None) == "pbe1":
+            # A PBE-1 sketch's snapshot reads its buffers as they stand,
+            # so it answers like its source, not like the folded codec.
+            assert before == _matrix_answers(store)
+        else:
+            saved = type(store).from_bytes(store.to_bytes())
+            assert before == _matrix_answers(saved)
         store.extend_batch(ids[cut:], ts[cut:])
         assert _matrix_answers(snapshot) == before
 
@@ -676,3 +694,236 @@ def test_stack_answers_like_the_merge_fold(label, backend, cfg):
     finally:
         for part in parts:
             part.close()
+
+
+# ----------------------------------------------------------------------
+# Sketch children: a read folds no PBE-1 buffer
+# ----------------------------------------------------------------------
+# Small corner budgets, so that folding a buffer changes its corners.
+PBE1_SKETCHES = [
+    (
+        "cm-pbe-1",
+        dict(universe_size=UNIVERSE, eta=3, buffer_size=9, width=3, depth=3),
+    ),
+    (
+        "index",
+        dict(
+            universe_size=UNIVERSE,
+            cell="pbe1",
+            eta=3,
+            buffer_size=9,
+            width=3,
+            depth=3,
+        ),
+    ),
+]
+SKETCH_STEPS = ("write", "write", "write", "seal", "compact")
+
+
+@contextmanager
+def _buffers_read_as_kept(store):
+    """Append every PBE-1 buffer of an in-memory ``store`` to its kept
+    corners for the block (the curve the store answers with, which a
+    merge then copies and does not fold), then put the buffers back."""
+    cells = [cell for level in store._levels() for cell in level.cells()]
+    saved = [
+        (c._kept_xs, c._kept_ys, c._buffer_xs, c._buffer_ys) for c in cells
+    ]
+    for cell in cells:
+        cell._kept_xs = cell._kept_xs + cell._buffer_xs
+        cell._kept_ys = cell._kept_ys + cell._buffer_ys
+        cell._buffer_xs, cell._buffer_ys = [], []
+    try:
+        yield
+    finally:
+        for cell, state in zip(cells, saved):
+            (
+                cell._kept_xs,
+                cell._kept_ys,
+                cell._buffer_xs,
+                cell._buffer_ys,
+            ) = state
+
+
+class _SealedInMemory:
+    """In-memory stores fed a durable store's records, with
+    ``finalize()`` where the durable store seals.
+
+    One store takes every record, except across a seal that splits a
+    timestamp tie: there a durable store starts the tied records in a
+    new memtable corner, where one in-memory store would grow its last
+    kept corner, so a new in-memory store takes the records after it.
+    A read merges the closed stores with the open one read as it stands.
+    """
+
+    def __init__(self, backend: str, cfg: dict, seal: int, stream) -> None:
+        self.backend, self.cfg, self.seal_elements = backend, cfg, seal
+        self.ids, self.ts, self.counts = stream
+        self.closed: list = []
+        self.open = create_store(backend, **cfg)
+        self.written = 0
+        self.elements = 0  # in the durable store's memtable
+
+    def write(self, stop: int) -> None:
+        """Records ``[written, stop)``, sealing as the durable store
+        does: after the record that brings its memtable to
+        ``seal_elements`` stream elements."""
+        for i in range(self.written, stop):
+            self.open.extend_batch(
+                self.ids[i : i + 1],
+                self.ts[i : i + 1],
+                _slice(self.counts, i, i + 1),
+            )
+            self.written = i + 1
+            self.elements += 1 if self.counts is None else int(self.counts[i])
+            if self.elements >= self.seal_elements:
+                self.seal()
+
+    def seal(self) -> None:
+        if self.elements == 0:
+            return
+        self.open.finalize()
+        self.elements = 0
+        i = self.written
+        if i < len(self.ts) and self.ts[i] == self.ts[i - 1]:
+            self.closed.append(self.open)
+            self.open = create_store(self.backend, **self.cfg)
+
+    def view(self):
+        if not self.closed:
+            return self.open
+        if self.open.count == 0:
+            return merge_stores(self.closed)
+        with _buffers_read_as_kept(self.open):
+            return merge_stores([*self.closed, self.open])
+
+
+class TestSketchReadsFoldNothing:
+    @pytest.mark.parametrize(
+        "backend, cfg", PBE1_SKETCHES, ids=[b for b, _ in PBE1_SKETCHES]
+    )
+    @settings(
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        stream=streams(min_size=40, max_size=140),
+        steps=st.lists(
+            st.sampled_from(SKETCH_STEPS), min_size=1, max_size=12
+        ),
+        recover_at=st.none() | st.integers(min_value=0, max_value=12),
+        seal=st.integers(min_value=3, max_value=40),
+        tau=st.sampled_from([0.5, 1.0, 2.5, 4.0]),
+        theta=st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+    )
+    def test_reads_answer_like_in_memory_finalized_at_each_seal(
+        self, backend, cfg, stream, steps, recover_at, seal, tau, theta
+    ):
+        ids, ts, counts = stream
+        times = panel_times(ts, tau, extra=ts[:: max(1, ids.size // 6)])
+        writes = max(1, steps.count("write"))
+        size = -(-ids.size // writes)
+        if recover_at is not None:
+            steps = [*steps[:recover_at], "recover", *steps[recover_at:]]
+        oracle = _SealedInMemory(backend, cfg, seal, stream)
+        with tempfile.TemporaryDirectory() as root:
+            path = os.path.join(root, "s")
+            store = create_durable(
+                path,
+                backend=backend,
+                seal_elements=seal,
+                fsync="never",
+                **cfg,
+            )
+            try:
+                for step in steps:
+                    if step == "write" and oracle.written < ids.size:
+                        start = oracle.written
+                        stop = min(ids.size, start + size)
+                        store.extend_batch(
+                            ids[start:stop],
+                            ts[start:stop],
+                            _slice(counts, start, stop),
+                        )
+                        oracle.write(stop)
+                    elif step == "seal":
+                        store.seal()
+                        oracle.seal()
+                    elif step == "compact":
+                        store.compact(fanin=2, min_segments=2)
+                    elif step == "recover":
+                        store.close()
+                        store = recover(path, fsync="never")
+                    if oracle.written:
+                        assert surface(
+                            store, tau, theta, times, records=False
+                        ) == surface(
+                            oracle.view(), tau, theta, times, records=False
+                        )
+            finally:
+                store.close()
+
+    def test_write_query_rounds_and_recovery_run_no_dp(
+        self, tmp_path, monkeypatch
+    ):
+        # Every cell's buffer holds more than eta corners, so a fold
+        # would run the DP; seal_elements < buffer_size, so between
+        # seals no write fills a buffer either.
+        cfg = dict(universe_size=UNIVERSE, eta=3, buffer_size=400, width=3)
+        ids = np.arange(1_000, dtype=np.int64) % UNIVERSE
+        ts = np.arange(1_000, dtype=np.float64)
+        path = tmp_path / "s"
+        store = create_durable(
+            path, backend="cm-pbe-1", seal_elements=300, fsync="never", **cfg
+        )
+        dp = _count_calls(monkeypatch, pbe1, "approximate_staircases")
+        try:
+            store.extend_batch(ids[:650], ts[:650])
+            assert store.n_segments == 2 and dp  # the seals fold
+            dp.clear()
+            for i in range(24):
+                start = 650 + 10 * i
+                store.extend_batch(
+                    ids[start : start + 10], ts[start : start + 10]
+                )
+                _ask_all(store, i, float(ts[start + 9]))
+            assert store.n_segments == 2
+            assert dp == []
+        finally:
+            store.close()
+        store = recover(path, fsync="never")
+        try:
+            assert store._memtable_elements == 290
+            _ask_all(store, 0, 889.0)  # the first query after recovery
+            assert dp == []
+        finally:
+            store.close()
+
+
+def test_a_durable_merge_saves_each_memtable_as_a_seal_writes_it():
+    cfg = dict(universe_size=UNIVERSE, eta=3, buffer_size=50, width=3)
+    ids = np.arange(400, dtype=np.int64) % UNIVERSE
+    ts = np.arange(400, dtype=np.float64)
+    parts = []
+    for lo, hi in ((0, 170), (170, 400)):
+        part = create_store(
+            "durable", backend="cm-pbe-1", seal_elements=100, **cfg
+        )
+        part.extend_batch(ids[lo:hi], ts[lo:hi])
+        assert part.n_segments >= 1 and part._memtable_elements > 0
+        parts.append(part)
+    segments = []
+    for part in parts:
+        memtable = part._memtable
+        segments.extend(part._parts_locked())
+        segments.append(type(memtable).from_bytes(memtable.to_bytes()))
+    sealed = DurableBurstStore(
+        None,
+        backend="cm-pbe-1",
+        seal_elements=100,
+        _segments=segments,
+        **cfg,
+    )
+    sealed._t_end = parts[-1]._t_end
+    assert save_store(merge_stores(parts)) == save_store(sealed)

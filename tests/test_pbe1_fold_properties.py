@@ -1,6 +1,6 @@
 """Property tests: batched PBE-1 folds equal per-cell folds, bit for bit.
 
-A seal, a read snapshot or a merge folds every partial PBE-1 buffer of a
+A seal, a save or a merge folds every partial PBE-1 buffer of a
 container in one batched refinement sweep
 (:func:`repro.core.pbe1.approximate_staircases` through
 :func:`repro.core.pbe1.fold_buffers`).  These tests pin, at zero
