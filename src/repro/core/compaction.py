@@ -16,13 +16,13 @@ Hokusai-style stores use to keep unbounded streams bounded:
   may move by rounding (8.5e-14 at most in ``tests/test_merge_contract``
   measurements, which pin a 1e-12 bound).
 * :func:`merge_pass` — one merge: it merges the planned run through
-  :func:`~repro.core.parallel.merge_stores` in one n-part call (which
-  reaches the lazy zero-copy ``merge_pbe1``/``merge_pbe2`` fast paths
-  for PBE children), writes the merged segment atomically under a name
-  reserved from the store, then commits one atomic manifest swap
-  through the store's segment commit — the same one every seal uses:
-  new segment in, inputs out, inputs listed in the manifest's
-  ``tombstones`` field.  Only after the swap are the input files
+  :func:`~repro.core.parallel.merge_stores` in one n-part call (PBE-1
+  cells concatenate their segments' zero-copy corner arrays, and lazy
+  PBE-2 cells are read without hydrating), writes the merged segment
+  atomically under a name reserved from the store, then commits one
+  atomic manifest swap through the store's segment commit — the same
+  one every seal uses: new segment in, inputs out, inputs listed in the
+  manifest's ``tombstones`` field.  Only after the swap are the input files
   unlinked and the tombstones cleared.  :func:`compact_until_stable`
   repeats it until the plan is empty.  Both run only when
   ``DurableBurstStore.compact()`` is called, on the caller's thread.

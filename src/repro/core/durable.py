@@ -407,7 +407,6 @@ class DurableBurstStore(_StoreBase):
         seal_elements: int = DEFAULT_SEAL_ELEMENTS,
         fsync: str = "batch",
         flush_bytes: int | None = None,
-        flush_records: int | None = None,
         background_seal: bool = False,
         max_unsealed: int = DEFAULT_MAX_UNSEALED,
         resume: bool = False,
@@ -446,7 +445,6 @@ class DurableBurstStore(_StoreBase):
         self.background_seal = bool(background_seal)
         self.max_unsealed = int(max_unsealed)
         self.flush_bytes = flush_bytes
-        self.flush_records = flush_records
         self._lock = threading.RLock()
         # Condition over the store lock: producers wait on it when the
         # pending-seal queue is full; the seal thread waits on it for
@@ -592,7 +590,6 @@ class DurableBurstStore(_StoreBase):
             self._wal_path(seq),
             fsync=self.fsync_policy,
             flush_bytes=self.flush_bytes,
-            flush_records=self.flush_records,
             **kwargs,
         )
 
@@ -1719,7 +1716,6 @@ def create_durable(
     seal_elements: int = DEFAULT_SEAL_ELEMENTS,
     fsync: str = "batch",
     flush_bytes: int | None = None,
-    flush_records: int | None = None,
     background_seal: bool = False,
     max_unsealed: int = DEFAULT_MAX_UNSEALED,
     resume: bool = False,
@@ -1733,8 +1729,8 @@ def create_durable(
     durable stores in per-shard subdirectories — per-shard WALs,
     per-shard seals — tied together by a top-level manifest that
     names them and that :func:`recover` reads back; resuming checks the
-    shard count against it.  ``flush_bytes``/``flush_records``
-    bound the unsynced WAL tail under ``fsync="batch"``;
+    shard count against it.  ``flush_bytes`` bounds the unsynced WAL
+    tail under ``fsync="batch"``;
     ``background_seal``/``max_unsealed`` move segment writes off the
     ingest hot path (see :class:`DurableBurstStore`).
     """
@@ -1744,7 +1740,6 @@ def create_durable(
     runtime = dict(
         fsync=fsync,
         flush_bytes=flush_bytes,
-        flush_records=flush_records,
         background_seal=background_seal,
         max_unsealed=max_unsealed,
         tracer=tracer,
@@ -1777,7 +1772,6 @@ def recover(
     *,
     fsync: str = "batch",
     flush_bytes: int | None = None,
-    flush_records: int | None = None,
     background_seal: bool = False,
     max_unsealed: int = DEFAULT_MAX_UNSEALED,
     tracer=None,
@@ -1806,7 +1800,6 @@ def recover(
     durable_kwargs = dict(
         fsync=fsync,
         flush_bytes=flush_bytes,
-        flush_records=flush_records,
         background_seal=background_seal,
         max_unsealed=max_unsealed,
         tracer=tracer,

@@ -25,7 +25,7 @@ import numpy as np
 from repro.core.errors import InvalidParameterError
 from repro.core.pbe1 import PBE1
 from repro.core.pbe2 import PBE2, LineSegment
-from repro.core.serialize import LazyPBE1, LazyPBE2, folded_cells
+from repro.core.serialize import LazyPBE2, folded_cells
 
 __all__ = [
     "merge_pbe1",
@@ -42,43 +42,32 @@ def merge_pbe1(parts: Sequence[PBE1]) -> PBE1:
 
     Each part must have summarized its *own* chunk (counts starting from
     zero); parts must be in time order.  The merged sketch's corners are
-    the concatenation with cumulative count offsets applied.  Partial
-    buffers are folded on scratch copies (one batched call), so the
-    parts themselves are never mutated.
+    the concatenation with cumulative count offsets applied, each
+    offset by one IEEE add per corner.  Partial buffers are folded on
+    scratch copies (one batched call), so the parts themselves are never
+    mutated.
     """
     if not parts:
         raise InvalidParameterError("need at least one part")
     merged = PBE1(eta=parts[0].eta, buffer_size=parts[0].buffer_size)
+    xs_parts = []
+    ys_parts = []
     offset = 0.0
     last_x = float("-inf")
     for part in folded_cells(parts):
-        if isinstance(part, LazyPBE1) and not part.is_materialized:
-            # Lazy operand: read its corner columns straight off the
-            # serialized blob instead of forcing a full hydration into
-            # Python lists the part itself will never use.  The offset
-            # shift is one IEEE add either way, so the merged corners
-            # are bit-identical to the eager path.
-            xs_view, ys_view = part._lazy_arrays()
-            xs = xs_view.tolist()
-            ys = (ys_view + offset).tolist()
-        else:
-            # Copy the part's corner columns: the merged sketch must
-            # own its state outright, so that a caller reusing (and
-            # mutating) a part after the merge cannot corrupt the
-            # merged corners — and vice versa.
-            xs = list(part._kept_xs)
-            ys = [y + offset for y in part._kept_ys]
-        if xs and xs[0] < last_x:
-            raise InvalidParameterError(
-                "parts must cover consecutive disjoint time ranges"
-            )
-        merged._kept_xs.extend(xs)
-        merged._kept_ys.extend(ys)
-        if xs:
+        xs = part._kept_xs
+        if xs.size:
+            if xs[0] < last_x:
+                raise InvalidParameterError(
+                    "parts must cover consecutive disjoint time ranges"
+                )
             last_x = xs[-1]
+        xs_parts.append(xs)
+        ys_parts.append(part._kept_ys + offset)
         offset += part.count
         merged._count += part.count
         merged._construction_error += part.construction_error
+    merged._set_kept(np.concatenate(xs_parts), np.concatenate(ys_parts))
     return merged
 
 

@@ -358,7 +358,6 @@ class ParallelIngestCoordinator:
         seal_elements: int = DEFAULT_SEAL_ELEMENTS,
         fsync: str = "batch",
         flush_bytes: int | None = None,
-        flush_records: int | None = None,
         max_unsealed: int = DEFAULT_MAX_UNSEALED,
         queue_depth: int = DEFAULT_QUEUE_DEPTH,
         coalesce_bytes: int | None = None,
@@ -489,7 +488,6 @@ class ParallelIngestCoordinator:
             seal_elements=int(seal_elements),
             fsync=fsync,
             flush_bytes=flush_bytes,
-            flush_records=flush_records,
             background_seal=True,
             max_unsealed=max_unsealed,
             **self.child_cfg,

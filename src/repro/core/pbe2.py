@@ -707,4 +707,4 @@ class PBE2:
 
     def size_in_bytes(self) -> int:
         """Four floats per finalized segment."""
-        return 4 * BYTES_PER_FLOAT * len(self._segments)
+        return 4 * BYTES_PER_FLOAT * self.n_segments

@@ -91,8 +91,8 @@ def _sub_batches(ts, counts, cuts):
 # ----------------------------------------------------------------------
 def pbe1_state(sketch: PBE1):
     return (
-        sketch._kept_xs,
-        sketch._kept_ys,
+        sketch._kept_xs.tolist(),
+        sketch._kept_ys.tolist(),
         sketch._buffer_xs,
         sketch._buffer_ys,
         sketch._count,

@@ -730,8 +730,7 @@ def _buffers_read_as_kept(store):
         (c._kept_xs, c._kept_ys, c._buffer_xs, c._buffer_ys) for c in cells
     ]
     for cell in cells:
-        cell._kept_xs = cell._kept_xs + cell._buffer_xs
-        cell._kept_ys = cell._kept_ys + cell._buffer_ys
+        cell._kept_xs, cell._kept_ys = cell._corner_arrays()
         cell._buffer_xs, cell._buffer_ys = [], []
     try:
         yield
