@@ -20,8 +20,10 @@ scalar loop or the CM-PBE grids fall below the vectorization floor at
 The batched wins are structural, not incidental: one ``searchsorted``
 over each PBE's corners replaces a bisect per query, the CM-PBE row
 combiner becomes one ``np.median`` over a matrix, per-id hash columns
-are computed once per batch, and the sharded composite fans shard
-batches out on a thread pool.
+are computed once per batch, and the sharded composite fans large
+shard batches out on a thread pool (from ``POOL_MIN_PAIRS_PER_SHARD``
+pairs per shard; smaller ones run in shard order on the caller's
+thread).
 """
 
 from __future__ import annotations

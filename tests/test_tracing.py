@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.core import store as store_module
 from repro.core.durable import create_durable, recover
 from repro.core.errors import InvalidParameterError
 from repro.core.metrics import MetricsRegistry, global_registry
@@ -404,9 +405,9 @@ class TestStitchedIngestTrace:
 
 
 class TestShardedTraceContext:
-    """Shard work runs on pool threads, which start with an empty
-    context; each task runs in a copy of the caller's, so a traced
-    sharded query or recovery stays one trace."""
+    """Shard recovery and large point batches run on pool threads, which
+    start with an empty context; each task runs in a copy of the
+    caller's, so a traced sharded query or recovery stays one trace."""
 
     def test_shard_spans_join_the_caller_trace(self, tmp_path):
         tracer = Tracer()
@@ -442,4 +443,33 @@ class TestShardedTraceContext:
         queries = [s for s in spans if s["name"].startswith("query.")]
         assert len(queries) == 6  # 3 shards x (point batch, events)
         for query in queries:
+            assert by_id[query["parent_id"]]["name"] == "sharded.fanout"
+
+    def test_pooled_shard_spans_join_the_caller_trace(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(store_module, "POOL_MIN_PAIRS_PER_SHARD", 1)
+        tracer = Tracer()
+        set_tracer(tracer)
+        store = create_durable(
+            tmp_path / "store", backend="cm-pbe-1", shards=3,
+            universe_size=12, eta=20, width=4, depth=2, fsync="never",
+        )
+        try:
+            store.extend_batch(np.arange(120) % 12, np.arange(120.0))
+            with tracer.span("client.request"):
+                store.point_query_batch(
+                    np.arange(12), np.full(12, 100.0), 10.0
+                )
+            assert store._pool is not None
+        finally:
+            store.close()
+
+        spans = tracer.finished_spans()
+        by_id = {s["span_id"]: s for s in spans}
+        (root,) = [s for s in spans if s["name"] == "client.request"]
+        queries = [s for s in spans if s["name"].startswith("query.")]
+        assert len(queries) == 3
+        for query in queries:
+            assert query["trace_id"] == root["trace_id"]
             assert by_id[query["parent_id"]]["name"] == "sharded.fanout"
