@@ -49,7 +49,7 @@ UNIVERSE = 97
 #: slack on the post-compaction latency gates: the compacted store must
 #: stay within this factor of the fragmented one.  Compaction usually
 #: *wins* both races; the generous bound only trips on structural
-#: regressions (e.g. the merged segment losing its lazy fast path),
+#: regressions (e.g. the merged segment no longer read in place),
 #: never on a noisy CI box timing microsecond-scale queries.
 LATENCY_SLACK = 5.0
 

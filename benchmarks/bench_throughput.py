@@ -25,10 +25,10 @@ vectorized (``PBE_SEED_SCALAR_RATES``): ``extend_batch`` must clear
 column has itself been accelerated by the same kernels, so the
 scalar/batch ratio *within* one run understates the gain — compare
 against the seed constants, not the neighbouring column.  The PBE
-rows and their in-run oracle are timed in ``FLOOR_PROCESSES`` fresh
-processes, and their checks gate on the median of the per-process
-ratios: the ratio spreads more between processes than between repeats
-of one process.  Every benchmarked row is additionally
+rows and their in-run oracle, and the vectorized rows, are timed in
+``FLOOR_PROCESSES`` fresh processes, and their checks gate on the
+median of the per-process ratios: the ratio spreads more between
+processes than between repeats of one process.  Every benchmarked row is additionally
 bit-identity-checked: the batch-built sketch must serialize to exactly
 the same bytes (or hash to the same values) as its scalar-built twin,
 so a rate can never be bought with a drifted answer.
@@ -255,8 +255,9 @@ SEAL_RECORDS = 1_000
 
 
 #: Repeats of the rows whose floor compares the batch path with the
-#: in-run oracle (at least ``--repeats``): both sides are best-of-N
-#: minima, and more interleaved repeats give each a steadier minimum.
+#: in-run oracle or the scalar path (at least ``--repeats``): both sides
+#: are best-of-N minima, and more interleaved repeats give each a
+#: steadier minimum.
 FLOOR_REPEATS = 15
 #: Fresh processes those rows are timed in, one after another.  Their
 #: ratios spread more between processes than between repeats of one
@@ -778,16 +779,18 @@ def _workload(quick: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _time_floor_rows(quick: bool, repeats: int) -> dict[str, list[float]]:
-    """Best-of-N seconds ``[scalar, oracle, batch]`` of every row with
-    an in-run oracle, timed interleaved in this process."""
+    """Best-of-N seconds of every row gated on a multiple, timed
+    interleaved in this process: ``[scalar, oracle, batch]`` of a row
+    with an in-run oracle, ``[scalar, batch]`` of a vectorized row."""
     return {
         name: _best_seconds_of(
-            [scalar_fn, oracle_fn, batch_fn], max(repeats, FLOOR_REPEATS)
+            [scalar_fn, *([oracle_fn] if oracle_fn else []), batch_fn],
+            max(repeats, FLOOR_REPEATS),
         )
-        for name, _, _, scalar_fn, batch_fn, _, oracle_fn in _ingest_layers(
-            *_workload(quick)
+        for name, _, vectorized, scalar_fn, batch_fn, _, oracle_fn in (
+            _ingest_layers(*_workload(quick))
         )
-        if oracle_fn is not None
+        if vectorized or oracle_fn is not None
     }
 
 
@@ -815,26 +818,28 @@ def run_ingest_comparison(
         # The scalar path, the oracle and the batch path are timed
         # interleaved so the speedup and floor checks compare
         # measurements from the same machine phase (see _ingest_layers).
-        # A row with an oracle was timed so in each fresh process; its
-        # seconds are the medians over them, its ratios the medians of
-        # the per-process ratios.
+        # A vectorized row or a row with an oracle was timed so in each
+        # fresh process; its seconds are the medians over them, its
+        # ratios the medians of the per-process ratios.
         row = {"layer": name, "n_elements": int(n), "vectorized": vectorized}
-        if oracle_fn is None:
+        row["oracle_seconds"] = row["oracle_elements_per_s"] = None
+        if name not in floor_timings[0]:
             scalar_s, batch_s = _best_seconds_of(
                 [scalar_fn, batch_fn], repeats
             )
             speedup = scalar_s / batch_s
-            row["oracle_seconds"] = row["oracle_elements_per_s"] = None
         else:
             timings = [timing[name] for timing in floor_timings]
-            scalar_s, oracle_s, batch_s = np.median(timings, axis=0).tolist()
-            speedup = float(np.median([s / b for s, _, b in timings]))
-            row["oracle_seconds"] = oracle_s
-            row["oracle_elements_per_s"] = n / oracle_s
-            row["oracle_speedup"] = float(
-                np.median([o / b for _, o, b in timings])
-            )
+            seconds = np.median(timings, axis=0).tolist()
+            scalar_s, batch_s = seconds[0], seconds[-1]
+            speedup = float(np.median([t[0] / t[-1] for t in timings]))
             row["process_seconds"] = timings
+            if oracle_fn is not None:
+                row["oracle_seconds"] = seconds[1]
+                row["oracle_elements_per_s"] = n / seconds[1]
+                row["oracle_speedup"] = float(
+                    np.median([o / b for _, o, b in timings])
+                )
         row.update(
             scalar_seconds=scalar_s,
             batch_seconds=batch_s,
@@ -973,6 +978,14 @@ def main(argv: list[str] | None = None) -> int:
         )
     for row in payload["rows"]:
         oracle = row.get("oracle_elements_per_s")
+        if row["vectorized"]:
+            ratios = ", ".join(
+                f"{t[0] / t[-1]:.2f}x" for t in row["process_seconds"]
+            )
+            print(
+                f"{row['layer']}: batch is {row['speedup']:.2f}x scalar "
+                f"(median of {ratios} over fresh processes)"
+            )
         if oracle:
             ratios = ", ".join(
                 f"{o / b:.2f}x" for _, o, b in row["process_seconds"]

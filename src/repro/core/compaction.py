@@ -17,8 +17,8 @@ Hokusai-style stores use to keep unbounded streams bounded:
   measurements, which pin a 1e-12 bound).
 * :func:`merge_pass` — one merge: it merges the planned run through
   :func:`~repro.core.parallel.merge_stores` in one n-part call (PBE-1
-  cells concatenate their segments' zero-copy corner arrays, and lazy
-  PBE-2 cells are read without hydrating), writes the merged segment
+  cells concatenate their segments' zero-copy corner arrays, PBE-2
+  cells their segment columns), writes the merged segment
   atomically under a name reserved from the store, then commits one
   atomic manifest swap through the store's segment commit — the same
   one every seal uses: new segment in, inputs out, inputs listed in the

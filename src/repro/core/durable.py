@@ -12,7 +12,7 @@ an explicit lifecycle, the shape Hokusai-style segment stores use:
   **sealed**: finalized, frozen into an immutable v3 envelope segment
   file (:func:`~repro.core.serialize.save_store` written atomically),
   the WAL is rotated, and the manifest commits the new segment list;
-* **reads** fan across the sealed segments (opened lazily via
+* **reads** fan across the sealed segments (memory-mapped by
   :func:`~repro.core.serialize.open_store`), the frozen pending-seal
   generations and a snapshot of the live memtable.  The read path asks
   the child store for two operations only and never which kind it is:

@@ -24,8 +24,8 @@ import numpy as np
 
 from repro.core.errors import InvalidParameterError
 from repro.core.pbe1 import PBE1
-from repro.core.pbe2 import PBE2, LineSegment
-from repro.core.serialize import LazyPBE2, folded_cells
+from repro.core.pbe2 import PBE2
+from repro.core.serialize import folded_cells
 
 __all__ = [
     "merge_pbe1",
@@ -75,26 +75,25 @@ def merge_pbe2(parts: Sequence[PBE2]) -> PBE2:
     """Merge PBE-2 parts built over consecutive, disjoint time ranges.
 
     A part's line ``a t + b`` becomes ``a t + (b + offset)`` where
-    ``offset`` is the total count of all earlier parts.  Live parts are
-    finalized on scratch copies, so the parts themselves are never
-    mutated.
+    ``offset`` is the total count of all earlier parts, one IEEE add per
+    row.  A part's rows are in time order, so only its first row can
+    reach back into the previous part.  Live parts are finalized on
+    scratch copies, so the parts themselves are never mutated.
     """
     if not parts:
         raise InvalidParameterError("need at least one part")
     merged = PBE2(gamma=parts[0].gamma, unit=parts[0].unit)
+    folded = folded_cells(parts)
+    table = np.empty((4, sum(part.n_segments for part in folded)))
+    at = 0
     offset = 0.0
     last_end = float("-inf")
-    for part in folded_cells(parts):
-        if isinstance(part, LazyPBE2) and not part.is_materialized:
-            # Lazy operand: decode segment rows straight off the
-            # serialized blob; the part itself stays unmaterialized.
-            rows = part._lazy_segment_rows()
-        else:
-            rows = [
-                (s.a, s.b, s.t_start, s.t_end) for s in part.segments
-            ]
-        for a, b, seg_t_start, seg_t_end in rows:
-            t_start = seg_t_start
+    for part in folded:
+        if part.n_segments:
+            block = table[:, at : at + part.n_segments]
+            block[:] = part._table()
+            block[1] += offset
+            t_start = float(block[2, 0])
             if t_start < last_end:
                 # A part's first committed corner also constrains the
                 # point one clock unit earlier, so its opening segment
@@ -106,18 +105,13 @@ def merge_pbe2(parts: Sequence[PBE2]) -> PBE2:
                     raise InvalidParameterError(
                         "parts must cover consecutive disjoint time ranges"
                     )
-                t_start = last_end
-            shifted = LineSegment(
-                a,
-                b + offset,
-                t_start,
-                max(seg_t_end, t_start),
-            )
-            merged._segments.append(shifted)
-            merged._segment_starts.append(shifted.t_start)
-            last_end = shifted.t_end
+                block[2, 0] = last_end
+                block[3, 0] = max(float(block[3, 0]), last_end)
+            last_end = float(block[3, -1])
+            at += part.n_segments
         offset += part.count
         merged._count += part.count
+    merged._set_table(table)
     return merged
 
 

@@ -28,7 +28,6 @@ height.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from itertools import chain
 
@@ -51,6 +50,8 @@ from repro.sketch.geometry import (
 from repro.streams.frequency import BYTES_PER_FLOAT, burstiness_from_curve
 
 __all__ = ["PBE2", "LineSegment"]
+
+_NO_SEGMENTS = np.empty((4, 0))
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,8 +106,14 @@ class PBE2:
         self.gamma = float(gamma)
         self.unit = float(unit)
         self.max_polygon_vertices = max_polygon_vertices
-        self._segments: list[LineSegment] = []
-        self._segment_starts: list[float] = []
+        # Finalized segments: a float64 table of four contiguous columns
+        # (a, b, t_start, t_end), held as a ``(4, capacity)`` array whose
+        # first ``_n`` rows are used and never change.  Only a table the
+        # cell allocated has spare rows; a copy or a decoded cell holds
+        # exactly ``_n``, so its first append reallocates and never
+        # writes rows another cell can see.
+        self._cols: np.ndarray = _NO_SEGMENTS
+        self._n = 0
         # One-element delay for duplicate timestamps.
         self._pending_t: float | None = None
         self._pending_y = 0.0
@@ -563,8 +570,15 @@ class PBE2:
         """Emit the line segment for the current polygon / open ranges."""
         segment = self._provisional_segment()
         if segment is not None:
-            self._segments.append(segment)
-            self._segment_starts.append(segment.t_start)
+            n = self._n
+            if n == self._cols.shape[1]:
+                grown = np.empty((4, max(8, 2 * n)))
+                grown[:, :n] = self._cols
+                self._cols = grown
+            self._cols[:, n] = (
+                segment.a, segment.b, segment.t_start, segment.t_end
+            )
+            self._n = n + 1
         self._poly_x = None
         self._poly_y = None
 
@@ -625,16 +639,18 @@ class PBE2:
         for segment in reversed(live):
             if t >= segment.t_start:
                 return max(0.0, segment.value(t))
-        idx = bisect.bisect_right(self._segment_starts, t) - 1
-        if idx < 0:
+        idx = int(self._cols[2, : self._n].searchsorted(t, side="right"))
+        if idx == 0:
             return 0.0
-        return max(0.0, self._segments[idx].value(t))
+        # LineSegment.value of the row, without building the object.
+        a, b, t_start, t_end = self._cols[:, idx - 1].tolist()
+        return max(0.0, a * min(max(t, t_start), t_end) + b)
 
     def value_many(self, ts) -> np.ndarray:
         """Vectorized :meth:`value` over an array of query times.
 
         Finalized segments are evaluated with one ``np.searchsorted``
-        over the segment-start array plus a gathered
+        over the ``t_start`` column plus a gathered
         ``a * clamp(t) + b``; the (at most two) live pieces override the
         finalized answer with the same precedence the scalar path uses
         (pending corner first, then the provisional polygon segment).
@@ -642,16 +658,12 @@ class PBE2:
         """
         ts = np.asarray(ts, dtype=np.float64)
         out = np.zeros(ts.shape, dtype=np.float64)
-        if self._segments:
-            starts = np.asarray(self._segment_starts, dtype=np.float64)
-            idx = np.searchsorted(starts, ts, side="right") - 1
-            safe = np.maximum(idx, 0)
-            a = np.asarray([s.a for s in self._segments])
-            b = np.asarray([s.b for s in self._segments])
-            t0 = np.asarray([s.t_start for s in self._segments])
-            t1 = np.asarray([s.t_end for s in self._segments])
-            clamped = np.minimum(np.maximum(ts, t0[safe]), t1[safe])
-            values = np.maximum(0.0, a[safe] * clamped + b[safe])
+        if self._n:
+            cols = self._table()
+            idx = cols[2].searchsorted(ts, side="right") - 1
+            a, b, t0, t1 = cols[:, np.maximum(idx, 0)]
+            clamped = np.minimum(np.maximum(ts, t0), t1)
+            values = np.maximum(0.0, a * clamped + b)
             out = np.where(idx >= 0, values, 0.0)
         # Live pieces in scalar precedence order: the provisional polygon
         # segment, then (overriding it) the pending duplicate-delay corner.
@@ -676,8 +688,7 @@ class PBE2:
 
     def segment_starts(self) -> list[float]:
         """Knot times where the approximation changes behaviour."""
-        knots = list(self._segment_starts)
-        knots.extend(s.t_end for s in self._segments)
+        knots = self._table()[2:].ravel().tolist()
         provisional = self._provisional_segment()
         if provisional is not None:
             knots.append(provisional.t_start)
@@ -690,7 +701,26 @@ class PBE2:
     @property
     def segments(self) -> list[LineSegment]:
         """Finalized PLA segments (call :meth:`finalize` to include all)."""
-        return list(self._segments)
+        return [LineSegment(*row) for row in self._table().T.tolist()]
+
+    # The table as plain lists, for comparing states.
+    _segments = segments
+
+    @property
+    def _segment_starts(self) -> list[float]:
+        return self._table()[2].tolist()
+
+    def _table(self) -> np.ndarray:
+        """The finalized segments as a ``(4, n)`` view: the a, b,
+        t_start and t_end columns, one entry per segment."""
+        return self._cols[:, : self._n]
+
+    def _set_table(self, table: np.ndarray) -> None:
+        """Take a float64 ``(4, n)`` table as the finalized segments.  It
+        has no spare rows, so ``table`` may be shared with another cell:
+        the first append copies it."""
+        self._cols = table
+        self._n = table.shape[1]
 
     # ------------------------------------------------------------------
     # Accounting
@@ -698,7 +728,7 @@ class PBE2:
     @property
     def n_segments(self) -> int:
         """Number of finalized segments."""
-        return len(self._segments)
+        return self._n
 
     @property
     def count(self) -> int:

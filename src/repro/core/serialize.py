@@ -23,23 +23,21 @@ adapters, so archives written before the envelope existed keep loading.
 
 Format v3 adds the **blob offset table**: the absolute span of every
 PBE-1/PBE-2 cell payload inside the envelope, written at save time and
-re-derived (and cross-checked) at load time.  It is what makes lazy
-loading trustworthy: :func:`open_store` memory-maps an archive and
-returns a store whose cells view the mapping in place, so a
-multi-gigabyte sharded archive opens in milliseconds.  A PBE-1 cell
-decodes zero-copy by construction: :func:`load_pbe1` returns a plain
-:class:`~repro.core.pbe1.PBE1` whose kept corners are read-only float64
-views of a read-only payload (a writable one is copied), in every
-load.  Only PBE-2 cells are lazy proxies (:class:`LazyPBE2`): their
-segment records become ``LineSegment`` objects on first touch.  A
-table that is truncated, points outside the payload, or disagrees with
-the payload structure raises
-:class:`~repro.core.errors.CorruptOffsetTableError` at open time.
+re-derived (and cross-checked) at load time.  A table that is
+truncated, points outside the payload, or disagrees with the payload
+structure raises :class:`~repro.core.errors.CorruptOffsetTableError`
+at open time.
+
+Every load takes one path.  :func:`load_store` reads a read-only buffer
+in place and copies a writable one once; :func:`open_store`
+memory-maps an archive, so exact columns and PBE-1 kept corners are
+read-only float64 views of the mapping.  A PBE-2 cell is its finalized
+segments in four float64 columns: :func:`load_pbe2` fills them with one
+copy of the segment records, making no Python object per segment.
 """
 
 from __future__ import annotations
 
-import contextvars
 import io
 import json
 import mmap
@@ -57,7 +55,6 @@ from repro.core.errors import (
 )
 from repro.core.pbe1 import PBE1, fold_buffers
 from repro.core.pbe2 import PBE2, LineSegment
-from repro.core.tracing import span as _trace_span
 
 __all__ = [
     "ENVELOPE_MAGIC",
@@ -67,9 +64,6 @@ __all__ = [
     "open_store",
     "write_store",
     "atomic_write_bytes",
-    "lazy_stats",
-    "LazySketchStats",
-    "LazyPBE2",
     "dump_direct_map",
     "load_direct_map",
     "dump_index",
@@ -87,151 +81,6 @@ _PBE2_MAGIC = b"PBE2"
 _CMPBE_MAGIC = b"CMPB"
 _HEADER_1 = struct.Struct("<4sIIQd")  # magic, eta, buffer, count, n_corners
 _HEADER_2 = struct.Struct("<4sddQd")  # magic, gamma, unit, count, n_segments
-
-
-# ----------------------------------------------------------------------
-# Lazy PBE-2 proxies (zero-copy until first touch)
-# ----------------------------------------------------------------------
-class LazySketchStats:
-    """Materialization accounting for one lazy load.
-
-    Shared by every lazy PBE-2 cell produced by that load (a PBE-1 cell
-    is a plain :class:`~repro.core.pbe1.PBE1` over views of its payload
-    and has nothing to hydrate):
-
-    * ``blobs`` — lazy cells created,
-    * ``hydrations`` — cells whose arrays were materialized into Python
-      state (the expensive, once-per-cell event),
-    * ``lazy_reads`` — zero-copy array reads that did *not* hydrate the
-      cell (e.g. the merge fast path streaming a cell's columns).
-    """
-
-    __slots__ = ("blobs", "hydrations", "lazy_reads")
-
-    def __init__(self) -> None:
-        self.blobs = 0
-        self.hydrations = 0
-        self.lazy_reads = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"LazySketchStats(blobs={self.blobs}, "
-            f"hydrations={self.hydrations}, lazy_reads={self.lazy_reads})"
-        )
-
-
-class LazyPBE2(PBE2):
-    """A PBE-2 whose segment records stay in the source buffer.
-
-    The resume point (``_last_committed_t``/``_last_committed_y``) is
-    restored eagerly from the final 32-byte record so ingestion can
-    continue without touching the rest; the segment list itself
-    materializes on first access to ``_segments``/``_segment_starts``.
-    """
-
-    def __init__(
-        self,
-        gamma: float,
-        unit: float,
-        count: int,
-        n_segments: int,
-        blob,
-        stats: LazySketchStats,
-    ) -> None:
-        self._lazy_blob = None
-        super().__init__(gamma=gamma, unit=unit)
-        self._count = count
-        self._lazy_n = int(n_segments)
-        self._lazy_stats = stats
-        self._lazy_blob = blob
-        stats.blobs += 1
-        if n_segments:
-            a, b, t_start, t_end = struct.unpack_from(
-                "<dddd", blob, 32 * (n_segments - 1)
-            )
-            last = LineSegment(a, b, t_start, t_end)
-            self._last_committed_t = last.t_end
-            self._last_committed_y = last.value(last.t_end)
-
-    @property
-    def is_materialized(self) -> bool:
-        """Whether the segment records have been parsed into objects."""
-        return self._lazy_blob is None
-
-    def _lazy_segment_rows(self) -> list[list[float]]:
-        """The stored ``(a, b, t_start, t_end)`` rows, read zero-copy.
-
-        Does **not** hydrate the sketch: the rows are produced from a
-        view of the source buffer and no :class:`LineSegment` objects
-        are cached on this instance.
-        """
-        n = self._lazy_n
-        rows = np.frombuffer(
-            self._lazy_blob, dtype="<f8", count=4 * n
-        ).reshape(n, 4).tolist()
-        self._lazy_stats.lazy_reads += 1
-        return rows
-
-    def _hydrate(self) -> None:
-        with _trace_span("lazy.hydrate", kind="pbe2", n=self._lazy_n):
-            rows = self._lazy_segment_rows()
-            self._lazy_stats.lazy_reads -= 1  # read becomes a hydration
-            self._lazy_blob = None
-            segments = [
-                LineSegment(a, b, t_start, t_end)
-                for a, b, t_start, t_end in rows
-            ]
-            self.__dict__["_segments"] = segments
-            self.__dict__["_segment_starts"] = [
-                s.t_start for s in segments
-            ]
-            self._lazy_stats.hydrations += 1
-
-    @property
-    def _segments(self) -> list[LineSegment]:
-        if self._lazy_blob is not None:
-            self._hydrate()
-        return self.__dict__["_segments"]
-
-    @_segments.setter
-    def _segments(self, value) -> None:
-        self.__dict__["_segments"] = value
-
-    @property
-    def _segment_starts(self) -> list[float]:
-        if self._lazy_blob is not None:
-            self._hydrate()
-        return self.__dict__["_segment_starts"]
-
-    @_segment_starts.setter
-    def _segment_starts(self, value) -> None:
-        self.__dict__["_segment_starts"] = value
-
-    @property
-    def n_segments(self) -> int:
-        # Accounting (memory_elements) must not force materialization.
-        if self._lazy_blob is not None:
-            return self._lazy_n
-        return super().n_segments
-
-
-class _LazyLoad:
-    """Ambient state of an in-progress lazy load (one per load_store)."""
-
-    __slots__ = ("stats",)
-
-    def __init__(self, stats: LazySketchStats) -> None:
-        self.stats = stats
-
-
-_LAZY_LOAD: contextvars.ContextVar[_LazyLoad | None] = (
-    contextvars.ContextVar("repro_lazy_load", default=None)
-)
-
-
-def lazy_stats(store) -> LazySketchStats | None:
-    """The :class:`LazySketchStats` of a lazily loaded store (else None)."""
-    return getattr(store, "_lazy_stats", None)
 
 
 def _pbe1_copy(sketch: PBE1) -> PBE1:
@@ -353,15 +202,15 @@ def _finalized_pbe2(sketch: PBE2) -> PBE2:
 
     Same contract as :func:`folded_cells`: the original keeps its open
     polygon/pending corner untouched, so serializing a live sketch does
-    not change how its remaining stream gets segmented.
+    not change how its remaining stream gets segmented.  The copy shares
+    the original's finalized rows, which neither side writes again.
     """
     scratch = PBE2(
         gamma=sketch.gamma,
         unit=sketch.unit,
         max_polygon_vertices=sketch.max_polygon_vertices,
     )
-    scratch._segments = list(sketch._segments)
-    scratch._segment_starts = list(sketch._segment_starts)
+    scratch._set_table(sketch._table())
     scratch._pending_t = sketch._pending_t
     scratch._pending_y = sketch._pending_y
     scratch._last_committed_t = sketch._last_committed_t
@@ -388,36 +237,22 @@ def dump_pbe2(sketch: PBE2) -> bytes:
     """
     if _pbe2_live(sketch):
         sketch = _finalized_pbe2(sketch)
-    segments = sketch.segments
-    out = io.BytesIO()
-    out.write(
-        _HEADER_2.pack(
-            _PBE2_MAGIC,
-            sketch.gamma,
-            sketch.unit,
-            sketch.count,
-            float(len(segments)),
-        )
+    header = _HEADER_2.pack(
+        _PBE2_MAGIC,
+        sketch.gamma,
+        sketch.unit,
+        sketch.count,
+        float(sketch.n_segments),
     )
-    for segment in segments:
-        out.write(
-            struct.pack(
-                "<dddd", segment.a, segment.b, segment.t_start,
-                segment.t_end,
-            )
-        )
-    return out.getvalue()
+    return header + np.asarray(sketch._table().T, dtype="<f8").tobytes()
 
 
-def load_pbe2(
-    data, *, lazy: bool = False, stats: LazySketchStats | None = None
-) -> PBE2:
+def load_pbe2(data) -> PBE2:
     """Restore a PBE-2 dumped with :func:`dump_pbe2`.
 
-    With ``lazy=True`` (or inside a ``load_store(..., lazy=True)`` call)
-    the segment records are *not* parsed: a :class:`LazyPBE2` holding a
-    zero-copy view of ``data`` is returned instead, and the segments
-    materialize on first touch.
+    The ``(a, b, t_start, t_end)`` records are copied once into the
+    sketch's four contiguous float64 columns; no Python object is made
+    per segment.
     """
     if len(data) < _HEADER_2.size:
         raise InvalidParameterError("truncated PBE-2 payload")
@@ -425,28 +260,16 @@ def load_pbe2(
     if magic != _PBE2_MAGIC:
         raise InvalidParameterError("not a PBE-2 payload")
     n_segments = int(n_segments_f)
-    expected = _HEADER_2.size + 32 * n_segments
-    if len(data) < expected:
+    if len(data) < _HEADER_2.size + 32 * n_segments:
         raise InvalidParameterError("truncated PBE-2 payload")
-    ctx = _LAZY_LOAD.get()
-    if lazy or ctx is not None:
-        use_stats = ctx.stats if ctx is not None else (
-            stats if stats is not None else LazySketchStats()
-        )
-        blob = memoryview(data)[_HEADER_2.size:expected]
-        return LazyPBE2(gamma, unit, count, n_segments, blob, use_stats)
+    rows = np.frombuffer(
+        data, dtype="<f8", count=4 * n_segments, offset=_HEADER_2.size
+    ).reshape(n_segments, 4)
     sketch = PBE2(gamma=gamma, unit=unit)
-    offset = _HEADER_2.size
-    segments = []
-    for _ in range(n_segments):
-        a, b, t_start, t_end = struct.unpack_from("<dddd", data, offset)
-        segments.append(LineSegment(a, b, t_start, t_end))
-        offset += 32
-    sketch._segments = segments
-    sketch._segment_starts = [s.t_start for s in segments]
+    sketch._set_table(np.ascontiguousarray(rows.T, dtype=np.float64))
     sketch._count = count
-    if segments:
-        last = segments[-1]
+    if n_segments:
+        last = LineSegment(*rows[-1].tolist())
         # Resume ingestion from the stored curve's endpoint.
         sketch._last_committed_t = last.t_end
         sketch._last_committed_y = last.value(last.t_end)
@@ -842,7 +665,7 @@ def _validate_offset_table(key: str, payload, entries: list) -> None:
     Checks are layered: structural first (kinds, bounds, ordering, the
     magic at every span), then a full re-derivation of the table from
     the payload itself — any disagreement means either the table or the
-    payload was corrupted, and a lazy load built on it would hand back
+    payload was corrupted, and a load built on it would hand back
     garbage curves.
     """
     previous_end = 0
@@ -884,8 +707,8 @@ def save_store(store) -> bytes:
     PBE-1/PBE-2 cell blob inside it.  The backend key is read back by
     :func:`load_store` to pick the right loader from the registry, so a
     single archive format covers every backend — sharded composites
-    included; the table is what lets :func:`open_store` map the archive
-    and materialize cells on first touch.
+    included; the table locates every cell blob, and a load checks it
+    against the payload before trusting either.
     """
     key = getattr(store, "backend_key", None)
     if not key:
@@ -911,7 +734,7 @@ def save_store(store) -> bytes:
     return blob
 
 
-def load_store(data, *, lazy: bool = False):
+def load_store(data):
     """Load any store saved with :func:`save_store`.
 
     Bare v1 blobs (``CMPB``/``DMAP``/``BIDX`` magics, written by the
@@ -919,29 +742,21 @@ def load_store(data, *, lazy: bool = False):
     wrapped in their store adapters, so old archives stay readable; v2
     envelopes (no offset table) load as well.
 
-    Every PBE-1 cell views its payload zero-copy in either mode, unless
-    ``data`` is writable (see :func:`load_pbe1`).  With
-    ``lazy=True`` the payload is ``data`` itself rather than a copy, and
-    every PBE-2 cell is a :class:`LazyPBE2` proxy viewing ``data`` (pass
-    an ``mmap``-backed buffer — or use :func:`open_store` — to keep the
-    arrays on disk until first touch).  The returned store carries a
-    :class:`LazySketchStats` retrievable via :func:`lazy_stats`.  Lazy loads of v3 envelopes verify the blob
-    offset table against the payload and raise
+    A read-only ``data`` (``bytes``, or the ``mmap`` of
+    :func:`open_store`) is read in place: exact columns and PBE-1 kept
+    corners are read-only views of it, which the store keeps alive.  A
+    writable ``data`` (a ``bytearray``, say) may change after the load,
+    so it is copied once first.  v3 envelopes verify the blob offset
+    table against the payload and raise
     :class:`~repro.core.errors.CorruptOffsetTableError` on any mismatch.
     """
-    if not lazy:
-        return _load_store_inner(data)
-    stats = LazySketchStats()
-    token = _LAZY_LOAD.set(_LazyLoad(stats))
-    try:
-        store = _load_store_inner(memoryview(data))
-    finally:
-        _LAZY_LOAD.reset(token)
-    store._lazy_stats = stats
-    return store
+    view = memoryview(data)
+    if not view.readonly:
+        view = memoryview(view.tobytes())
+    return _load_store_inner(view)
 
 
-def _load_store_inner(data):
+def _load_store_inner(data: memoryview):
     head = bytes(data[:4]) if len(data) >= 4 else b""
     if head in _V1_MAGICS:
         return _load_v1_blob(data)
@@ -990,12 +805,13 @@ def _load_store_inner(data):
 def open_store(path, *, lazy: bool = True):
     """Open a :func:`save_store` archive from disk.
 
-    With ``lazy=True`` (the default) the file is memory-mapped and
-    loaded through ``load_store(..., lazy=True)``: opening costs header
-    and offset-table parsing only, and each cell's arrays page in from
-    the mapping the first time a query (or further ingestion) touches
-    them.  The mapping stays alive for the lifetime of the returned
-    store.  With ``lazy=False`` the file is read and loaded eagerly.
+    With ``lazy=True`` (the default) the file is memory-mapped and the
+    store reads the mapping in place: opening costs header parsing,
+    offset-table checks and one copy of each PBE-2 cell's segment
+    records, and the exact and PBE-1 arrays page in from the mapping as
+    queries touch them.  The mapping stays alive for the lifetime of the
+    returned store.  With ``lazy=False`` the file is read into memory
+    first.
     """
     if not lazy:
         with open(path, "rb") as handle:
@@ -1004,7 +820,7 @@ def open_store(path, *, lazy: bool = True):
         if os.fstat(handle.fileno()).st_size == 0:
             raise SerializationError("truncated store envelope")
         mapping = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-    store = load_store(memoryview(mapping), lazy=True)
+    store = load_store(mapping)
     # Anchor the mapping on the store: cells hold views into it, and a
     # read after close would be a crash instead of an error.
     store._lazy_source = mapping

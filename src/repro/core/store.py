@@ -329,7 +329,8 @@ def _cell_as_read(cells: Sequence):
     """A lone cell copied as a read sees it, with no DP run: a PBE-1's
     kept corners followed by its buffered ones (buffered corners are the
     exact staircase, §III-A) and an empty buffer, with the cell's own
-    count and construction error; a PBE-2 finalized on a scratch copy."""
+    count and construction error; a PBE-2 finalized on a copy that
+    shares its finalized rows."""
     (cell,) = cells
     if isinstance(cell, PBE1):
         copy = PBE1(eta=cell.eta, buffer_size=cell.buffer_size)

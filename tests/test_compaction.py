@@ -2,8 +2,8 @@
 
 Covers the tiering policy in isolation, end-to-end merge-down identity
 (answers bit-identical before/after compaction, across every backend
-with a lazy merge fast path, and from views taken before the swap once
-its inputs are unlinked), ``store.compact()`` racing background
+whose sealed segments merge in one call, and from views taken before
+the swap once its inputs are unlinked), ``store.compact()`` racing background
 seals and refusing on closed or failed stores, offline ``rebalance``
 round-trips, and the named errors that point users at
 ``repro rebalance`` when shard counts disagree.
@@ -125,8 +125,8 @@ class TestCompactionIdentity:
         self, tmp_path, backend
     ):
         # Approximate backends have no exact oracle; the invariant is
-        # that compaction (which routes through the lazy zero-copy
-        # merge fast paths) changes no answer at all.
+        # that compaction (one n-part merge of the segments' cell
+        # arrays) changes no answer at all.
         ids, ts = _stream(400)
         store = create_durable(
             tmp_path / "store",

@@ -416,8 +416,8 @@ class TestStoreAccounting:
             + struct.pack("<Q", len(payload))
             + payload
         )
-        for lazy in (False, True):
-            again = load_store(blob, lazy=lazy)
+        for data in (blob, bytearray(blob)):
+            again = load_store(data)
             assert again.backend_key == backend
             assert again.count == child.count
             assert again.point_query(3, 500.0, 50.0) == child.point_query(

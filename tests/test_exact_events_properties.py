@@ -173,7 +173,7 @@ def view_of(layout: str, ids, ts, counts, fractions) -> ExactStore:
     if layout == "columnar":
         # Parts read in place from their save_store bytes, all but the
         # last merged into one column, the last stacked on top of it.
-        loaded = [load_store(save_store(part), lazy=True) for part in parts]
+        loaded = [load_store(save_store(part)) for part in parts]
         merged = loaded[0]
         for part in loaded[1:-1]:
             merged = merged.merge(part)

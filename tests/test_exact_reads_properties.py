@@ -101,7 +101,7 @@ def _fed(ids, ts, counts=None) -> ExactStore:
 def _columnar(parts: list[ExactStore]) -> ExactStore:
     """``parts`` read in place from their ``save_store`` bytes, all but
     the last merged into one column and the last stacked on top."""
-    loaded = [load_store(save_store(part), lazy=True) for part in parts]
+    loaded = [load_store(save_store(part)) for part in parts]
     merged = loaded[0]
     for part in loaded[1:-1]:
         merged = merged.merge(part)
@@ -500,8 +500,11 @@ def test_readers_of_old_snapshots_race_a_writer():
 # ----------------------------------------------------------------------
 # Columnar parts: decoded views and concatenating merges
 # ----------------------------------------------------------------------
-def _loaded(store: ExactStore, lazy: bool) -> ExactStore:
-    return load_store(save_store(store), lazy=lazy)
+def _loaded(store: ExactStore, writable: bool = False) -> ExactStore:
+    """``store`` decoded from its ``save_store`` bytes: read in place, or
+    from a writable copy of them, which the load copies once."""
+    blob = save_store(store)
+    return load_store(bytearray(blob) if writable else blob)
 
 
 @PROPERTIES
@@ -520,7 +523,7 @@ def test_merging_consecutive_parts_equals_one_store(
         _fed(ids[lo:hi], ts[lo:hi]) for lo, hi in zip(edges, edges[1:])
     ]
     if decoded:
-        parts = [_loaded(part, lazy=True) for part in parts]
+        parts = [_loaded(part) for part in parts]
     merged = parts[0]
     for part in parts[1:]:
         merged = merged.merge(part)
@@ -544,7 +547,7 @@ def test_merging_interleaved_parts_sorts_like_the_lists(
     owner = np.random.default_rng(seed).integers(0, 3, ids.size)
     parts = [_fed(ids[owner == k], ts[owner == k]) for k in range(3)]
     if decoded:
-        parts = [_loaded(part, lazy=False) for part in parts]
+        parts = [_loaded(part, writable=True) for part in parts]
     merged = parts[0].merge(parts[1]).merge(parts[2])
     reference = ExactStore(oracle.list_merged([part.inner for part in parts]))
     reference._t_end = max(part._t_end for part in parts)
@@ -563,13 +566,13 @@ def test_merging_interleaved_parts_sorts_like_the_lists(
 @given(
     stream=record_streams(min_size=2),
     split=st.floats(0.0, 1.0),
-    lazy=st.booleans(),
+    writable=st.booleans(),
     tau=st.sampled_from(TAUS),
 )
-def test_a_loaded_store_accepts_appends(stream, split, lazy, tau):
+def test_a_loaded_store_accepts_appends(stream, split, writable, tau):
     ids, ts = stream
     cut = max(1, int(split * ids.size))
-    loaded = _loaded(_fed(ids[:cut], ts[:cut]), lazy)
+    loaded = _loaded(_fed(ids[:cut], ts[:cut]), writable)
     with pytest.raises(StreamOrderError):
         loaded.update(0, float(ts[cut - 1]) - 1.0)
     if cut < ids.size:
@@ -594,7 +597,7 @@ def _part(kind: str, ids, ts) -> ExactStore:
         store.extend_batch(np.arange(UNIVERSE + 2), np.full(UNIVERSE + 2, later))
         return view
     if kind == "columnar":
-        return _loaded(store, lazy=True)
+        return _loaded(store)
     return store
 
 
@@ -723,7 +726,7 @@ def test_span_pruning_answers_like_the_merge(
 def test_hits_of_a_pruned_window_keep_first_seen_order_across_the_stack():
     # Event 3 is first seen in the older part, which the window
     # (98, 100] misses; the newer part shows 1 before 3.
-    older = _loaded(_fed(np.array([3]), np.array([0.0])), lazy=True)
+    older = _loaded(_fed(np.array([3]), np.array([0.0])))
     newer = ExactStore()
     newer.update(1, 100.0)
     newer.update(3, 100.0)

@@ -1,29 +1,32 @@
-"""Lazy (mmap/zero-copy) envelope loading: correctness, laziness, safety.
+"""In-place (mmap/zero-copy) envelope loading: correctness, aliasing, safety.
 
 Three walls, per the v3 envelope contract in ``repro.core.serialize``:
 
-1. **Equivalence** — a store loaded lazily answers every query class
-   bit-identically to its eagerly loaded twin, across the full backend
-   matrix (sharded composites at 2/3/4 shards included), and re-saving a
-   lazy store reproduces the archive byte for byte.
-2. **Laziness** — a PBE-1 cell decodes zero-copy by construction: its
-   kept corners are read-only views of the payload, before and after
-   queries, merges and size accounting, and ingesting into a decoded
-   cell never writes into its payload.  PBE-2 cells are lazy proxies:
-   loading and size accounting hydrate nothing, merging two lazy
-   operands touches only blob *reads*, and a query is what materializes
-   a cell.
+1. **Equivalence** — a store read in place from its bytes answers every
+   query class bit-identically to one loaded from a copy, across the
+   full backend matrix (sharded composites at 2/3/4 shards included),
+   and re-saving it reproduces the archive byte for byte.
+2. **No aliased writes** — a PBE-1 cell decodes zero-copy: its kept
+   corners are read-only views of the payload, before and after
+   queries, merges and size accounting.  A PBE-2 cell copies its
+   segment records once into its own columns.  Ingesting into a decoded
+   cell never writes into its payload, a copy and its source never see
+   each other's appends, and a writable buffer is copied at load, so
+   overwriting it changes no answer.
 3. **Safety** — a truncated or doctored blob offset table raises
    :class:`~repro.core.errors.CorruptOffsetTableError` (or its
    :class:`~repro.core.errors.SerializationError` parent) at open time,
    never a garbage answer later; the committed v1 fixture still
-   auto-upgrades through the lazy path.
+   auto-upgrades through the in-place path.
 """
 
 from __future__ import annotations
 
 import pickle
+import queue
 import struct
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -38,11 +41,10 @@ from repro.core.serialize import (
     _ENVELOPE_HEADER,
     _TABLE_COUNT,
     _TABLE_ENTRY,
-    LazySketchStats,
+    _finalized_pbe2,
     _pbe1_copy,
     dump_pbe1,
     dump_pbe2,
-    lazy_stats,
     load_pbe1,
     load_pbe2,
     load_store,
@@ -64,14 +66,49 @@ def _populated_blob(backend: str, cfg: dict, seed: int = 0) -> bytes:
     return save_store(store)
 
 
+def _cells(store) -> list:
+    """Every cell of a (possibly sharded) sketch store."""
+    return [
+        cell
+        for part in getattr(store, "shards", [store])
+        for level in part._levels()
+        for cell in level.cells()
+    ]
+
+
+def _tables(store) -> list[np.ndarray]:
+    """The arrays every cell of a sketch store reads its curve from."""
+    return [
+        column
+        for cell in _cells(store)
+        for column in (
+            (cell._kept_xs, cell._kept_ys)
+            if isinstance(cell, PBE1)
+            else (cell._cols,)
+        )
+    ]
+
+
+def _answers(store) -> tuple:
+    """One answer of every query class."""
+    ids = np.array([0, 3, 7, 21, 40], dtype=np.int64)
+    starts = np.array([5.0, 10.0, 0.0, 30.0, 50.0])
+    return (
+        store.count,
+        [store.point_query(e, 10.0, 80.0) for e in (0, 3, 7, 21, 40, UNIVERSE - 1)],
+        store.bursty_time_query(3, 2.0, 20.0),
+        store.bursty_event_query(50.0, 2.0, 20.0),
+        store.point_query_batch(ids, starts, 25.0).tolist(),
+        [store.peak_query(e, 0.0, 60.0, 5.0) for e in (1, 3, 7)],
+    )
+
+
 def _pbe1_columns(store) -> list[np.ndarray]:
     """The kept corner arrays of every non-empty PBE-1 cell of a
     (possibly sharded) sketch store."""
     return [
         column
-        for part in getattr(store, "shards", [store])
-        for level in part._levels()
-        for cell in level.cells()
+        for cell in _cells(store)
         if isinstance(cell, PBE1)
         for column in (cell._kept_xs, cell._kept_ys)
         if column.size
@@ -104,28 +141,31 @@ def _table_region(blob: bytes) -> tuple[int, int]:
     ids=[label for label, _, _ in BACKEND_MATRIX],
 )
 def test_lazy_load_answers_match_eager(label, backend, cfg):
+    """Read in place from ``bytes`` or from a copy of a ``bytearray``,
+    a store answers alike."""
     blob = _populated_blob(backend, cfg)
-    eager = load_store(blob)
-    lazy = load_store(blob, lazy=True)
+    lazy = load_store(blob)
+    eager = load_store(bytearray(blob))
 
     assert lazy.backend_key == eager.backend_key
-    assert lazy.count == eager.count
-    for event_id in (0, 3, 7, 21, 40, UNIVERSE - 1):
-        assert lazy.point_query(event_id, 10.0, 80.0) == eager.point_query(
-            event_id, 10.0, 80.0
-        )
-    assert lazy.bursty_time_query(3, 2.0, 20.0) == eager.bursty_time_query(
-        3, 2.0, 20.0
-    )
-    assert lazy.bursty_event_query(50.0, 2.0, 20.0) == eager.bursty_event_query(
-        50.0, 2.0, 20.0
-    )
-    ids = np.array([0, 3, 7, 21, 40], dtype=np.int64)
-    starts = np.array([5.0, 10.0, 0.0, 30.0, 50.0])
-    np.testing.assert_array_equal(
-        lazy.point_query_batch(ids, starts, 25.0),
-        eager.point_query_batch(ids, starts, 25.0),
-    )
+    assert _answers(lazy) == _answers(eager)
+
+
+@pytest.mark.parametrize(
+    "label,backend,cfg",
+    BACKEND_MATRIX,
+    ids=[label for label, _, _ in BACKEND_MATRIX],
+)
+def test_overwriting_a_loaded_bytearray_changes_nothing(label, backend, cfg):
+    """A writable buffer is copied at load: writing into it afterwards
+    leaves the store's answers and saved bytes as they were."""
+    blob = _populated_blob(backend, cfg)
+    buffer = bytearray(blob)
+    store = load_store(buffer)
+    before = _answers(store)
+    buffer[:] = bytes(len(buffer))
+    assert _answers(store) == before
+    assert save_store(store) == blob
 
 
 @pytest.mark.parametrize(
@@ -134,11 +174,9 @@ def test_lazy_load_answers_match_eager(label, backend, cfg):
     ids=[label for label, _, _ in BACKEND_MATRIX],
 )
 def test_lazy_round_trip_is_a_fixed_point(label, backend, cfg):
-    """save(load(blob, lazy=True)) reproduces the archive byte for byte
-    — re-serialization reads blobs zero-copy, it never needs Python
-    corner lists."""
+    """save(load(blob)) reproduces the archive byte for byte."""
     blob = _populated_blob(backend, cfg)
-    assert save_store(load_store(blob, lazy=True)) == blob
+    assert save_store(load_store(blob)) == blob
 
 
 def test_open_store_mmap_matches_eager(tmp_path):
@@ -160,17 +198,13 @@ def test_open_store_mmap_matches_eager(tmp_path):
 
     lazy = open_store(path)
     eager = open_store(path, lazy=False)
-    assert lazy_stats(eager) is None
-    stats = lazy_stats(lazy)
-    assert isinstance(stats, LazySketchStats)
     _assert_views_of(_pbe1_columns(lazy), lazy._lazy_source)
 
     for event_id in (0, 7, 40):
         assert lazy.point_query(event_id, 10.0, 80.0) == eager.point_query(
             event_id, 10.0, 80.0
         )
-    # PBE-1 cells are no lazy proxies: queries read the mapping in place.
-    assert stats.blobs == stats.hydrations == 0
+    # Queries read the mapping in place.
     _assert_views_of(_pbe1_columns(lazy), lazy._lazy_source)
 
 
@@ -182,23 +216,22 @@ def test_open_store_rejects_empty_file(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Wall 2: PBE-1 cells are zero-copy views; PBE-2 cells hydrate on touch
+# Wall 2: decoded cells alias no buffer they may write or see written
 # ----------------------------------------------------------------------
 def test_load_and_queries_copy_no_corner():
     blob = _populated_blob(
         "cm-pbe-1",
         dict(universe_size=UNIVERSE, eta=60, buffer_size=400, width=16, depth=5, seed=0),
     )
-    lazy = load_store(blob, lazy=True)
+    lazy = load_store(blob)
     _assert_views_of(_pbe1_columns(lazy), blob)
 
     # Size accounting and queries read the views in place.
-    eager = load_store(blob)
+    eager = load_store(bytearray(blob))
     assert lazy.memory_elements() == eager.memory_elements()
     assert lazy.size_in_bytes() == eager.size_in_bytes()
     assert lazy.point_query(7, 10.0, 80.0) == eager.point_query(7, 10.0, 80.0)
     _assert_views_of(_pbe1_columns(lazy), blob)
-    assert lazy_stats(lazy).hydrations == 0
 
 
 @pytest.mark.parametrize(
@@ -209,20 +242,21 @@ def test_load_and_queries_copy_no_corner():
     ],
     ids=["cm-pbe-1", "cm-pbe-2"],
 )
-def test_size_accounting_hydrates_nothing(tmp_path, backend, cfg):
+def test_size_accounting_leaves_cells_unchanged(tmp_path, backend, cfg):
     """``size_in_bytes`` of an opened archive equals the eager store's
-    and materializes no cell."""
-    path = tmp_path / "store.beds"
-    path.write_bytes(
-        _populated_blob(
-            backend,
-            dict(universe_size=UNIVERSE, width=16, depth=5, seed=0, **cfg),
-        )
+    and reads every cell as it stands: no cell's arrays are replaced."""
+    blob = _populated_blob(
+        backend,
+        dict(universe_size=UNIVERSE, width=16, depth=5, seed=0, **cfg),
     )
+    path = tmp_path / "store.beds"
+    path.write_bytes(blob)
     lazy = open_store(path)
     eager = open_store(path, lazy=False)
+    tables = _tables(lazy)
     assert lazy.size_in_bytes() == eager.size_in_bytes() > 0
-    assert lazy_stats(lazy).hydrations == 0
+    assert all(a is b for a, b in zip(_tables(lazy), tables, strict=True))
+    assert save_store(lazy) == blob
 
 
 def test_load_pbe1_copies_no_corner():
@@ -356,6 +390,141 @@ def test_a_snapshot_is_unchanged_by_a_tie_on_its_source():
     assert save_store(store) == save_store(twin)
 
 
+def _pbe2_part(ts, gamma: float = 3.0) -> PBE2:
+    part = PBE2(gamma=gamma, unit=0.5)
+    part.extend_batch(ts)
+    part.finalize()
+    return part
+
+
+def _more_pbe2_records(cell: PBE2, start: float, seed: int) -> None:
+    """Records after ``start`` on both ingest paths, then a finalize: a
+    few new rows, fewer than the spare rows of the parts below."""
+    rng = np.random.default_rng(seed)
+    cell.update(start + 0.5)
+    cell.extend_batch(start + 1.0 + np.sort(rng.uniform(0, 8, 40)).round(1))
+    cell.update(start + 10.0, count=3)
+    cell.finalize()
+
+
+def test_ingest_into_a_decoded_pbe2_cell_leaves_its_payload():
+    """A decoded PBE-2 copies its segment records into its own columns:
+    appends leave the payload's bytes as they were, and the cell saves
+    what a cell decoded from an independent copy saves."""
+    ts = np.sort(np.random.default_rng(11).uniform(0, 50, 400)).round(1)
+    blob = dump_pbe2(_pbe2_part(ts))
+    backing = bytearray(blob)
+    decoded = load_pbe2(memoryview(backing).toreadonly())
+    assert not np.shares_memory(decoded._cols, np.frombuffer(backing, np.uint8))
+    assert decoded._cols.shape == (4, decoded.n_segments)
+    twin = load_pbe2(bytes(blob))
+    for cell in (decoded, twin):
+        _more_pbe2_records(cell, float(ts[-1]), seed=12)
+    assert bytes(backing) == blob
+    assert decoded.n_segments > load_pbe2(blob).n_segments
+    assert dump_pbe2(decoded) == dump_pbe2(twin)
+
+
+@pytest.mark.parametrize("copy_first", [True, False])
+def test_a_pbe2_copy_and_its_source_share_no_writes(copy_first):
+    """A copy shares its source's finalized rows; when both append
+    afterwards, in either order, each saves what an unshared twin fed
+    the same records saves."""
+    ts = np.sort(np.random.default_rng(13).uniform(0, 50, 400)).round(1)
+    source = _pbe2_part(ts)
+    table, n = source._cols, source.n_segments
+    copy = _finalized_pbe2(source)
+    assert np.shares_memory(copy._cols, table)
+    feeds = [(source, 14), (copy, 15)]
+    if copy_first:
+        feeds.reverse()
+    for cell, seed in feeds:
+        _more_pbe2_records(cell, float(ts[-1]), seed)
+    # Both appended rows; the source's went into its spare rows.
+    assert min(source.n_segments, copy.n_segments) > n
+    assert source._cols is table
+    for cell, seed in feeds:
+        twin = _pbe2_part(ts)
+        _more_pbe2_records(twin, float(ts[-1]), seed)
+        assert dump_pbe2(cell) == dump_pbe2(twin)
+
+
+def test_a_pbe2_snapshot_is_unchanged_by_appends_on_its_source():
+    cfg = dict(universe_size=UNIVERSE, gamma=2.0, unit=0.5, width=4, depth=3, seed=0)
+    rng = np.random.default_rng(16)
+    ids = rng.integers(0, UNIVERSE, 600)
+    ts = np.sort(rng.uniform(0, 50, 600)).round(1)
+    store = create_store("cm-pbe-2", **cfg)
+    store.extend_batch(ids, ts)
+    store.finalize()
+    # A finalized cell's snapshot shares its rows; the cell has spare
+    # rows to append into.
+    snapshot = store.snapshot()
+    assert any(
+        np.shares_memory(a._cols, b._cols)
+        and b.n_segments < b._cols.shape[1]
+        for a, b in zip(_cells(snapshot), _cells(store))
+    )
+    frozen = save_store(snapshot)
+    twin = create_store("cm-pbe-2", **cfg)
+    twin.extend_batch(ids, ts)
+    twin.finalize()
+    more_ids = rng.integers(0, UNIVERSE, 600)
+    more_ts = ts[-1] + 1 + np.sort(rng.uniform(0, 50, 600)).round(1)
+    for target in (store, twin):
+        target.extend_batch(more_ids, more_ts)
+        target.finalize()
+    assert save_store(snapshot) == frozen
+    assert save_store(store) == save_store(twin)
+
+
+def test_pbe2_snapshots_race_a_writer():
+    """Readers re-save snapshots whose cells share rows with cells a
+    writer keeps appending into: each saves the bytes it saved when it
+    was taken."""
+    cfg = dict(universe_size=UNIVERSE, gamma=2.0, unit=0.5, width=4, depth=3, seed=0)
+    rng = np.random.default_rng(17)
+    n, batch, n_readers = 6_000, 100, 3
+    ids = rng.integers(0, UNIVERSE, n)
+    ts = np.sort(rng.uniform(0, 600, n)).round(1)
+    store, lock = create_store("cm-pbe-2", **cfg), threading.Lock()
+    views: queue.Queue = queue.Queue()
+    failures: list[int] = []
+
+    def writer():
+        for start in range(0, n, batch):
+            with lock:
+                store.extend_batch(
+                    ids[start : start + batch], ts[start : start + batch]
+                )
+                store.finalize()
+                snapshot = store.snapshot()
+                views.put((snapshot, save_store(snapshot), start))
+        for _ in range(n_readers):
+            views.put(None)
+
+    def reader():
+        while (item := views.get(timeout=60)) is not None:
+            snapshot, frozen, start = item
+            if save_store(snapshot) != frozen:
+                failures.append(start)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=writer)] + [
+            threading.Thread(target=reader) for _ in range(n_readers)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not failures
+
+
 def test_lazy_merge_pbe1_reads_blobs_without_hydrating():
     """Merging two decoded PBE-1 operands is bit-identical to merging
     the never-saved parts, and leaves both operands views of their
@@ -383,34 +552,39 @@ def test_lazy_merge_pbe1_reads_blobs_without_hydrating():
     assert not np.shares_memory(merged._kept_ys, decoded[0]._kept_ys)
 
 
-def test_lazy_merge_pbe2_reads_blobs_without_hydrating():
+def test_merge_pbe2_leaves_its_operands_unchanged():
+    """Merging decoded PBE-2 operands is bit-identical to merging the
+    never-saved parts, copies their rows into a new table, and leaves
+    each operand's columns and saved bytes as they were."""
     rng = np.random.default_rng(4)
     ts = np.sort(rng.uniform(0.0, 200.0, size=2000)).round(2)
     half = 1000
     while half < ts.size and ts[half] == ts[half - 1]:
         half += 1
 
-    blobs = []
+    blobs, parts = [], []
     for chunk in (ts[:half], ts[half:]):
         part = PBE2(gamma=8.0, unit=1.0)
         part.extend_batch(chunk)
         part.finalize()
         blobs.append(dump_pbe2(part))
+        parts.append(part)
 
-    eager_merge = merge_pbe2([load_pbe2(blob) for blob in blobs])
-    stats = LazySketchStats()
-    lazy_parts = [load_pbe2(blob, lazy=True, stats=stats) for blob in blobs]
-    lazy_merge = merge_pbe2(lazy_parts)
+    decoded = [load_pbe2(blob) for blob in blobs]
+    tables = [part._cols for part in decoded]
+    merged = merge_pbe2(decoded)
 
-    assert dump_pbe2(lazy_merge) == dump_pbe2(eager_merge)
-    assert all(not part.is_materialized for part in lazy_parts)
-    assert stats.hydrations == 0
-    assert stats.lazy_reads == len(blobs)
+    assert dump_pbe2(merged) == dump_pbe2(merge_pbe2(parts))
+    for part, table, blob in zip(decoded, tables, blobs):
+        assert part._cols is table
+        assert not np.shares_memory(merged._cols, table)
+        assert dump_pbe2(part) == blob
 
 
 def test_store_level_lazy_merge_never_hydrates():
-    """Merging two lazily loaded stores routes through the PBE merge
-    fast paths: every cell blob is read zero-copy, zero hydrations."""
+    """Merging two stores read in place from their bytes answers like
+    merging copies of them, and leaves both operands views of their
+    blobs with their saved bytes unchanged."""
     cfg = dict(
         universe_size=UNIVERSE, eta=60, buffer_size=400, width=16, depth=5, seed=0
     )
@@ -427,15 +601,17 @@ def test_store_level_lazy_merge_never_hydrates():
     second.finalize()
     blob_first, blob_second = save_store(first), save_store(second)
 
-    lazy_first = load_store(blob_first, lazy=True)
-    lazy_second = load_store(blob_second, lazy=True)
+    lazy_first = load_store(blob_first)
+    lazy_second = load_store(blob_second)
     merged_lazy = lazy_first.merge(lazy_second)
-    merged_eager = load_store(blob_first).merge(load_store(blob_second))
+    merged_eager = load_store(bytearray(blob_first)).merge(
+        load_store(bytearray(blob_second))
+    )
 
     assert save_store(merged_lazy) == save_store(merged_eager)
     for operand, blob in ((lazy_first, blob_first), (lazy_second, blob_second)):
-        assert lazy_stats(operand).hydrations == 0
         _assert_views_of(_pbe1_columns(operand), blob)
+        assert save_store(operand) == blob
 
 
 # ----------------------------------------------------------------------
@@ -443,8 +619,8 @@ def test_store_level_lazy_merge_never_hydrates():
 # ----------------------------------------------------------------------
 def test_committed_v1_fixture_loads_lazily():
     blob = V1_FIXTURE.read_bytes()
-    lazy = load_store(blob, lazy=True)
-    eager = load_store(blob)
+    lazy = load_store(blob)
+    eager = load_store(bytearray(blob))
 
     assert lazy.backend_key == "cm-pbe-1"
     assert lazy.count == 400
@@ -456,9 +632,9 @@ def test_committed_v1_fixture_loads_lazily():
         0, 250.0, 40.0
     )
     # Re-saving the upgraded v1 store emits a v3 envelope whose table
-    # then validates on its own lazy reload.
+    # then validates on its own reload.
     upgraded = save_store(lazy)
-    assert save_store(load_store(upgraded, lazy=True)) == upgraded
+    assert save_store(load_store(upgraded)) == upgraded
 
 
 @pytest.fixture(scope="module")
@@ -470,7 +646,8 @@ def v3_blob() -> bytes:
 
 
 @pytest.mark.parametrize("lazy", [True, False], ids=["lazy", "eager"])
-def test_doctored_entry_offset_raises_named_error(v3_blob, lazy):
+def test_doctored_entry_offset_raises_named_error(tmp_path, v3_blob, lazy):
+    """Raised whether ``open_store`` maps the file or reads it."""
     table_at, _ = _table_region(v3_blob)
     bad = bytearray(v3_blob)
     kind, offset, length = _TABLE_ENTRY.unpack_from(
@@ -479,8 +656,10 @@ def test_doctored_entry_offset_raises_named_error(v3_blob, lazy):
     _TABLE_ENTRY.pack_into(
         bad, table_at + _TABLE_COUNT.size, kind, offset + 1, length
     )
+    path = tmp_path / "bad.beds"
+    path.write_bytes(bad)
     with pytest.raises(CorruptOffsetTableError):
-        load_store(bytes(bad), lazy=lazy)
+        open_store(path, lazy=lazy)
 
 
 def test_unknown_cell_kind_raises_named_error(v3_blob):
@@ -493,14 +672,14 @@ def test_unknown_cell_kind_raises_named_error(v3_blob):
         bad, table_at + _TABLE_COUNT.size, 7, offset, length
     )
     with pytest.raises(CorruptOffsetTableError):
-        load_store(bytes(bad), lazy=True)
+        load_store(bytes(bad))
 
 
 def test_truncation_inside_table_raises_named_error(v3_blob):
     table_at, _ = _table_region(v3_blob)
     truncated = v3_blob[: table_at + _TABLE_COUNT.size + 3]
     with pytest.raises(CorruptOffsetTableError):
-        load_store(truncated, lazy=True)
+        load_store(truncated)
 
 
 def test_inflated_entry_count_raises_named_error(v3_blob):
@@ -511,7 +690,7 @@ def test_inflated_entry_count_raises_named_error(v3_blob):
     bad = bytearray(v3_blob)
     _TABLE_COUNT.pack_into(bad, table_at, n_entries + 1000)
     with pytest.raises(SerializationError):
-        load_store(bytes(bad), lazy=True)
+        load_store(bytes(bad))
 
 
 def test_swapped_payload_disagrees_with_table(v3_blob):
@@ -531,4 +710,4 @@ def test_swapped_payload_disagrees_with_table(v3_blob):
     if grafted == v3_blob:  # pragma: no cover - seeds chosen to differ
         pytest.skip("fixtures serialized identically; nothing to graft")
     with pytest.raises(SerializationError):
-        load_store(grafted, lazy=True)
+        load_store(grafted)

@@ -18,8 +18,8 @@ is purely a speed change on ``cm-pbe-1``, ``direct`` (PBE-1 cells),
   scalar), ``finalize`` and ``merge`` after a query answer like a twin
   that was never queried, and a merge leaves its operands' answers as
   they were;
-* a lazily opened archive answers every batch read like its eagerly
-  loaded twin without hydrating a single cell;
+* a memory-mapped archive answers every batch read like its twin read
+  into memory, with every PBE-1 cell still viewing the mapping;
 * readers racing to build the same pack all answer as one reader does.
 """
 
@@ -258,7 +258,7 @@ def test_mutation_after_query_drops_the_pack(
 
 
 # ----------------------------------------------------------------------
-# Lazily opened archives pack without hydrating
+# Memory-mapped archives pack in place
 # ----------------------------------------------------------------------
 def _kept_columns(store) -> list[np.ndarray]:
     """Kept corner arrays of every non-empty PBE-1 cell of ``store``."""
