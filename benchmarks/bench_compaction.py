@@ -19,10 +19,12 @@ Run standalone (no pytest needed)::
 
     PYTHONPATH=src python benchmarks/bench_compaction.py [--smoke] [--check]
 
-``--smoke`` shrinks the workload for a CI run; ``--check`` exits
-nonzero when compaction misses its segment-count contract
-(``<= ceil(before / fanin)``), changes any answer, or leaves the
-compacted store dramatically slower than the fragmented one.
+``--smoke`` shrinks the workload for a CI run and writes
+``BENCH_compaction.smoke.json`` unless ``--out`` says otherwise, so the
+committed full-size ``BENCH_compaction.json`` stays the reference;
+``--check`` exits nonzero when compaction misses its segment-count
+contract (``<= ceil(before / fanin)``), changes any answer, or leaves
+the compacted store dramatically slower than the fragmented one.
 """
 
 from __future__ import annotations
@@ -167,7 +169,9 @@ def run_compaction_benchmark(
         "answers_identical": identical,
         "metrics": global_registry().snapshot(),
     }
-    target = out_path or RESULTS_DIR / "BENCH_compaction.json"
+    target = out_path or RESULTS_DIR / (
+        "BENCH_compaction.smoke.json" if smoke else "BENCH_compaction.json"
+    )
     target.parent.mkdir(exist_ok=True)
     target.write_text(json.dumps(payload, indent=2) + "\n")
     return payload

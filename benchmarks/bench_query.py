@@ -6,6 +6,13 @@ workload twice — once as a scalar ``point_query`` loop, once through
 ``point_query_batch`` — and the results must be bit-identical before
 any timing is reported.
 
+Each backend also answers a panel of bursty-event queries and of
+bursty-time queries (``scan_rows``).  Every bursty-event answer is
+checked against ``point_query_batch`` over the whole id universe at the
+query time, thresholded and put in canonical order (burstiness falling,
+then id): the scanning backends must return exactly those hits, and the
+pruned ``index`` descent a subset of them with the same values.
+
 Run standalone (no pytest needed)::
 
     PYTHONPATH=src python benchmarks/bench_query.py [--smoke] [--check]
@@ -14,16 +21,18 @@ Run standalone (no pytest needed)::
 writes ``BENCH_query.smoke.json`` unless ``--out`` says otherwise, so
 the committed full-size ``BENCH_query.json`` stays the reference;
 ``--check`` exits nonzero if the batched path ever diverges from the
-scalar loop or the CM-PBE grids fall below the vectorization floor at
-10k+ queries.
+scalar loop, a bursty-event answer disagrees with the point batch, or
+the CM-PBE grids fall below the vectorization floor at 10k+ queries.
 
 The batched wins are structural, not incidental: one ``searchsorted``
 over each PBE's corners replaces a bisect per query, the CM-PBE row
-combiner becomes one ``np.median`` over a matrix, per-id hash columns
-are computed once per batch, and the sharded composite fans large
-shard batches out on a thread pool (from ``POOL_MIN_PAIRS_PER_SHARD``
-pairs per shard; smaller ones run in shard order on the caller's
-thread).
+combiner is one ``np.minimum``/``np.maximum`` comparator network over
+the whole estimate matrix, a batch at one time (a bursty-event scan)
+reads each CM-PBE cell once per time, per-id hash columns are computed
+once per batch (once per store for the scanned universe), and the
+sharded composite fans large shard batches out on a thread pool (from
+``POOL_MIN_PAIRS_PER_SHARD`` pairs per shard; smaller ones run in shard
+order on the caller's thread).
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.dyadic import BurstyEvent
 from repro.core.metrics import global_registry
 from repro.core.store import create_store
 from repro.workloads.olympics import make_olympicrio
@@ -80,6 +90,14 @@ VECTORIZED_LABELS = {"cm-pbe-1", "cm-pbe-2"}
 FULL_SIZES = [1_000, 10_000, 100_000]
 SMOKE_SIZES = [500, 2_000]
 
+#: Bursty-event and bursty-time queries per backend (full, smoke), and
+#: the threshold both ask for.
+SCAN_QUERIES = (200, 40)
+SCAN_THETA = 3.0
+#: Backends whose bursty-event query prunes the id universe: their hits
+#: are a subset of the thresholded point batch, not all of it.
+PRUNED_LABELS = {"index"}
+
 #: Best-of repeats per query-count tier; large tiers run once.
 def _repeats(n_queries: int) -> int:
     if n_queries <= 1_000:
@@ -98,6 +116,63 @@ def _best_seconds(fn, repeats: int) -> float:
         fn()
         best = min(best, time.perf_counter() - start)
     return best
+
+
+def _expected_hits(store, t: float, tau: float) -> list[BurstyEvent]:
+    """The bursty events at ``t`` as ``point_query_batch`` over the whole
+    universe gives them: thresholded, burstiness falling, then id."""
+    ids = np.arange(UNIVERSE)
+    values = store.point_query_batch(ids, np.full(UNIVERSE, t), tau)
+    return sorted(
+        (
+            BurstyEvent(event_id, value)
+            for event_id, value in zip(ids.tolist(), values.tolist())
+            if value >= SCAN_THETA
+        ),
+        key=lambda hit: (-hit.burstiness, hit.event_id),
+    )
+
+
+def _scan_rows(label, store, times, events, tau: float) -> list[dict]:
+    """One bursty-event and one bursty-time row for ``store``."""
+    times, events = times.tolist(), events.tolist()
+
+    def scans():
+        return [store.bursty_event_query(t, SCAN_THETA, tau) for t in times]
+
+    def intervals():
+        return [
+            store.bursty_time_query(event_id, SCAN_THETA, tau)
+            for event_id in events
+        ]
+
+    answers = scans()
+    consistent = True
+    for t, hits in zip(times, answers):
+        expected = _expected_hits(store, t, tau)
+        if label in PRUNED_LABELS:
+            found = {hit.event_id for hit in hits}
+            expected = [hit for hit in expected if hit.event_id in found]
+        consistent = consistent and hits == expected
+    repeats = _repeats(len(times))
+    rows = []
+    for kind, fn, found in (
+        ("events", scans, sum(map(len, answers))),
+        ("times", intervals, sum(map(len, intervals()))),
+    ):
+        seconds = _best_seconds(fn, repeats)
+        row = {
+            "backend": label,
+            "kind": kind,
+            "n_queries": len(times),
+            "seconds": seconds,
+            "queries_per_s": len(times) / seconds,
+            "found": int(found),
+        }
+        if kind == "events":
+            row["consistent"] = consistent
+        rows.append(row)
+    return rows
 
 
 def run_query_comparison(
@@ -120,7 +195,10 @@ def run_query_comparison(
         for n in sizes
     }
 
-    rows = []
+    scan_times = rng.uniform(2 * tau, t_end, SCAN_QUERIES[smoke])
+    scan_events = rng.integers(0, UNIVERSE, SCAN_QUERIES[smoke])
+
+    rows, scan_rows = [], []
     for label, backend, cfg in BACKENDS:
         store = create_store(backend, **cfg)
         store.extend_batch(ids_column, ts_column)
@@ -159,17 +237,21 @@ def run_query_comparison(
                     "speedup": scalar_s / batch_s,
                 }
             )
+        scan_rows += _scan_rows(label, store, scan_times, scan_events, tau)
 
     payload = {
         "workload": {
             "stream": f"olympicrio ({UNIVERSE} events)",
             "n_mentions": int(ids_column.size),
             "query_sizes": [int(n) for n in sizes],
+            "scan_queries": SCAN_QUERIES[smoke],
+            "scan_theta": SCAN_THETA,
             "tau": tau,
             "smoke": smoke,
         },
         "rows": rows,
         "max_speedup": max(r["speedup"] for r in rows),
+        "scan_rows": scan_rows,
         # Operational counters accumulated over the run (LRU hit rates,
         # shard fan-out latencies, ...), so a regression in the serving
         # path shows up next to the wall-clock numbers.
@@ -198,6 +280,12 @@ def check_query_results(payload: dict) -> list[str]:
             failures.append(
                 f"{tag}: below {VECTORIZED_FLOOR:.0f}x vectorization "
                 f"floor (got {row['speedup']:.2f}x)"
+            )
+    for row in payload["scan_rows"]:
+        if not row.get("consistent", True):
+            failures.append(
+                f"{row['backend']} bursty events: hits differ from the "
+                f"thresholded point batch"
             )
     return failures
 
@@ -231,7 +319,19 @@ def main(argv: list[str] | None = None) -> int:
             f"{row['batch_queries_per_s']:>13,.0f} "
             f"{row['speedup']:>7.2f}x {str(row['identical']):>10}"
         )
-    print(f"\nmax speedup: {payload['max_speedup']:.1f}x")
+    print(f"\nmax speedup: {payload['max_speedup']:.1f}x\n")
+    header = (
+        f"{'backend':<20} {'query':>7} {'queries':>8} {'q/s':>10} "
+        f"{'found':>7} {'consistent':>11}"
+    )
+    print(header)
+    print("-" * len(header))
+    for row in payload["scan_rows"]:
+        print(
+            f"{row['backend']:<20} {row['kind']:>7} {row['n_queries']:>8} "
+            f"{row['queries_per_s']:>10,.0f} {row['found']:>7} "
+            f"{str(row.get('consistent', '')):>11}"
+        )
     if args.check:
         failures = check_query_results(payload)
         for failure in failures:

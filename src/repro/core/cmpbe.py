@@ -18,6 +18,7 @@ as an ablation).  Theorem 1:
 from __future__ import annotations
 
 from collections import OrderedDict
+from functools import lru_cache
 from typing import Callable, Iterable, Protocol
 
 import numpy as np
@@ -41,6 +42,7 @@ __all__ = [
     "DirectPBEMap",
     "PersistentSketchCell",
     "finalize_sketches",
+    "median_over_rows",
 ]
 
 
@@ -96,12 +98,66 @@ def _cell_values(
     one packed lookup, or one ``value_many`` per distinct PBE-2 cell."""
     if pack is not None:
         return pack.lookup(slots, times)
-    times = np.broadcast_to(times, slots.shape)
+    slots, times = np.broadcast_arrays(slots, times)
     out = np.empty(slots.shape, dtype=np.float64)
-    for slot in np.unique(slots).tolist():
-        selected = slots == slot
-        out[selected] = cells[slot].value_many(times[selected])
+    flat_out, times = out.reshape(-1), times.reshape(-1)
+    for slot, order in _iter_groups(slots.reshape(-1)):
+        flat_out[order] = cells[slot].value_many(times[order])
     return out
+
+
+@lru_cache(maxsize=None)
+def _median_network(depth: int) -> tuple[tuple[int, int, bool, bool], ...]:
+    """The comparators of a ``depth``-row odd-even transposition sort
+    that can reach the middle row(s), as ``(i, i + 1, keep_min,
+    keep_max)``: walking the full network backwards from the middle,
+    a comparator is kept if one of its outputs is still needed, and
+    only that output is computed."""
+    network = [
+        (i, i + 1)
+        for step in range(depth)
+        for i in range(step % 2, depth - 1, 2)
+    ]
+    needed = {(depth - 1) // 2, depth // 2}
+    kept = []
+    for i, j in reversed(network):
+        keep_min, keep_max = i in needed, j in needed
+        if keep_min or keep_max:
+            kept.append((i, j, keep_min, keep_max))
+            needed |= {i, j}
+    return tuple(reversed(kept))
+
+
+def median_over_rows(rows: np.ndarray) -> np.ndarray:
+    """``np.median(rows, axis=0)`` bit for bit, for any depth.
+
+    The rows go through an odd-even transposition network of
+    ``np.minimum``/``np.maximum`` (pruned to the comparators the middle
+    depends on); an odd depth takes the middle row, an even one
+    ``(lo + hi) / 2.0`` of the middle two.  ``np.median`` averages with
+    a sum that starts at ``+0.0``, so a zero median is ``+0.0``; starting
+    from ``0.0`` here does the same and changes no other value.
+    """
+    rows = list(rows)
+    for i, j, keep_min, keep_max in _median_network(len(rows)):
+        lo, hi = rows[i], rows[j]
+        if keep_min:
+            rows[i] = np.minimum(lo, hi)
+        if keep_max:
+            rows[j] = np.maximum(lo, hi)
+    mid = len(rows) // 2
+    if len(rows) % 2:
+        return rows[mid] + 0.0
+    return (0.0 + rows[mid - 1] + rows[mid]) / 2.0
+
+
+def _median_of(values: list[float]) -> float:
+    """The scalar form of :func:`median_over_rows`."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[mid] + 0.0
+    return (0.0 + ordered[mid - 1] + ordered[mid]) / 2.0
 
 
 #: Hot-id hash columns remembered per sketch before eviction kicks in.
@@ -153,6 +209,8 @@ def _iter_groups(keys: np.ndarray):
     original (stream) order is preserved, so feeding each group to its
     cell as one sub-batch replays exactly the scalar per-cell sequence.
     """
+    if keys.size == 0:
+        return
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
     boundaries = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
@@ -222,7 +280,7 @@ class CMPBE:
         ]
         self._count = 0
         self._pack: PackedCells | None = None
-        self._row_buffer = np.empty(depth, dtype=np.float64)
+        self._universe: np.ndarray | None = None
         self._column_cache: OrderedDict[int, list[int]] = OrderedDict()
         metrics = global_registry()
         self._cache_hits = metrics.counter(
@@ -373,12 +431,20 @@ class CMPBE:
 
     def _combine_rows(self, columns: list[int], t: float) -> float:
         """One ``F~_e(t)`` estimate from pre-hashed columns."""
-        buffer = self._row_buffer
-        for row, column in enumerate(columns):
-            buffer[row] = self._cells[row][column].value(t)
+        values = [
+            self._cells[row][column].value(t)
+            for row, column in enumerate(columns)
+        ]
         if self.combiner == "median":
-            return float(np.median(buffer))
-        return float(buffer.min())
+            return _median_of(values)
+        return float(min(values))
+
+    def _combine(self, rows: np.ndarray) -> np.ndarray:
+        """The combiner over the leading (row) axis of an estimate
+        array: :func:`median_over_rows` or the row minimum."""
+        if self.combiner == "median":
+            return median_over_rows(rows)
+        return rows.min(axis=0)
 
     def cumulative_frequency(self, event_id: int, t: float) -> float:
         """Estimate ``F_e(t)`` by combining the ``d`` row estimates."""
@@ -396,9 +462,9 @@ class CMPBE:
 
         Hashes the id once and searches each row's cell slice of the
         packed table (PBE-2 cells: one ``value_many`` each); the combiner
-        runs as a single ``np.median``/``np.min`` over the ``(depth, n)``
-        estimate matrix.  Bit-identical to per-call
-        :meth:`cumulative_frequency`.
+        runs once over the ``(depth, n)`` estimate matrix, as the
+        comparator network of :func:`median_over_rows` (or the row
+        minimum).  Bit-identical to per-call :meth:`cumulative_frequency`.
         """
         ts = np.asarray(ts, dtype=np.float64)
         pack = self._packed()
@@ -410,9 +476,7 @@ class CMPBE:
                 if pack is not None
                 else cells[slot].value_many(ts)
             )
-        if self.combiner == "median":
-            return np.median(rows, axis=0)
-        return rows.min(axis=0)
+        return self._combine(rows)
 
     def burstiness(self, event_id: int, t: float, tau: float) -> float:
         """Point query ``q(e, t, tau)``: estimated ``b_e(t)`` (Eq. 2).
@@ -432,29 +496,65 @@ class CMPBE:
         """Batched point queries: estimated ``b_e(t)`` per ``(e, t)`` pair.
 
         Hash columns are computed once per *unique* event id with one
-        ``hash_many``; all ``depth x 3 n`` cell lookups then run as one
-        packed-table lookup (see :class:`~repro.core.pbe1.PackedCells`),
-        and the row combiner is a single ``np.median``/``np.min`` over
-        the ``(depth, 3 n)`` estimate matrix.  Bit-identical to per-call
+        ``hash_many``; the reads then go through
+        :meth:`burstiness_at_columns`.  Bit-identical to per-call
         :meth:`burstiness`.
         """
         require_tau(tau)
         ids, ts = _validated_query_batch(event_ids, ts)
-        n = ids.size
+        if ids.size == 0:
+            return np.zeros(0, dtype=np.float64)
+        unique_ids, inverse = np.unique(ids, return_inverse=True)
+        return self.burstiness_at_columns(
+            self._hashes.hash_many(unique_ids)[inverse], ts, tau
+        )
+
+    def burstiness_at_columns(
+        self, columns: np.ndarray, ts: np.ndarray, tau: float
+    ) -> np.ndarray:
+        """:meth:`burstiness_many` of pre-hashed ids: ``columns`` is their
+        ``(n, depth)`` :meth:`HashFamily.hash_many` matrix, ``ts`` the
+        ``n`` validated query times.
+
+        A batch of at least ``width`` pairs that all share one time
+        ``t`` (a bursty-event scan, a wide level of the index descent)
+        reads each cell once: the ``(3, depth * width)`` grid of cell
+        values at ``t``, ``t - tau`` and ``t - 2 tau`` is one lookup, and
+        each pair gathers its ``d`` cells from it by slot.  Any other
+        batch looks up its ``3 x depth x n`` (time, cell) pairs directly
+        (one packed-table lookup, see
+        :class:`~repro.core.pbe1.PackedCells`; PBE-2 cells: one
+        ``value_many`` per cell).  Either way the row combiner runs once
+        over the ``(3, depth, n)`` estimate array.
+        """
+        n = ts.size
         if n == 0:
             return np.zeros(0, dtype=np.float64)
-        times = np.concatenate([ts, ts - tau, ts - 2 * tau])
-        unique_ids, inverse = np.unique(ids, return_inverse=True)
-        columns = self._hashes.hash_many(unique_ids)[inverse].T
-        slots = columns + (np.arange(self.depth) * self.width)[:, None]
-        rows = _cell_values(
-            self.cells(), self._packed(), np.tile(slots, 3), times
-        )
-        if self.combiner == "median":
-            combined = np.median(rows, axis=0)
+        slots = columns.T + (np.arange(self.depth) * self.width)[:, None]
+        cells, pack = self.cells(), self._packed()
+        t = ts[:1]
+        if n >= self.width and bool((ts == t).all()):
+            times = np.concatenate([t, t - tau, t - 2 * tau])
+            grid = _cell_values(
+                cells, pack, np.arange(self.depth * self.width), times[:, None]
+            )
+            rows = np.take(grid, slots, axis=1)
         else:
-            combined = rows.min(axis=0)
-        return combined[:n] - 2.0 * combined[n : 2 * n] + combined[2 * n :]
+            times = np.stack([ts, ts - tau, ts - 2 * tau])
+            rows = _cell_values(cells, pack, slots, times[:, None, :])
+        combined = self._combine(rows.swapaxes(0, 1))
+        return combined[0] - 2.0 * combined[1] + combined[2]
+
+    def universe_columns(self, size: int) -> np.ndarray:
+        """``hash_many(arange(size))``: the hash columns of every id of a
+        ``size``-id universe, computed on the first scan and kept
+        read-only (the hash family is fixed by the grid's config)."""
+        columns = self._universe
+        if columns is None or columns.shape[0] != size:
+            columns = self._hashes.hash_many(np.arange(size, dtype=np.int64))
+            columns.flags.writeable = False
+            self._universe = columns
+        return columns
 
     def curve(self, event_id: int) -> _EventCurveView:
         """A :class:`CumulativeCurve` view of one event's estimate."""

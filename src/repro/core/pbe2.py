@@ -28,6 +28,7 @@ height.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from itertools import chain
 
@@ -111,8 +112,9 @@ class PBE2:
         # first ``_n`` rows are used and never change.  Only a table the
         # cell allocated has spare rows; a copy or a decoded cell holds
         # exactly ``_n``, so its first append reallocates and never
-        # writes rows another cell can see.
-        self._cols: np.ndarray = _NO_SEGMENTS
+        # writes rows another cell can see.  ``_views`` holds a
+        # memoryview of each column for the scalar :meth:`value`.
+        self._bind(_NO_SEGMENTS)
         self._n = 0
         # One-element delay for duplicate timestamps.
         self._pending_t: float | None = None
@@ -574,7 +576,7 @@ class PBE2:
             if n == self._cols.shape[1]:
                 grown = np.empty((4, max(8, 2 * n)))
                 grown[:, :n] = self._cols
-                self._cols = grown
+                self._bind(grown)
             self._cols[:, n] = (
                 segment.a, segment.b, segment.t_start, segment.t_end
             )
@@ -639,12 +641,13 @@ class PBE2:
         for segment in reversed(live):
             if t >= segment.t_start:
                 return max(0.0, segment.value(t))
-        idx = int(self._cols[2, : self._n].searchsorted(t, side="right"))
-        if idx == 0:
+        a, b, t_start, t_end = self._views
+        idx = bisect.bisect_right(t_start, t, 0, self._n) - 1
+        if idx < 0:
             return 0.0
         # LineSegment.value of the row, without building the object.
-        a, b, t_start, t_end = self._cols[:, idx - 1].tolist()
-        return max(0.0, a * min(max(t, t_start), t_end) + b)
+        clamped = min(max(t, t_start[idx]), t_end[idx])
+        return max(0.0, a[idx] * clamped + b[idx])
 
     def value_many(self, ts) -> np.ndarray:
         """Vectorized :meth:`value` over an array of query times.
@@ -719,8 +722,29 @@ class PBE2:
         """Take a float64 ``(4, n)`` table as the finalized segments.  It
         has no spare rows, so ``table`` may be shared with another cell:
         the first append copies it."""
-        self._cols = table
+        self._bind(table)
         self._n = table.shape[1]
+
+    def _bind(self, cols: np.ndarray) -> None:
+        """Hold ``cols`` as the segment table, with a memoryview of each
+        of its columns.  Cast through bytes, a view indexes a column of
+        a mapping at any alignment; only a strided column (never one
+        the cell grew itself, so never written later) is copied."""
+        self._cols = cols
+        self._views = tuple(
+            memoryview(np.ascontiguousarray(column)).cast("B").cast("d")
+            for column in cols
+        )
+
+    def __getstate__(self) -> dict:
+        # Memoryviews do not pickle; the columns are rebound on load.
+        state = dict(self.__dict__)
+        del state["_views"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._bind(self._cols)
 
     # ------------------------------------------------------------------
     # Accounting

@@ -372,19 +372,20 @@ def _canonical_hits(hits: list[BurstyEvent]) -> list[BurstyEvent]:
 
 
 def _scan_hits(
-    store, ids: np.ndarray, t: float, theta: float, tau: float
+    ids: np.ndarray, values: np.ndarray, theta: float
 ) -> list[BurstyEvent]:
-    """Bursty events among ``ids``: one batched point query at ``t``."""
-    values = store._point_batch(ids, np.full(ids.size, t), tau)
+    """The ids whose burstiness ``values`` reach ``theta``, in the
+    :func:`_canonical_hits` order (sorted in numpy, before any
+    :class:`BurstyEvent` is built)."""
     hit = np.flatnonzero(values >= theta)
-    return _canonical_hits(
-        [
-            BurstyEvent(event_id, value)
-            for event_id, value in zip(
-                ids[hit].tolist(), values[hit].tolist()
-            )
-        ]
-    )
+    ids, values = ids[hit], values[hit]
+    order = np.lexsort((ids, -values))
+    return [
+        BurstyEvent(event_id, value)
+        for event_id, value in zip(
+            ids[order].tolist(), values[order].tolist()
+        )
+    ]
 
 
 class _CurveView:
@@ -1237,7 +1238,11 @@ class CMPBEStore(_SketchStore):
                 "universe; configure universe_size (or use the 'index' "
                 "backend)"
             )
-        return _scan_hits(self, np.arange(self.universe_size), t, theta, tau)
+        size = self.universe_size
+        values = self.inner.burstiness_at_columns(
+            self.inner.universe_columns(size), np.full(size, float(t)), tau
+        )
+        return _scan_hits(np.arange(size), values, theta)
 
     def _config(self) -> dict:
         config = super()._config()
@@ -1287,7 +1292,10 @@ class DirectMapStore(_SketchStore):
     def _bursty_events(
         self, t: float, theta: float, tau: float
     ) -> list[BurstyEvent]:
-        return _scan_hits(self, self.inner.ids(), t, theta, tau)
+        ids = self.inner.ids()
+        return _scan_hits(
+            ids, self._point_batch(ids, np.full(ids.size, t), tau), theta
+        )
 
 
 # ----------------------------------------------------------------------
