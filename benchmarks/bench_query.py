@@ -6,12 +6,16 @@ workload twice — once as a scalar ``point_query`` loop, once through
 ``point_query_batch`` — and the results must be bit-identical before
 any timing is reported.
 
-Each backend also answers a panel of bursty-event queries and of
-bursty-time queries (``scan_rows``).  Every bursty-event answer is
-checked against ``point_query_batch`` over the whole id universe at the
-query time, thresholded and put in canonical order (burstiness falling,
-then id): the scanning backends must return exactly those hits, and the
-pruned ``index`` descent a subset of them with the same values.
+Each backend also answers a panel of bursty-event, bursty-time and
+peak queries (``scan_rows``).  Every bursty-event answer is checked
+against ``point_query_batch`` over the whole id universe at the query
+time, thresholded and put in canonical order (burstiness falling, then
+id): the scanning backends must return exactly those hits, and the
+pruned ``index`` descent a subset of them with the same values.  Every
+bursty-time and peak answer must equal the per-sample read:
+``bursty_time_intervals`` / ``max_burstiness`` over ``store.curve(e)``
+and ``store.segment_starts(e)``, which read ``F~`` at every breakpoint
+sample.  A row is ``consistent`` when all of its answers agree.
 
 Run standalone (no pytest needed)::
 
@@ -21,14 +25,16 @@ Run standalone (no pytest needed)::
 writes ``BENCH_query.smoke.json`` unless ``--out`` says otherwise, so
 the committed full-size ``BENCH_query.json`` stays the reference;
 ``--check`` exits nonzero if the batched path ever diverges from the
-scalar loop, a bursty-event answer disagrees with the point batch, or
-the CM-PBE grids fall below the vectorization floor at 10k+ queries.
+scalar loop, a scan row is not ``consistent``, or the CM-PBE grids
+fall below the vectorization floor at 10k+ queries.
 
 The batched wins are structural, not incidental: one ``searchsorted``
 over each PBE's corners replaces a bisect per query, the CM-PBE row
 combiner is one ``np.minimum``/``np.maximum`` comparator network over
 the whole estimate matrix, a batch at one time (a bursty-event scan)
-reads each CM-PBE cell once per time, per-id hash columns are computed
+reads each CM-PBE cell once per time, a bursty-time or peak query
+over a CM-PBE-1 grid reads the event's estimate once per knot rather
+than once per breakpoint sample, per-id hash columns are computed
 once per batch (once per store for the scanned universe), and the
 sharded composite fans large shard batches out on a thread pool (from
 ``POOL_MIN_PAIRS_PER_SHARD`` pairs per shard; smaller ones run in shard
@@ -47,6 +53,7 @@ import numpy as np
 
 from repro.core.dyadic import BurstyEvent
 from repro.core.metrics import global_registry
+from repro.core.queries import bursty_time_intervals, max_burstiness
 from repro.core.store import create_store
 from repro.workloads.olympics import make_olympicrio
 from repro.workloads.profiles import DAY
@@ -90,10 +97,19 @@ VECTORIZED_LABELS = {"cm-pbe-1", "cm-pbe-2"}
 FULL_SIZES = [1_000, 10_000, 100_000]
 SMOKE_SIZES = [500, 2_000]
 
-#: Bursty-event and bursty-time queries per backend (full, smoke), and
-#: the threshold both ask for.
+#: Bursty-event, bursty-time and peak queries per backend (full,
+#: smoke), and the threshold the first two ask for.
 SCAN_QUERIES = (200, 40)
 SCAN_THETA = 3.0
+#: A peak query asks for the burstiest moment in this many ``tau``
+#: after a scan time.
+PEAK_WINDOW = 7
+#: What an inconsistent scan row disagrees with, per query kind.
+REFERENCES = {
+    "events": "hits differ from the thresholded point batch",
+    "times": "intervals differ from the per-sample read",
+    "peak": "peaks differ from the per-sample read",
+}
 #: Backends whose bursty-event query prunes the id universe: their hits
 #: are a subset of the thresholded point batch, not all of it.
 PRUNED_LABELS = {"index"}
@@ -133,8 +149,36 @@ def _expected_hits(store, t: float, tau: float) -> list[BurstyEvent]:
     )
 
 
+def _per_sample_times(store, event_id: int, tau: float):
+    """A bursty-time answer read one breakpoint sample at a time."""
+    knots = store.segment_starts(event_id)
+    if not knots:
+        return []
+    return bursty_time_intervals(
+        store.curve(event_id), knots, SCAN_THETA, tau,
+        t_end=store.t_end + 2 * tau, piecewise=store.piecewise,
+    )
+
+
+def _per_sample_peak(store, event_id: int, t_start: float, tau: float):
+    """A peak answer read one breakpoint sample at a time."""
+    return max_burstiness(
+        store.curve(event_id), store.segment_starts(event_id), tau,
+        t_start, t_start + PEAK_WINDOW * tau, piecewise=store.piecewise,
+    )
+
+
+def _found(kind: str, answers: list) -> int:
+    """Hits, intervals, or peaks at or above the threshold."""
+    if kind == "peak":
+        return sum(value >= SCAN_THETA for _, value in answers)
+    return sum(map(len, answers))
+
+
 def _scan_rows(label, store, times, events, tau: float) -> list[dict]:
-    """One bursty-event and one bursty-time row for ``store``."""
+    """One bursty-event, one bursty-time and one peak row for
+    ``store``; each is ``consistent`` when it equals its reference
+    (the thresholded point batch, the per-sample reads)."""
     times, events = times.tolist(), events.tolist()
 
     def scans():
@@ -146,6 +190,12 @@ def _scan_rows(label, store, times, events, tau: float) -> list[dict]:
             for event_id in events
         ]
 
+    def peaks():
+        return [
+            store.peak_query(event_id, t, t + PEAK_WINDOW * tau, tau)
+            for event_id, t in zip(events, times)
+        ]
+
     answers = scans()
     consistent = True
     for t, hits in zip(times, answers):
@@ -154,24 +204,40 @@ def _scan_rows(label, store, times, events, tau: float) -> list[dict]:
             found = {hit.event_id for hit in hits}
             expected = [hit for hit in expected if hit.event_id in found]
         consistent = consistent and hits == expected
+    found_intervals = intervals()
+    found_peaks = peaks()
+    checks = {
+        "events": (answers, consistent),
+        "times": (
+            found_intervals,
+            found_intervals
+            == [_per_sample_times(store, e, tau) for e in events],
+        ),
+        "peak": (
+            found_peaks,
+            found_peaks
+            == [
+                _per_sample_peak(store, e, t, tau)
+                for e, t in zip(events, times)
+            ],
+        ),
+    }
     repeats = _repeats(len(times))
     rows = []
-    for kind, fn, found in (
-        ("events", scans, sum(map(len, answers))),
-        ("times", intervals, sum(map(len, intervals()))),
-    ):
+    for kind, fn in (("events", scans), ("times", intervals), ("peak", peaks)):
+        found, agrees = checks[kind]
         seconds = _best_seconds(fn, repeats)
-        row = {
-            "backend": label,
-            "kind": kind,
-            "n_queries": len(times),
-            "seconds": seconds,
-            "queries_per_s": len(times) / seconds,
-            "found": int(found),
-        }
-        if kind == "events":
-            row["consistent"] = consistent
-        rows.append(row)
+        rows.append(
+            {
+                "backend": label,
+                "kind": kind,
+                "n_queries": len(times),
+                "seconds": seconds,
+                "queries_per_s": len(times) / seconds,
+                "found": _found(kind, found),
+                "consistent": bool(agrees),
+            }
+        )
     return rows
 
 
@@ -282,10 +348,9 @@ def check_query_results(payload: dict) -> list[str]:
                 f"floor (got {row['speedup']:.2f}x)"
             )
     for row in payload["scan_rows"]:
-        if not row.get("consistent", True):
+        if not row["consistent"]:
             failures.append(
-                f"{row['backend']} bursty events: hits differ from the "
-                f"thresholded point batch"
+                f"{row['backend']} {row['kind']}: {REFERENCES[row['kind']]}"
             )
     return failures
 

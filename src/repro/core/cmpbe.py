@@ -566,6 +566,10 @@ class CMPBE:
         The per-event estimate can only change at these instants, so
         bursty-time queries need point queries only there (§V).
         """
+        return self.knots(event_id).tolist()
+
+    def knots(self, event_id: int) -> np.ndarray:
+        """:meth:`segment_starts` as a sorted float64 array."""
         pack = self._packed()
         cells = self.cells()
         knots = [
@@ -574,7 +578,7 @@ class CMPBE:
             else np.asarray(cells[slot].segment_starts(), dtype=np.float64)
             for slot in self._event_cells(event_id)
         ]
-        return np.unique(np.concatenate(knots)).tolist()
+        return np.unique(np.concatenate(knots))
 
     # ------------------------------------------------------------------
     # Accounting
@@ -718,6 +722,11 @@ class DirectPBEMap:
         if cell is None:
             return []
         return sorted(cell.segment_starts())  # type: ignore[attr-defined]
+
+    def knots(self, event_id: int) -> np.ndarray:
+        """:meth:`segment_starts` as a float64 array (a merged PBE-1
+        cell may repeat a time tied across its parts)."""
+        return np.asarray(self.segment_starts(event_id), dtype=np.float64)
 
     def cells(self) -> list:
         """Every allocated cell, in insertion order of its id."""

@@ -20,7 +20,7 @@ This module provides
 
 from __future__ import annotations
 
-from typing import Iterable, Literal
+from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
@@ -49,15 +49,17 @@ def _burstiness_at(
     return values[:n] - 2.0 * values[n : 2 * n] + values[2 * n :]
 
 
-def _shifted_knots(knots: Iterable[float], tau: float) -> np.ndarray:
+def _shifted_knots(
+    knots: Sequence[float] | np.ndarray, tau: float
+) -> np.ndarray:
     """Every knot plus its ``tau`` and ``2 tau`` shifts (unsorted)."""
-    array = np.fromiter(knots, dtype=np.float64)
+    array = np.asarray(knots, dtype=np.float64)
     return np.concatenate((array, array + tau, array + 2 * tau))
 
 
 def max_burstiness(
     curve: CumulativeCurve,
-    knots: Iterable[float],
+    knots: Sequence[float] | np.ndarray,
     tau: float,
     t_start: float,
     t_end: float,
@@ -89,7 +91,7 @@ def max_burstiness(
 
 def bursty_time_intervals(
     curve: CumulativeCurve,
-    knots: Iterable[float],
+    knots: Sequence[float] | np.ndarray,
     theta: float,
     tau: float,
     t_end: float,

@@ -95,7 +95,7 @@ from repro.core.queries import (
     bursty_time_intervals,
     max_burstiness,
 )
-from repro.streams.frequency import burstiness_from_curve
+from repro.streams.frequency import StaircaseCurve, burstiness_from_curve
 
 __all__ = [
     "BurstStore",
@@ -613,12 +613,12 @@ class _StoreBase:
     def _bursty_times(
         self, event_id, theta, tau, t_end, merge_gap, piecewise
     ) -> list[tuple[float, float]]:
-        knots = self.segment_starts(event_id)
-        if not knots:
+        knots = self._knots(event_id)
+        if not knots.size:
             return []
         end = self._resolve_t_end(t_end, tau, knots)
         return bursty_time_intervals(
-            self.curve(event_id),
+            self._breakpoint_curve(event_id, knots, knots[0] - 2 * tau, end),
             knots,
             theta,
             tau,
@@ -630,14 +630,29 @@ class _StoreBase:
     def _peak(
         self, event_id: int, t_start: float, t_end: float, tau: float
     ) -> tuple[float, float]:
+        knots = self._knots(event_id)
         return max_burstiness(
-            self.curve(event_id),
-            self.segment_starts(event_id),
+            self._breakpoint_curve(event_id, knots, t_start - 2 * tau, t_end),
+            knots,
             tau,
             t_start,
             t_end,
             piecewise=self.piecewise,
         )
+
+    def _breakpoint_curve(self, event_id: int, knots, lo: float, hi: float):
+        """The event's curve for a breakpoint query whose samples lie in
+        ``[lo, hi]``.  A staircase estimate changes level only at its
+        knots, so it is read once, at ``lo`` and at every knot in
+        ``(lo, hi]``, and each sample then costs one ``searchsorted``;
+        a PLA estimate is read per sample."""
+        if self.piecewise != "constant":
+            return self.curve(event_id)
+        inside = knots[
+            knots.searchsorted(lo, "right") : knots.searchsorted(hi, "right")
+        ]
+        xs = np.concatenate(([lo], inside))
+        return StaircaseCurve(xs, self.cumulative_frequency_many(event_id, xs))
 
     def _bursty_events(
         self, t: float, theta: float, tau: float
@@ -652,7 +667,7 @@ class _StoreBase:
     piecewise: Literal["constant", "linear"] = "constant"
 
     def _resolve_t_end(
-        self, t_end: float | None, tau: float, knots: list[float]
+        self, t_end: float | None, tau: float, knots: np.ndarray
     ) -> float:
         if t_end is not None:
             return t_end
@@ -660,7 +675,7 @@ class _StoreBase:
             return self._t_end + 2 * tau
         # Loaded legacy payloads carry no stream horizon: fall back to
         # the last instant this event's estimate can change.
-        return max(knots) + 2 * tau
+        return float(knots[-1]) + 2 * tau
 
     def finalize(self) -> None:
         """Flush buffered state (no-op for exact storage)."""
@@ -759,6 +774,10 @@ class _StoreBase:
         raise NotImplementedError
 
     def segment_starts(self, event_id: int) -> list[float]:
+        raise NotImplementedError
+
+    def _knots(self, event_id: int) -> np.ndarray:
+        """:meth:`segment_starts` as a sorted float64 array."""
         raise NotImplementedError
 
     def cumulative_frequency(self, event_id: int, t: float) -> float:
@@ -1047,6 +1066,9 @@ class _SketchStore(_StoreBase):
     def segment_starts(self, event_id: int) -> list[float]:
         return self._leaf.segment_starts(event_id)
 
+    def _knots(self, event_id: int) -> np.ndarray:
+        return self._leaf.knots(event_id)
+
     def cumulative_frequency(self, event_id: int, t: float) -> float:
         return float(self._leaf.cumulative_frequency(event_id, t))
 
@@ -1296,6 +1318,11 @@ class DirectMapStore(_SketchStore):
         return _scan_hits(
             ids, self._point_batch(ids, np.full(ids.size, t), tau), theta
         )
+
+    def _breakpoint_curve(self, event_id: int, knots, lo: float, hi: float):
+        # One cell per id: a sample already costs one search, so a read
+        # at the knots would only add a second one.
+        return self.curve(event_id)
 
 
 # ----------------------------------------------------------------------

@@ -111,12 +111,14 @@ class StaircaseCurve:
         if xs.shape != ys.shape or xs.ndim != 1:
             raise InvalidParameterError("xs and ys must be 1-d of equal size")
         if xs.size >= 2:
-            if np.any(np.diff(xs) <= 0):
+            if (xs[1:] <= xs[:-1]).any():
                 raise InvalidParameterError("corner xs must strictly increase")
-            if np.any(np.diff(ys) < 0):
+            if (ys[1:] < ys[:-1]).any():
                 raise InvalidParameterError("corner ys must be non-decreasing")
         self._xs = xs
         self._ys = ys
+        # Level 0.0 before the first corner, then one level per corner.
+        self._levels = np.concatenate(([0.0], ys))
 
     @classmethod
     def from_timestamps(cls, timestamps: Iterable[float]) -> "StaircaseCurve":
@@ -153,11 +155,7 @@ class StaircaseCurve:
     def values(self, ts: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`value` over an array of query times."""
         ts = np.asarray(ts, dtype=np.float64)
-        if self._xs.size == 0:
-            return np.zeros_like(ts)
-        idx = np.searchsorted(self._xs, ts, side="right") - 1
-        out = np.where(idx >= 0, self._ys[np.maximum(idx, 0)], 0.0)
-        return out
+        return self._levels[np.searchsorted(self._xs, ts, side="right")]
 
     value_many = values
 

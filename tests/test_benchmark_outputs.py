@@ -36,3 +36,18 @@ def test_compaction_smoke_leaves_committed_results(tmp_path, monkeypatch):
     assert bench.json.loads(smoke.read_text())["workload"]["smoke"] is True
     ignored = (BENCHMARKS.parent / ".gitignore").read_text().splitlines()
     assert "benchmarks/results/BENCH_compaction.smoke.json" in ignored
+
+
+def test_query_check_fails_on_an_inconsistent_scan_row():
+    bench = _bench_module("bench_query")
+    rows = [
+        {"backend": "cm-pbe-1", "kind": kind, "consistent": True}
+        for kind in ("events", "times", "peak")
+    ]
+    payload = {"rows": [], "scan_rows": rows}
+    assert bench.check_query_results(payload) == []
+    for row in rows[1:]:
+        row["consistent"] = False
+        failures = bench.check_query_results(payload)
+        assert any(row["kind"] in failure for failure in failures)
+        row["consistent"] = True

@@ -9,8 +9,20 @@ the scalar loops kept in :mod:`tests.oracles.queries`:
 
 * bursty-time (both ``piecewise`` modes, with and without
   ``merge_gap``, explicit and default ``t_end``), peak and bursty-event
-  answers equal the oracles on every backend in the matrix,
-* the same holds on durable stores whose memtable is not empty,
+  answers equal the oracles on every backend in the matrix, plus
+  CM-PBE grids with the ``min`` combiner and an even depth; the
+  ``piecewise`` argument is set against the store's curve kind both
+  ways (a staircase asked for ``"linear"``, a PLA for ``"constant"``),
+* streams start at the origin or at a Unix-epoch second, and ``tau``
+  is dyadic or not, so shifted samples round: ``(k + tau) - tau != k``
+  for some knots ``k`` near the origin, ``(k + tau) - 2 tau != k - tau``
+  at the epoch,
+* the same holds on durable stores whose memtable is not empty (for
+  PBE-1 children, holding unfolded buffers),
+* a store whose staircase combines CM-PBE rows reads an event's
+  estimate once per query, at no more than one time per knot plus
+  one; a PLA store and a direct map read it at every breakpoint
+  sample,
 * non-finite ``tau`` and NaN ``theta`` are rejected by every backend,
 * bursty-time and peak answers are shift-equivariant at Unix-epoch
   timestamps (linear-mode samples move one ulp inside a breakpoint).
@@ -25,6 +37,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.cmpbe import CMPBE, DirectPBEMap
 from repro.core.errors import InvalidParameterError
 from repro.core.store import create_store
 from repro.workloads.olympics import make_olympicrio
@@ -43,8 +56,40 @@ settings.register_profile("query_engine", deadline=None, max_examples=30)
 settings.load_profile("query_engine")
 
 TAU = 4.0
+#: A Unix-epoch second, where a ``tau`` shift rounds.
+EPOCH = 1.7e9
+#: ``tau`` values of the workloads: dyadic, and one that is not.
+TAUS = (TAU, 4.1)
 
 _MATRIX_CFG = {label: cfg for label, _, cfg in BACKEND_MATRIX}
+_EVEN_DEPTH = dict(depth=4)
+#: CM-PBE combiners beside the matrix's odd-depth median.
+COMBINER_MATRIX = [
+    (
+        "cm-pbe-1-min",
+        "cm-pbe-1",
+        dict(_MATRIX_CFG["cm-pbe-1"], combiner="min"),
+    ),
+    (
+        "cm-pbe-1-median-even",
+        "cm-pbe-1",
+        dict(_MATRIX_CFG["cm-pbe-1"], **_EVEN_DEPTH),
+    ),
+    (
+        "cm-pbe-2-min-even",
+        "cm-pbe-2",
+        dict(_MATRIX_CFG["cm-pbe-2"], combiner="min", **_EVEN_DEPTH),
+    ),
+]
+QUERY_MATRIX = BACKEND_MATRIX + COMBINER_MATRIX
+QUERY_IDS = [label for label, _, _ in QUERY_MATRIX]
+#: The stores whose estimate is a PBE-1 staircase combined from CM-PBE
+#: rows: they read it once per knot.
+STAIRCASE_MATRIX = [
+    row for row in QUERY_MATRIX
+    if row[0] not in EXACT_LABELS
+    and not any(tag in row[0] for tag in ("pbe-2", "pbe2", "direct"))
+]
 DURABLE_CHILDREN = [
     ("durable-exact", dict(backend="exact")),
     ("durable-cm-pbe-1", dict(backend="cm-pbe-1", **_MATRIX_CFG["cm-pbe-1"])),
@@ -59,21 +104,24 @@ DURABLE_CHILDREN = [
 def workloads(draw, max_size: int = 80):
     """A sorted record stream plus one query of each kind."""
     raw = draw(st.lists(st.integers(0, 160), min_size=1, max_size=max_size))
-    ts = sorted(t / 4 for t in raw)
+    origin = draw(st.sampled_from([0.0, EPOCH]))
+    ts = sorted(origin + t / 4 for t in raw)
     ids = draw(
         st.lists(
             st.integers(0, UNIVERSE - 1), min_size=len(ts), max_size=len(ts)
         )
     )
+    t_end = draw(st.one_of(st.none(), st.floats(-5.0, 60.0)))
     return {
         "ids": ids,
         "ts": ts,
+        "tau": draw(st.sampled_from(TAUS)),
         "event": draw(st.sampled_from(ids + [UNIVERSE - 1])),
         "theta": draw(st.floats(0.5, 6.0)),
         "merge_gap": draw(st.sampled_from([0.0, 1.0, 4.0])),
-        "t_end": draw(st.one_of(st.none(), st.floats(-5.0, 60.0))),
-        "t": draw(st.floats(-5.0, 50.0)),
-        "t_start": draw(st.floats(-10.0, 40.0)),
+        "t_end": None if t_end is None else origin + t_end,
+        "t": origin + draw(st.floats(-5.0, 50.0)),
+        "t_start": origin + draw(st.floats(-10.0, 40.0)),
         "span": draw(st.floats(0.25, 20.0)),
     }
 
@@ -88,48 +136,48 @@ def _exact_twin(data):
 
 
 def _oracle_times(store, label, data, piecewise):
-    event, theta = data["event"], data["theta"]
+    event, theta, tau = data["event"], data["theta"], data["tau"]
     t_end, gap = data["t_end"], data["merge_gap"]
     if label in EXACT_LABELS:
         twin = _exact_twin(data)
-        end = t_end if t_end is not None else twin.t_end + 2 * TAU
-        intervals = twin.inner.bursty_times(event, theta, TAU, t_end=end)
+        end = t_end if t_end is not None else twin.t_end + 2 * tau
+        intervals = twin.inner.bursty_times(event, theta, tau, t_end=end)
         return merge_intervals(intervals, gap) if gap > 0.0 else intervals
     knots = store.segment_starts(event)
     if not knots:
         return []
-    end = t_end if t_end is not None else store.t_end + 2 * TAU
+    end = t_end if t_end is not None else store.t_end + 2 * tau
     return bursty_time_intervals(
-        ScalarCurveView(store, event), knots, theta, TAU, end,
+        ScalarCurveView(store, event), knots, theta, tau, end,
         piecewise=piecewise, merge_gap=gap,
     )
 
 
 def _oracle_peak(store, label, data):
-    event, t_start = data["event"], data["t_start"]
+    event, t_start, tau = data["event"], data["t_start"], data["tau"]
     t_end = t_start + data["span"]
     if label in EXACT_LABELS:
         twin = _exact_twin(data)
-        knots = twin.inner.timestamps_between(event, t_start - 2 * TAU, t_end)
+        knots = twin.inner.timestamps_between(event, t_start - 2 * tau, t_end)
         return max_burstiness(
-            ScalarCurveView(twin, event), knots, TAU, t_start, t_end
+            ScalarCurveView(twin, event), knots, tau, t_start, t_end
         )
     return max_burstiness(
-        ScalarCurveView(store, event), store.segment_starts(event), TAU,
+        ScalarCurveView(store, event), store.segment_starts(event), tau,
         t_start, t_end, piecewise=store.piecewise,
     )
 
 
 def _oracle_events(store, label, backend, data):
-    t, theta = data["t"], data["theta"]
+    t, theta, tau = data["t"], data["theta"], data["tau"]
     if label in EXACT_LABELS:
-        return _exact_twin(data).bursty_event_query(t, theta, TAU)
+        return _exact_twin(data).bursty_event_query(t, theta, tau)
     if backend == "index":
-        return canonical_hits(bursty_events_scalar(store.inner, t, theta, TAU))
+        return canonical_hits(bursty_events_scalar(store.inner, t, theta, tau))
     if backend == "direct":
         seen = sorted(set(data["ids"]))
-        return flat_bursty_events(store, seen, t, theta, TAU)
-    return flat_bursty_events(store, range(UNIVERSE), t, theta, TAU)
+        return flat_bursty_events(store, seen, t, theta, tau)
+    return flat_bursty_events(store, range(UNIVERSE), t, theta, tau)
 
 
 def _hits(hits):
@@ -137,17 +185,17 @@ def _hits(hits):
 
 
 def _assert_matches_oracles(store, label, backend, data):
-    event = data["event"]
+    event, tau = data["event"], data["tau"]
     for piecewise in ("constant", "linear"):
         got = store.bursty_time_query(
-            event, data["theta"], TAU, t_end=data["t_end"],
+            event, data["theta"], tau, t_end=data["t_end"],
             merge_gap=data["merge_gap"], piecewise=piecewise,
         )
         assert got == _oracle_times(store, label, data, piecewise)
     t_start = data["t_start"]
-    peak = store.peak_query(event, t_start, t_start + data["span"], TAU)
+    peak = store.peak_query(event, t_start, t_start + data["span"], tau)
     assert peak == _oracle_peak(store, label, data)
-    got_hits = store.bursty_event_query(data["t"], data["theta"], TAU)
+    got_hits = store.bursty_event_query(data["t"], data["theta"], tau)
     assert _hits(got_hits) == _hits(
         _oracle_events(store, label, backend, data)
     )
@@ -158,7 +206,7 @@ def _assert_matches_oracles(store, label, backend, data):
 # ----------------------------------------------------------------------
 class TestEngineMatchesScalarOracle:
     @pytest.mark.parametrize(
-        "label,backend,cfg", BACKEND_MATRIX, ids=BACKEND_IDS
+        "label,backend,cfg", QUERY_MATRIX, ids=QUERY_IDS
     )
     @given(data=workloads())
     def test_backend_matrix(self, label, backend, cfg, data):
@@ -180,7 +228,118 @@ class TestEngineMatchesScalarOracle:
             store.seal()
             store.extend_batch(data["ids"][half:], data["ts"][half:])
             assert store._memtable_elements > 0
+            if cfg["backend"] == "cm-pbe-1":
+                assert any(
+                    cell._buffer_xs
+                    for cell in store._memtable._leaf.cells()
+                )
             _assert_matches_oracles(store, label, "durable", data)
+
+    @pytest.mark.parametrize("origin", [0.0, EPOCH])
+    @pytest.mark.parametrize(
+        "label,backend,cfg", QUERY_MATRIX, ids=QUERY_IDS
+    )
+    def test_rounding_shifts(self, label, backend, cfg, origin):
+        """With ``tau = 4.1`` a sample of a shifted knot is not where
+        exact arithmetic puts it: near the origin ``(k + tau) - tau``
+        is not ``k`` for some knots ``k``, and at Unix-epoch seconds
+        ``(k + tau) - 2 tau`` is not ``k - tau``.  Reading the
+        staircase once per knot must still give every sample its
+        level."""
+        rng = np.random.default_rng(5)
+        ts = np.sort(origin + rng.integers(0, 160, 300) / 4)
+        ids = rng.integers(0, 8, ts.size)
+        tau = 4.1
+        data = {
+            "ids": ids.tolist(), "ts": ts.tolist(), "tau": tau,
+            "theta": 2.0, "merge_gap": 0.0, "t_end": None,
+            "t": origin + 20.0, "t_start": origin + 5.0, "span": 12.0,
+        }
+        knots = np.unique(ts)
+        if origin == 0.0:
+            assert np.any((knots + tau) - tau != knots)
+        else:
+            assert np.any((knots + tau) - 2 * tau != knots - tau)
+        store = create_store(backend, **cfg)
+        store.extend_batch(ids, ts)
+        for event in range(8):
+            _assert_matches_oracles(
+                store, label, backend, dict(data, event=event)
+            )
+
+
+# ----------------------------------------------------------------------
+# Breakpoint reads: once per knot on a staircase, per sample on a PLA
+# ----------------------------------------------------------------------
+def _knot_read_store(backend, cfg):
+    store = create_store(backend, **cfg)
+    rng = np.random.default_rng(7)
+    store.extend_batch(
+        rng.integers(0, 4, 400), np.sort(rng.uniform(0.0, 60.0, 400))
+    )
+    return store
+
+
+class TestBreakpointReads:
+    """Counts the ``cumulative_frequency_many`` calls a bursty-time or
+    peak query makes on the CM-PBE grid that answers it."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        calls: list[int] = []
+        for grid in (CMPBE, DirectPBEMap):
+            original = grid.cumulative_frequency_many
+
+            def spy(sketch, event_id, ts, original=original):
+                calls.append(np.asarray(ts).size)
+                return original(sketch, event_id, ts)
+
+            monkeypatch.setattr(grid, "cumulative_frequency_many", spy)
+        return calls
+
+    @pytest.mark.parametrize(
+        "label,backend,cfg", STAIRCASE_MATRIX,
+        ids=[label for label, _, _ in STAIRCASE_MATRIX],
+    )
+    def test_staircase_reads_once_per_knot(self, reads, label, backend, cfg):
+        store = _knot_read_store(backend, cfg)
+        for event in range(4):
+            n_knots = len(store.segment_starts(event))
+            for query in (
+                lambda: store.bursty_time_query(event, 2.0, TAU),
+                lambda: store.bursty_time_query(
+                    event, 2.0, TAU, piecewise="linear"
+                ),
+                lambda: store.peak_query(event, 10.0, 40.0, TAU),
+            ):
+                reads.clear()
+                query()
+                assert len(reads) == 1
+                assert reads[0] <= n_knots + 1
+
+    @pytest.mark.parametrize(
+        "label,backend,cfg",
+        [row for row in QUERY_MATRIX if row[0] in ("cm-pbe-2", "direct-pbe1")],
+        ids=["cm-pbe-2", "direct-pbe1"],
+    )
+    def test_per_sample_reads(self, reads, label, backend, cfg):
+        """A PLA changes inside its pieces, and a direct map's one cell
+        per id costs one search per sample already: both read ``F~``
+        at every breakpoint sample."""
+        store = _knot_read_store(backend, cfg)
+        for event in range(4):
+            knots = np.asarray(store.segment_starts(event))
+            end = store.t_end + 2 * TAU
+            shifted = np.unique(np.concatenate(
+                (knots, knots + TAU, knots + 2 * TAU)
+            ))
+            breakpoints = np.union1d(shifted[shifted <= end], [end])
+            reads.clear()
+            store.bursty_time_query(event, 2.0, TAU, piecewise="constant")
+            assert reads == [3 * breakpoints.size]
+            reads.clear()
+            store.bursty_time_query(event, 2.0, TAU, piecewise="linear")
+            assert reads == [6 * (breakpoints.size - 1)]
 
 
 # ----------------------------------------------------------------------
